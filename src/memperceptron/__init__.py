@@ -14,7 +14,6 @@ from .device import (
     WindowSpec,
     WindowViolationError,
     apply_read_pulse,
-    burst_update,
     select_and_update,
 )
 from .harness import (
@@ -25,8 +24,8 @@ from .harness import (
     run_roc_experiment,
 )
 from .metrics import EpochRecord, RocPoint, auc, roc_points, sample_cost, total_error
-from .mlp import MlpNetwork, Topology, glorot_init, make_mlp, train_mlp
-from .slp import SlpMachine, make_slp, train_slp
+from .mlp import Topology, glorot_init, train_mlp_ensemble
+from .slp import train_slp_ensemble
 
 __version__ = "0.1.0"
 
@@ -38,20 +37,15 @@ __all__ = [
     "ExperimentConfig",
     "Gate",
     "MemristorState",
-    "MlpNetwork",
     "RocPoint",
     "Sample",
-    "SlpMachine",
     "Topology",
     "WindowSpec",
     "WindowViolationError",
     "apply_read_pulse",
     "auc",
-    "burst_update",
     "generate_dataset",
     "glorot_init",
-    "make_mlp",
-    "make_slp",
     "parse_config",
     "roc_points",
     "run_learning_experiment",
@@ -59,7 +53,7 @@ __all__ = [
     "sample_cost",
     "select_and_update",
     "total_error",
-    "train_mlp",
-    "train_slp",
+    "train_mlp_ensemble",
+    "train_slp_ensemble",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from .harness import (
 
 _FLAG_FIELDS = (
     "model", "gate", "epochs", "dataset_size", "n_realizations",
-    "learning_rate", "seed", "thresholds", "window_a", "d_prime",
+    "learning_rate", "seed", "window_a", "d_prime",
     "b_scale", "tau", "mu_v", "r_on", "r_off", "topology",
     "roc_thresholds", "out_dir", "svg",
 )
@@ -43,8 +43,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="independent starting-weight draws")
     parser.add_argument("--learning-rate", dest="learning_rate", type=float)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--thresholds", type=float, nargs="+", metavar="I",
-                        help="addressing thresholds of the shared write window spec")
     parser.add_argument("--window-a", dest="window_a", type=float)
     parser.add_argument("--d-prime", dest="d_prime", type=float)
     parser.add_argument("--b-scale", dest="b_scale", type=float)

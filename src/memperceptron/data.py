@@ -1,4 +1,4 @@
-"""Logic-gate datasets: generation, shuffling, CSV round-trip.
+"""Logic-gate datasets: generation and CSV round-trip.
 
 Inputs are uniform random draws from {0,1}^2 labelled by the gate's truth
 table.  Generation is driven by numpy's default generator (PCG64), so a
@@ -73,12 +73,6 @@ def generate_dataset(gate: Gate, n: int, seed: int) -> Dataset:
         for b in bits
     )
     return Dataset(samples=samples, gate=gate, seed=seed)
-
-
-def shuffle_epoch(samples, rng: np.random.Generator) -> list[Sample]:
-    """Fresh presentation order for one epoch; consumes one permutation draw."""
-    order = rng.permutation(len(samples))
-    return [samples[i] for i in order]
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

@@ -18,7 +18,7 @@ state is exact, which keeps update postconditions bit-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,13 @@ def default_window(n: int, base: float = 10.0, spacing: float = 10.0, a: float =
 class MemristorState:
     """Mutable state of one multi-variable memristor.
 
-    gamma holds the internal variables, bounds the closed clamping
-    interval per variable, and i_b the bias current used to reach a
-    window during writes.  i_b is zero whenever no write is in flight.
+    gamma holds the internal variables and bounds the closed clamping
+    interval per variable.
     """
 
     gamma: np.ndarray
     window: WindowSpec
     bounds: np.ndarray
-    i_b: float = 0.0
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -129,15 +127,6 @@ def make_state(gamma, window: WindowSpec | None = None, lo: float = -2.0, hi: fl
     return MemristorState(gamma=gamma, window=window, bounds=bounds)
 
 
-@dataclass(frozen=True)
-class PulseResult:
-    """Outcome of one constant-current pulse."""
-
-    final_gamma: float
-    output_voltage: float
-    duration: float
-
-
 def memristance(params: DeviceParams, gamma: float, d_eff: float) -> float:
     """Resistance of the doped/undoped series stack at state gamma.
 
@@ -148,11 +137,6 @@ def memristance(params: DeviceParams, gamma: float, d_eff: float) -> float:
         raise ValueError(f"gamma {gamma} outside [0, {d_eff}]")
     frac = gamma / d_eff
     return params.r_on * frac + params.r_off * (1.0 - frac)
-
-
-def ohmic_output(params: DeviceParams, gamma: float, current: float) -> float:
-    """Instantaneous voltage V = R(gamma) * I with d_eff = params.d."""
-    return memristance(params, gamma, params.d) * current
 
 
 def drift_rate(params: DeviceParams, current: float) -> float:
@@ -168,8 +152,9 @@ def drift_rate(params: DeviceParams, current: float) -> float:
     return 0.0
 
 
-def apply_read_pulse(params: DeviceParams, gamma0: float, current: float, duration: float) -> PulseResult:
-    """Integrate a constant-current pulse in closed form.
+def apply_read_pulse(params: DeviceParams, gamma0: float, current: float,
+                     duration: float) -> tuple[float, float]:
+    """Integrate a constant-current pulse in closed form; returns (final gamma, voltage).
 
     The rate is constant, so gamma(t) = gamma0 + rate * t until it pins at
     d.  The reported voltage is taken at the end of the pulse in the
@@ -186,10 +171,10 @@ def apply_read_pulse(params: DeviceParams, gamma0: float, current: float, durati
     if final > params.d:
         final = params.d
     output = params.r_off * (1.0 - final / params.d) * current
-    return PulseResult(final_gamma=final, output_voltage=output, duration=duration)
+    return final, output
 
 
-def window_update_rate(state: MemristorState, index: int, current: float) -> float:
+def window_update_rate(state: MemristorState, index: int, current: float, i_b: float) -> float:
     """Drift rate of variable `index` under drive current `current`.
 
     Writes ride on a bias current of magnitude |i_b| that lifts the drive
@@ -204,7 +189,7 @@ def window_update_rate(state: MemristorState, index: int, current: float) -> flo
     """
     thr = state.window.thresholds[index]
     hi = thr + state.window.a
-    b = abs(state.i_b)
+    b = abs(i_b)
     if thr < current < hi:
         return current - b
     if thr < -current < hi:
@@ -215,12 +200,11 @@ def window_update_rate(state: MemristorState, index: int, current: float) -> flo
 def select_and_update(state: MemristorState, index: int, delta: float) -> MemristorState:
     """Write `delta` onto variable `index` through its addressing window.
 
-    Models one unit-duration write pulse: the bias current is set to
+    Models one unit-duration write pulse: the bias current i_b is set to
     +/- thresholds[index] (sign following delta), the drive
     I = delta + i_b then sits inside that variable's window and nowhere
     else, and closed-form integration of the window rate over unit time
-    adds exactly delta.  The result is clamped to the variable's bounds
-    and the bias is released, so i_b is 0 again on return.
+    adds exactly delta.  The result is clamped to the variable's bounds.
 
     Mutates `state` in place and returns it.  |delta| must stay below the
     window width a, otherwise the write would overshoot the window.
@@ -229,30 +213,6 @@ def select_and_update(state: MemristorState, index: int, delta: float) -> Memris
         raise WindowViolationError(
             f"|delta| = {abs(delta)} does not fit in window width {state.window.a}"
         )
-    thr = state.window.thresholds[index]
-    state.i_b = thr if delta >= 0.0 else -thr
-    lo, hi = state.bounds[index]
-    new = state.gamma[index] + delta
-    if new < lo:
-        new = lo
-    elif new > hi:
-        new = hi
-    state.gamma[index] = new
-    state.i_b = 0.0
-    return state
-
-
-def burst_update(state: MemristorState, index: int, delta: float) -> MemristorState:
-    """Write an increment of any size as a train of addressing pulses.
-
-    A single pulse moves a variable by less than the window width a; a
-    write controller lands a larger increment by repeating pulses until
-    the whole of `delta` has been delivered.  The train sums to exactly
-    `delta`, so the model collapses it into one increment and clamps to
-    the variable's bounds the same way a single write would.
-    """
-    if abs(delta) < state.window.a:
-        return select_and_update(state, index, delta)
     lo, hi = state.bounds[index]
     new = state.gamma[index] + delta
     if new < lo:
@@ -261,3 +221,4 @@ def burst_update(state: MemristorState, index: int, delta: float) -> MemristorSt
         new = hi
     state.gamma[index] = new
     return state
+

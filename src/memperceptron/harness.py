@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams, WindowSpec
+from .device import DeviceParams
 from .metrics import (
     EpochRecord,
     auc,
@@ -27,13 +27,8 @@ from .metrics import (
     write_curve_csv,
     write_roc_csv,
 )
-from .mlp import (
-    Topology,
-    glorot_init,
-    mlp_ensemble_outputs,
-    train_mlp_ensemble,
-)
-from .slp import glorot_slp_weights, slp_ensemble_outputs, train_slp_ensemble
+from .mlp import Topology, glorot_init, mlp_forward, quad_coefficient, train_mlp_ensemble
+from .slp import glorot_slp_weights, slp_forward, train_slp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
 
 
@@ -60,7 +55,6 @@ class ExperimentConfig:
     n_realizations: int = 100
     learning_rate: float | None = None
     seed: int = 0
-    thresholds: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
     window_a: float = 1.0
     d_prime: float = 4.0
     b_scale: float = 1.0
@@ -128,7 +122,7 @@ def _coerce(key: str, value):
         return _as_float(key, value)
     if key == "svg":
         return _as_bool(key, value)
-    if key in ("thresholds", "roc_thresholds"):
+    if key == "roc_thresholds":
         return _as_float_tuple(key, value)
     if key == "topology":
         return _as_int_tuple(key, value)
@@ -169,10 +163,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("config key 'seed' out of range: must be non-negative")
     if config.learning_rate is not None and config.learning_rate <= 0.0:
         raise ConfigError("config key 'learning_rate' out of range: must be positive")
-    try:
-        WindowSpec(config.thresholds, config.window_a)
-    except ValueError as exc:
-        raise ConfigError(f"config key 'thresholds' out of range: {exc}") from exc
+    if config.window_a <= 0.0:
+        raise ConfigError("config key 'window_a' out of range: must be positive")
     device_params(config)
     if config.d_prime <= 0.0:
         raise ConfigError("config key 'd_prime' out of range: must be positive")
@@ -221,7 +213,7 @@ def parse_config(path=None, overrides: dict | None = None,
 def config_as_dict(config: ExperimentConfig) -> dict:
     """JSON-ready view; tuples become lists."""
     out = asdict(config)
-    for key in ("thresholds", "roc_thresholds", "topology"):
+    for key in ("roc_thresholds", "topology"):
         out[key] = list(out[key])
     return out
 
@@ -281,13 +273,14 @@ def trained_ensemble(config: ExperimentConfig):
 def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarray:
     """Scores of every trained realization on a batch, (realizations, samples)."""
     if config.model == "slp":
-        return slp_ensemble_outputs(final, xs)
+        return slp_forward(final[:, None, :], xs)
     gammas, biases = final
-    outs = mlp_ensemble_outputs(
-        gammas, biases, xs,
-        params=device_params(config), tau=config.tau, b_scale=config.b_scale,
+    params = device_params(config)
+    layers = mlp_forward(
+        [g[:, None] for g in gammas], [b[:, None] for b in biases], xs,
+        params, quad_coefficient(params) * config.tau, config.b_scale,
     )
-    return outs[:, :, 0]
+    return layers[-1][2][:, :, 0]
 
 
 def learning_histories(config: ExperimentConfig) -> np.ndarray:
@@ -345,10 +338,15 @@ def run_roc_experiment(config: ExperimentConfig):
     (csv path, points, auc value).
     """
     validate_config(config)
-    single = replace(config, n_realizations=1)
-    _, final = trained_ensemble(single)
     eval_set = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1)
     xs, ts = eval_set.to_arrays()
+    if ts.min() == ts.max():
+        raise ConfigError(
+            f"config key 'dataset_size' out of range: the {config.dataset_size}-sample "
+            f"evaluation set drawn from seed {config.seed + 1} holds only one class"
+        )
+    single = replace(config, n_realizations=1)
+    _, final = trained_ensemble(single)
     scores = ensemble_scores(single, final, xs)[0]
     points = roc_points(scores, ts, config.roc_thresholds)
     auc_value = auc(scores, ts)

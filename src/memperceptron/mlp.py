@@ -25,30 +25,22 @@ slope-bias semantics carries the device's slope response m' = dm/dgamma_b
 instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware; changes too large for one pulse go out
 as a burst of pulses by default, or raise in "single" write mode.
-`train_mlp_ensemble` mirrors `train_mlp` over many seeded realizations
-with the same operation order, so the two routes agree bit for bit.
+`train_mlp_ensemble` runs many seeded networks in lock step through the
+shared loop in `train`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, shuffle_epoch
-from .device import (
-    DeviceParams,
-    MemristorState,
-    WindowSpec,
-    WindowViolationError,
-    burst_update,
-    select_and_update,
-)
+from .device import DeviceParams
+from .train import train_lockstep
 
 DEFAULT_D_PRIME = 4.0
 DEFAULT_B_SCALE = 1.0
 DEFAULT_TAU = 1.0
-DEFAULT_WRITE_THRESHOLD = 10.0
 DEFAULT_WINDOW_A = 1.0
 
 
@@ -64,14 +56,6 @@ class Topology:
         if any(n < 1 for n in self.layer_sizes):
             raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
 
-    @property
-    def n_inputs(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layer_sizes[-1]
-
 
 def quad_coefficient(params: DeviceParams) -> float:
     """Curvature kappa of the read response, R_off approximation."""
@@ -86,77 +70,6 @@ def bias_slope(params: DeviceParams, gamma_b):
 def bias_drift_slope(params: DeviceParams) -> float:
     """Sensitivity dm/dgamma_b of the slope to the stored bias (negative)."""
     return (params.r_on - params.r_off) / params.d
-
-
-def _single_variable_state(value: float, threshold: float, window_a: float, bound: float) -> MemristorState:
-    return MemristorState(
-        gamma=np.array([value], dtype=float),
-        window=WindowSpec((threshold,), window_a),
-        bounds=np.array([[-bound, bound]], dtype=float),
-    )
-
-
-@dataclass
-class SynapseMemristor:
-    """One linear connection device; weight = scaling * gamma."""
-
-    state: MemristorState
-    scaling: float = DEFAULT_B_SCALE
-
-    @property
-    def weight(self) -> float:
-        return self.scaling * float(self.state.gamma[0])
-
-    def apply_weight_update(self, dw: float) -> None:
-        select_and_update(self.state, 0, dw / self.scaling)
-
-
-@dataclass
-class NodeMemristor:
-    """One nonlinear unit; its internal variable stores the bias weight."""
-
-    params: DeviceParams
-    state: MemristorState
-    pulse_tau: float = DEFAULT_TAU
-    kt: float = field(init=False)
-
-    def __post_init__(self):
-        if self.pulse_tau < 0.0:
-            raise ValueError(f"pulse_tau must be non-negative, got {self.pulse_tau}")
-        self.kt = quad_coefficient(self.params) * self.pulse_tau
-
-    @property
-    def gamma_b(self) -> float:
-        return float(self.state.gamma[0])
-
-
-@dataclass
-class MlpNetwork:
-    topology: Topology
-    synapses: list  # [layer][from][to] -> SynapseMemristor
-    nodes: list  # [layer][unit] -> NodeMemristor, input layer excluded
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.eta}")
-
-    def weight(self, layer: int, i: int, j: int) -> float:
-        return self.synapses[layer][i][j].weight
-
-    def weight_arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Effective weights and bias values as plain arrays, for inspection."""
-        sizes = self.topology.layer_sizes
-        ws, bs = [], []
-        for l in range(len(sizes) - 1):
-            w = np.array(
-                [[self.synapses[l][i][j].weight for j in range(sizes[l + 1])]
-                 for i in range(sizes[l])]
-            )
-            b = np.array([node.gamma_b for node in self.nodes[l]])
-            ws.append(w)
-            bs.append(b)
-        return ws, bs
 
 
 def glorot_limit(n_in: int, n_out: int) -> float:
@@ -184,209 +97,26 @@ def glorot_init(topology: Topology, rng: np.random.Generator,
     return weights, biases
 
 
-def make_mlp(topology: Topology, weights, biases, eta: float,
-             params: DeviceParams | None = None, tau: float = DEFAULT_TAU,
-             d_prime: float = DEFAULT_D_PRIME, b_scale: float = DEFAULT_B_SCALE,
-             write_threshold: float = DEFAULT_WRITE_THRESHOLD,
-             window_a: float = DEFAULT_WINDOW_A) -> MlpNetwork:
-    """Load explicit weight and bias values into fresh devices."""
-    if params is None:
-        params = DeviceParams()
-    sizes = topology.layer_sizes
-    bound = d_prime / 2.0
-    synapses, nodes = [], []
-    for l in range(len(sizes) - 1):
-        w = np.asarray(weights[l], dtype=float)
-        b = np.asarray(biases[l], dtype=float)
-        if w.shape != (sizes[l], sizes[l + 1]):
-            raise ValueError(f"layer {l} weights must be {(sizes[l], sizes[l + 1])}, got {w.shape}")
-        if b.shape != (sizes[l + 1],):
-            raise ValueError(f"layer {l} biases must be ({sizes[l + 1]},), got {b.shape}")
-        layer_syn = [
-            [
-                SynapseMemristor(
-                    state=_single_variable_state(w[i, j] / b_scale, write_threshold, window_a, bound),
-                    scaling=b_scale,
-                )
-                for j in range(sizes[l + 1])
-            ]
-            for i in range(sizes[l])
-        ]
-        layer_nodes = [
-            NodeMemristor(
-                params=params,
-                state=_single_variable_state(b[k], write_threshold, window_a, bound),
-                pulse_tau=tau,
-            )
-            for k in range(sizes[l + 1])
-        ]
-        synapses.append(layer_syn)
-        nodes.append(layer_nodes)
-    return MlpNetwork(topology=topology, synapses=synapses, nodes=nodes, eta=eta)
+def mlp_forward(gammas, biases, x, params: DeviceParams, kt: float, b_scale: float):
+    """Forward pass of memristor networks, broadcasting over any leading axes.
 
-
-def synapse_output(syn: SynapseMemristor, current: float) -> float:
-    """Voltage of a linear connection device: weight times current."""
-    return syn.weight * current
-
-
-def node_activation(node: NodeMemristor, s: float) -> tuple[float, float]:
-    """Read-pulse response of a node to summed input current s.
-
-    Returns (output, derivative).  Only positive current can drift the
-    device during the read, so the quadratic bend appears on the positive
-    side; negative input reads out linearly through the slope m.  Zero
-    input gives zero output for any stored bias, and with kappa * tau = 0
-    the node degenerates to the purely linear m(gamma_b) * s on both
-    sides.
+    gammas[l] is (..., n_in, n_out) of synapse internal variables
+    (weight / b_scale), biases[l] is (..., n_out) and x is (..., n_inputs);
+    kt is kappa * tau.  Returns one (effective weights, net input, output,
+    activation derivative) tuple per layer, the network output last.
     """
-    m = bias_slope(node.params, node.gamma_b)
-    drive = s if s > 0.0 else 0.0
-    out = m * s - node.kt * (drive * drive)
-    deriv = m - 2.0 * node.kt * drive
-    return float(out), float(deriv)
-
-
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs from one forward pass."""
-
-    activations: list  # [input x, layer 1 outputs, ..., network output]
-    net_inputs: list  # summed input currents per non-input layer
-    derivs: list  # activation derivatives per non-input layer
-
-
-def mlp_forward(net: MlpNetwork, x) -> tuple[np.ndarray, ForwardTrace]:
-    sizes = net.topology.layer_sizes
-    if len(x) != sizes[0]:
-        raise ValueError(f"expected {sizes[0]} inputs, got {len(x)}")
-    v = np.asarray(x, dtype=float)
-    activations = [v]
-    net_inputs, derivs = [], []
-    for l in range(len(sizes) - 1):
-        n_out = sizes[l + 1]
-        s_vec = np.zeros(n_out)
-        o_vec = np.zeros(n_out)
-        d_vec = np.zeros(n_out)
-        for j in range(n_out):
-            s = 0.0
-            for i in range(sizes[l]):
-                s += net.synapses[l][i][j].weight * v[i]
-            o_vec[j], d_vec[j] = node_activation(net.nodes[l][j], s)
-            s_vec[j] = s
-        net_inputs.append(s_vec)
-        derivs.append(d_vec)
-        activations.append(o_vec)
-        v = o_vec
-    return activations[-1], ForwardTrace(activations, net_inputs, derivs)
-
-
-def output_gradient(target: float, output: float, deriv: float) -> float:
-    """Local gradient of an output node: residual times slope."""
-    return (target - output) * deriv
-
-
-def hidden_gradient(deriv: float, downstream) -> float:
-    """Local gradient of a hidden node from (delta, weight) pairs behind it."""
-    acc = 0.0
-    for delta, w in downstream:
-        acc += delta * w
-    return deriv * acc
-
-
-def backprop_step(net: MlpNetwork, sample: Sample, write_mode: str = "burst") -> float:
-    """One online backprop update; returns the pre-update sample cost.
-
-    All local gradients come from the frozen forward pass.  Each
-    connection moves by eta * delta_j * v_i.  Each node's bias variable
-    moves down its own cost gradient: the pull on the node's output
-    (residual for an output node, summed delta * w for a hidden one)
-    times the device's slope response m' times the net input, because
-    gamma_b enters the activation through the slope m rather than as an
-    added term.
-
-    Every change goes through the device addressing hardware.  In
-    "burst" mode (default) a change too large for one pulse is delivered
-    as a pulse train and always lands in full; in "single" mode every
-    change must fit one addressing pulse, and the step raises before
-    touching anything if one does not.
-    """
-    if write_mode not in ("burst", "single"):
-        raise ValueError(f"write_mode must be 'burst' or 'single', got {write_mode!r}")
-    sizes = net.topology.layer_sizes
-    n_layers = len(sizes) - 1
-    outputs, trace = mlp_forward(net, sample.x)
-    targets = np.atleast_1d(np.asarray(sample.t, dtype=float))
-    if targets.shape[0] != sizes[-1]:
-        raise ValueError(f"expected {sizes[-1]} targets, got {targets.shape[0]}")
-
-    err = 0.0
-    for k in range(sizes[-1]):
-        diff = targets[k] - outputs[k]
-        err += 0.5 * diff * diff
-
-    # upstream[k] is the pull on node k's output; delta folds in the
-    # activation derivative to give the pull on its net input
-    upstreams = [None] * n_layers
-    deltas = [None] * n_layers
-    upstreams[-1] = np.array([targets[k] - outputs[k] for k in range(sizes[-1])])
-    deltas[-1] = np.array(
-        [output_gradient(targets[k], outputs[k], trace.derivs[-1][k]) for k in range(sizes[-1])]
-    )
-    for l in range(n_layers - 2, -1, -1):
-        pulls = np.zeros(sizes[l + 1])
-        for k in range(sizes[l + 1]):
-            acc = 0.0
-            for j in range(sizes[l + 2]):
-                acc += deltas[l + 1][j] * net.weight(l + 1, k, j)
-            pulls[k] = acc
-        upstreams[l] = pulls
-        deltas[l] = np.array(
-            [trace.derivs[l][k] * pulls[k] for k in range(sizes[l + 1])]
-        )
-
-    staged = []
-    for l in range(n_layers):
-        v_prev = trace.activations[l]
-        for j in range(sizes[l + 1]):
-            base = net.eta * deltas[l][j]
-            for i in range(sizes[l]):
-                syn = net.synapses[l][i][j]
-                staged.append((syn.state, base * v_prev[i] / syn.scaling))
-            node = net.nodes[l][j]
-            db = net.eta * upstreams[l][j] * bias_drift_slope(node.params) * trace.net_inputs[l][j]
-            staged.append((node.state, db))
-    if write_mode == "single":
-        # verify everything fits before applying anything, so a violation
-        # leaves the network untouched
-        for state, dg in staged:
-            if abs(dg) >= state.window.a:
-                raise WindowViolationError(
-                    f"backprop update {dg} does not fit in window width {state.window.a}"
-                )
-        for state, dg in staged:
-            select_and_update(state, 0, dg)
-    else:
-        for state, dg in staged:
-            burst_update(state, 0, dg)
-    return err
-
-
-def train_mlp(net: MlpNetwork, samples, epochs: int, rng: np.random.Generator,
-              write_mode: str = "burst") -> np.ndarray:
-    """Online training with a fresh shuffle per epoch; returns E_total per epoch."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples to train on")
-    history = np.zeros(epochs)
-    for e in range(epochs):
-        total = 0.0
-        for sample in shuffle_epoch(samples, rng):
-            total += backprop_step(net, sample, write_mode=write_mode)
-        history[e] = total
-    return history
+    layers = []
+    v = x
+    for g, b in zip(gammas, biases):
+        w = b_scale * g
+        s = w[..., 0, :] * v[..., 0, None]
+        for i in range(1, w.shape[-2]):
+            s = s + w[..., i, :] * v[..., i, None]
+        m = bias_slope(params, b)
+        drive = np.where(s > 0.0, s, 0.0)
+        v = m * s - kt * (drive * drive)
+        layers.append((w, s, v, m - 2.0 * kt * drive))
+    return layers
 
 
 def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
@@ -399,117 +129,43 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
 
     gammas0[l] is (realizations, n_in, n_out) of synapse internal
     variables (weight / b_scale), biases0[l] is (realizations, n_out).
-    Updates follow `backprop_step` exactly, in the same float operation
-    order, so a single-realization run matches `train_mlp` bit for bit.
-    In "single" write mode the whole ensemble raises as soon as any
-    realization stages a change that does not fit one addressing pulse.
+    A node's bias moves by eta * pull * m' * net input, where the pull
+    on its output is the residual (output node) or summed delta * w
+    (hidden node).  Every variable is bounded by +/- d_prime / 2.
     Returns (histories, final gammas, final biases).
     """
-    if write_mode not in ("burst", "single"):
-        raise ValueError(f"write_mode must be 'burst' or 'single', got {write_mode!r}")
     if params is None:
         params = DeviceParams()
+    if xs.shape[1] != np.shape(gammas0[0])[1]:
+        raise ValueError(f"first layer takes {np.shape(gammas0[0])[1]} inputs, got {xs.shape[1]}")
     kt = quad_coefficient(params) * tau
     m_prime = bias_drift_slope(params)
-    gammas = [np.array(g, dtype=float) for g in gammas0]
-    biases = [np.array(b, dtype=float) for b in biases0]
-    n_layers = len(gammas)
-    n_real = gammas[0].shape[0]
-    if len(rngs) != n_real:
-        raise ValueError(f"{n_real} realizations but {len(rngs)} generators")
-    n_samples = xs.shape[0]
-    bound = d_prime / 2.0
-    histories = np.zeros((n_real, epochs))
-    for e in range(epochs):
-        perms = np.stack([rng.permutation(n_samples) for rng in rngs])
-        totals = np.zeros(n_real)
-        for k in range(n_samples):
-            idx = perms[:, k]
-            x = xs[idx]
-            t = ts[idx][:, None]
+    n_layers = len(gammas0)
 
-            acts = [x]
-            nets_in = []
-            derivs = []
-            weights_eff = []
-            for l in range(n_layers):
-                w = b_scale * gammas[l]
-                prev = acts[-1]
-                s = w[:, 0, :] * prev[:, 0, None]
-                for i in range(1, w.shape[1]):
-                    s = s + w[:, i, :] * prev[:, i, None]
-                m = bias_slope(params, biases[l])
-                drive = np.where(s > 0.0, s, 0.0)
-                out = m * s - kt * (drive * drive)
-                deriv = m - 2.0 * kt * drive
-                weights_eff.append(w)
-                nets_in.append(s)
-                acts.append(out)
-                derivs.append(deriv)
+    def backprop(state, x, t):
+        layers = mlp_forward(state[:n_layers], state[n_layers:], x, params, kt, b_scale)
+        diff = t[:, None] - layers[-1][2]
+        sq = 0.5 * diff * diff
+        err = sq[:, 0]
+        for k in range(1, sq.shape[1]):
+            err = err + sq[:, k]
+        # upstream is the pull on layer l's outputs; delta folds in the
+        # activation derivative to give the pull on its net inputs
+        upstream = diff
+        delta = diff * layers[-1][3]
+        inc_g, inc_b = [None] * n_layers, [None] * n_layers
+        for l in range(n_layers - 1, -1, -1):
+            w, s = layers[l][:2]
+            prev = layers[l - 1][2] if l else x
+            inc_g[l] = ((eta * delta)[:, None, :] * prev[:, :, None]) / b_scale
+            inc_b[l] = eta * upstream * m_prime * s
+            if l:
+                upstream = delta[:, 0, None] * w[:, :, 0]
+                for j in range(1, w.shape[2]):
+                    upstream = upstream + delta[:, j, None] * w[:, :, j]
+                delta = layers[l - 1][3] * upstream
+        return err, inc_g + inc_b
 
-            diff = t - acts[-1]
-            sq = 0.5 * diff * diff
-            err = sq[:, 0]
-            for k2 in range(1, sq.shape[1]):
-                err = err + sq[:, k2]
-            totals += err
-
-            upstreams = [None] * n_layers
-            deltas = [None] * n_layers
-            upstreams[-1] = diff
-            deltas[-1] = diff * derivs[-1]
-            for l in range(n_layers - 2, -1, -1):
-                w_next = weights_eff[l + 1]
-                d_next = deltas[l + 1]
-                acc = d_next[:, 0, None] * w_next[:, :, 0]
-                for j in range(1, w_next.shape[2]):
-                    acc = acc + d_next[:, j, None] * w_next[:, :, j]
-                upstreams[l] = acc
-                deltas[l] = derivs[l] * acc
-
-            staged_g, staged_b = [], []
-            violation = False
-            for l in range(n_layers):
-                scale = eta * deltas[l]
-                upd_w = scale[:, None, :] * acts[l][:, :, None]
-                upd_g = upd_w / b_scale
-                upd_b = eta * upstreams[l] * m_prime * nets_in[l]
-                staged_g.append(upd_g)
-                staged_b.append(upd_b)
-                if np.abs(upd_g).max() >= window_a or np.abs(upd_b).max() >= window_a:
-                    violation = True
-            if write_mode == "single" and violation:
-                raise WindowViolationError("backprop update exceeds the addressing window")
-            for l in range(n_layers):
-                gammas[l] = np.clip(gammas[l] + staged_g[l], -bound, bound)
-                biases[l] = np.clip(biases[l] + staged_b[l], -bound, bound)
-        histories[:, e] = totals
-    return histories, gammas, biases
-
-
-def mlp_ensemble_outputs(gammas, biases, xs: np.ndarray,
-                         params: DeviceParams | None = None,
-                         tau: float = DEFAULT_TAU,
-                         b_scale: float = DEFAULT_B_SCALE) -> np.ndarray:
-    """Forward pass of many networks on one input batch.
-
-    gammas[l] is (realizations, n_in, n_out), biases[l] is
-    (realizations, n_out), xs is (n_samples, n_inputs).  Returns
-    (realizations, n_samples, n_final) with the trainers' float
-    operation order.
-    """
-    if params is None:
-        params = DeviceParams()
-    kt = quad_coefficient(params) * tau
-    xs = np.asarray(xs, dtype=float)
-    n_real = gammas[0].shape[0]
-    acts = np.broadcast_to(xs[None], (n_real,) + xs.shape)
-    for l in range(len(gammas)):
-        w = b_scale * np.asarray(gammas[l], dtype=float)
-        s = w[:, None, 0, :] * acts[:, :, 0, None]
-        for i in range(1, w.shape[1]):
-            s = s + w[:, None, i, :] * acts[:, :, i, None]
-        m = bias_slope(params, np.asarray(biases[l], dtype=float))[:, None, :]
-        drive = np.where(s > 0.0, s, 0.0)
-        acts = m * s - kt * (drive * drive)
-    return acts
+    histories, final = train_lockstep(list(gammas0) + list(biases0), backprop, xs, ts, epochs,
+                                      rngs, d_prime / 2.0, window_a, write_mode)
+    return histories, final[:n_layers], final[n_layers:]

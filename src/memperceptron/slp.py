@@ -1,79 +1,25 @@
 """Single-layer perceptron stored inside one multi-variable memristor.
 
-For a unit with n inputs, a single device holds n + 2 internal variables:
-the input weights, the bias weight, and the learning rate.  The learning
-rate sits in the last variable and is read during training but never
-written.  Weight updates follow the delta rule and are delivered one at a
-time through the device's addressing windows, each as a unit-duration
-write pulse, so the stored weight moves by exactly the requested amount
-(then clamps at the variable bounds).
+For a unit with n inputs, one device holds the n input weights and the
+bias weight.  The output is logistic in the weighted input sum shifted
+by the bias weight.  Weight updates follow the delta rule and are
+delivered one at a time through the device's addressing windows, each
+as a unit-duration write pulse, so the stored weight moves by exactly
+the requested amount (then clamps at the variable bounds).  Every update
+must fit a single pulse.
 
-`train_slp` runs one machine sample by sample.  `train_slp_ensemble` runs
-many independently seeded machines in lock step with vectorised
-arithmetic; its per-realization results are bit-identical to the scalar
-path because every floating-point operation is performed in the same
-order.
+`train_slp_ensemble` runs many independently seeded machines in lock
+step through the shared loop in `train`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
-from .data import Sample, shuffle_epoch
-from .device import MemristorState, WindowSpec, WindowViolationError, default_window, select_and_update
+from .train import train_lockstep
 
 DEFAULT_WEIGHT_BOUND = 10.0
-
-
-@dataclass
-class SlpMachine:
-    """One logistic unit whose parameters live in a single device."""
-
-    device: MemristorState
-    input_dim: int
-
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.device.gamma.shape[0] != self.input_dim + 2:
-            raise ValueError(
-                f"device must hold {self.input_dim + 2} variables, "
-                f"got {self.device.gamma.shape[0]}"
-            )
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.device.gamma[: self.input_dim]
-
-    @property
-    def bias_weight(self) -> float:
-        return float(self.device.gamma[self.input_dim])
-
-    @property
-    def learning_rate(self) -> float:
-        return float(self.device.gamma[self.input_dim + 1])
-
-
-def make_slp(weights, bias_weight: float, learning_rate: float,
-             weight_bound: float = DEFAULT_WEIGHT_BOUND,
-             window: WindowSpec | None = None) -> SlpMachine:
-    """Wire explicit parameter values into a fresh device."""
-    weights = np.asarray(weights, dtype=float)
-    n = weights.shape[0]
-    gamma = np.concatenate([weights, [bias_weight, learning_rate]])
-    if window is None:
-        window = default_window(n + 2)
-    bounds = np.tile((-weight_bound, weight_bound), (n + 2, 1)).astype(float)
-    # the learning-rate variable is never written; its bounds just need to
-    # contain the stored value
-    bounds[n + 1] = (min(-weight_bound, learning_rate), max(weight_bound, learning_rate))
-    state = MemristorState(gamma=gamma, window=window, bounds=bounds)
-    return SlpMachine(device=state, input_dim=n)
 
 
 def glorot_slp_weights(input_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,66 +28,17 @@ def glorot_slp_weights(input_dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=input_dim + 1)
 
 
-def net_input(slp: SlpMachine, x) -> float:
-    """Weighted sum of the inputs, bias not included."""
-    if len(x) != slp.input_dim:
-        raise ValueError(f"expected {slp.input_dim} inputs, got {len(x)}")
-    w = slp.device.gamma
-    s = 0.0
-    for i in range(slp.input_dim):
-        s += w[i] * x[i]
-    return float(s)
+def slp_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logistic output, broadcasting over any leading axes.
 
-
-def logistic_activation(v: float, bias_weight: float) -> tuple[float, float]:
-    """Logistic output for drive v shifted by the bias weight.
-
-    Returns (output, derivative with respect to v); the derivative is
-    out * (1 - out), vanishing in both saturated tails.
+    weights is (..., n + 1) with the bias weight last and x is (..., n);
+    the inputs are summed in order, then the bias weight is added.
     """
-    out = float(expit(v + bias_weight))
-    return out, out * (1.0 - out)
-
-
-def delta_rule_step(slp: SlpMachine, sample: Sample) -> float:
-    """One online update; returns the pre-update sample cost.
-
-    The common factor eta * (t - out) * out' scales each input component;
-    the bias acts as an always-on input of 1.  Every write goes through
-    select_and_update, so the learning-rate variable is untouched and the
-    bias current is back to zero on return.
-    """
-    n = slp.input_dim
-    x = sample.x
-    v = net_input(slp, x)
-    out, deriv = logistic_activation(v, slp.bias_weight)
-    diff = sample.t - out
-    err = 0.5 * diff * diff
-    base = slp.learning_rate * diff * deriv
-    for i in range(n):
-        select_and_update(slp.device, i, base * x[i])
-    select_and_update(slp.device, n, base)
-    return err
-
-
-def train_slp(slp: SlpMachine, samples, epochs: int, rng: np.random.Generator) -> np.ndarray:
-    """Online training with a fresh shuffle per epoch.
-
-    Returns the epoch-summed cost, one entry per epoch, each accumulated
-    from the forward passes made before that sample's update.
-    """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples to train on")
-    history = np.zeros(epochs)
-    for e in range(epochs):
-        total = 0.0
-        for sample in shuffle_epoch(samples, rng):
-            total += delta_rule_step(slp, sample)
-        history[e] = total
-    return history
+    n = x.shape[-1]
+    v = weights[..., 0] * x[..., 0]
+    for i in range(1, n):
+        v = v + weights[..., i] * x[..., i]
+    return expit(v + weights[..., n])
 
 
 def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.ndarray,
@@ -150,52 +47,20 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
     """Train one machine per row of weights0, all in lock step.
 
     weights0 is (realizations, n + 1) with the bias weight last; rngs is
-    one generator per realization, consumed exactly as train_slp would
-    (one permutation per epoch).  Returns (histories, final weights).
+    one generator per realization, consumed one permutation per epoch.
+    The common factor eta * (t - out) * out * (1 - out) scales each input
+    component; the bias acts as an always-on input of 1.  Returns
+    (histories, final weights).
     """
-    w = np.array(weights0, dtype=float)
-    n_real, n_cols = w.shape
-    n = n_cols - 1
-    if len(rngs) != n_real:
-        raise ValueError(f"{n_real} realizations but {len(rngs)} generators")
-    n_samples = xs.shape[0]
-    histories = np.zeros((n_real, epochs))
-    lo, hi = -weight_bound, weight_bound
-    for e in range(epochs):
-        perms = np.stack([rng.permutation(n_samples) for rng in rngs])
-        totals = np.zeros(n_real)
-        for k in range(n_samples):
-            idx = perms[:, k]
-            x = xs[idx]
-            t = ts[idx]
-            v = w[:, 0] * x[:, 0]
-            for i in range(1, n):
-                v = v + w[:, i] * x[:, i]
-            out = expit(v + w[:, n])
-            deriv = out * (1.0 - out)
-            diff = t - out
-            totals += 0.5 * diff * diff
-            base = eta * diff * deriv
-            upd = base[:, None] * x
-            if np.abs(base).max() >= window_a or (n and np.abs(upd).max() >= window_a):
-                raise WindowViolationError("delta-rule update exceeds the addressing window")
-            w[:, :n] = np.clip(w[:, :n] + upd, lo, hi)
-            w[:, n] = np.clip(w[:, n] + base, lo, hi)
-        histories[:, e] = totals
+    if xs.shape[1] != np.shape(weights0)[1] - 1:
+        raise ValueError(f"weights0 holds {np.shape(weights0)[1]} columns for {xs.shape[1]} inputs")
+
+    def delta_rule(params, x, t):
+        out = slp_forward(params[0], x)
+        diff = t - out
+        base = (eta * diff * (out * (1.0 - out)))[:, None]
+        return 0.5 * diff * diff, [np.concatenate((base * x, base), axis=1)]
+
+    histories, (w,) = train_lockstep([weights0], delta_rule, xs, ts, epochs, rngs,
+                                     weight_bound, window_a, "single")
     return histories, w
-
-
-def slp_ensemble_outputs(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Logistic outputs of many machines on one input batch.
-
-    weights is (realizations, n + 1) with the bias weight last, xs is
-    (n_samples, n).  Returns (realizations, n_samples), with the same
-    accumulation order as the trainers.
-    """
-    w = np.asarray(weights, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    n = w.shape[1] - 1
-    v = w[:, 0, None] * xs[None, :, 0]
-    for i in range(1, n):
-        v = v + w[:, i, None] * xs[None, :, i]
-    return expit(v + w[:, n, None])

@@ -33,11 +33,24 @@ def naive_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False):
+def clamp(value, bound):
+    if value < -bound:
+        return -bound
+    if value > bound:
+        return bound
+    return value
+
+
+def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
+                  bound=np.inf, sigmoid=naive_sigmoid):
     """Textbook online delta rule on a logistic unit, no device in sight.
 
-    w0 has the bias weight last.  Returns per-epoch summed cost and,
-    optionally, the weight vector after every sample.
+    w0 has the bias weight last.  Every weight is clamped to +/- bound
+    after its update.  With sigmoid=scipy.special.expit the float
+    operations are the trainer's own, so results agree bit for bit; the
+    naive 1/(1+exp(-z)) differs from expit in the last bit on a few
+    percent of inputs.  Returns per-epoch summed cost and, optionally,
+    the weight vector after every sample.
     """
     w = np.array(w0, dtype=float)
     n = xs.shape[1]
@@ -50,13 +63,13 @@ def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False):
             s = 0.0
             for j in range(n):
                 s += w[j] * xs[i, j]
-            out = naive_sigmoid(s + w[n])
+            out = sigmoid(s + w[n])
             diff = ts[i] - out
             total += 0.5 * diff * diff
             grad = eta * diff * (out * (1.0 - out))
             for j in range(n):
-                w[j] += grad * xs[i, j]
-            w[n] += grad
+                w[j] = clamp(w[j] + grad * xs[i, j], bound)
+            w[n] = clamp(w[n] + grad, bound)
             if record_weights:
                 trail.append(w.copy())
         history.append(total)
@@ -170,6 +183,37 @@ def ideal_mlp_step(weights, biases, x, t, eta, slope_params, kt):
                 new_w[l][i, j] += (eta * deltas[l][j]) * acts[l][i]
             new_b[l][j] += eta * pulls[l][j] * m_prime * sums[l][j]
     return new_w, new_b, cost
+
+
+def clamp_all(arrays, bound):
+    """Clamp every entry to +/- bound; returns (clamped copies, entries moved)."""
+    out = [np.array([clamp(v, bound) for v in a.ravel()]).reshape(a.shape) for a in arrays]
+    return out, sum(int(np.count_nonzero(o != a)) for o, a in zip(out, arrays))
+
+
+def ideal_mlp_run(weights0, biases0, eta, xs, ts, epochs, rng, slope_params, kt, bound):
+    """Online backprop over epochs of rng.permutation order, plain arrays.
+
+    Loops ideal_mlp_step and clamps every weight and bias to +/- bound
+    after each step, as a burst write followed by the device clamp would.
+    Returns the per-epoch summed cost, the final weights and biases, and
+    how many writes the clamp cut short.
+    """
+    weights, biases = list(weights0), list(biases0)
+    history = []
+    clamps = 0
+    for _ in range(epochs):
+        total = 0.0
+        for i in rng.permutation(len(xs)):
+            weights, biases, cost = ideal_mlp_step(
+                weights, biases, xs[i], [ts[i]], eta, slope_params, kt
+            )
+            weights, hits_w = clamp_all(weights, bound)
+            biases, hits_b = clamp_all(biases, bound)
+            clamps += hits_w + hits_b
+            total += cost
+        history.append(total)
+    return np.array(history), weights, biases, clamps
 
 
 def central_diff_weight_grads(weights, biases, x, t, slope_params, kt, h=1e-5):

@@ -1,4 +1,4 @@
-"""Gate datasets: truth tables, seeding, shuffles, CSV round-trip."""
+"""Gate datasets: truth tables, seeding, epoch shuffles, CSV round-trip."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from memperceptron.data import (
     infer_gate,
     load_samples_csv,
     save_dataset_csv,
-    shuffle_epoch,
 )
+from memperceptron.train import train_lockstep
 
 TRUTH = {
     Gate.OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -76,17 +76,31 @@ def test_pattern_frequencies_are_roughly_uniform():
         assert abs(counts[pattern] / 4000 - 0.25) < 0.05
 
 
+def presented_order(n, epochs, seed):
+    """Sample indices the training loop presents, one row per epoch."""
+    seen = []
+
+    def record(params, x, t):
+        seen.append(int(t[0]))
+        return np.zeros(1), [np.zeros((1, 1))]
+
+    train_lockstep([np.zeros((1, 1))], record, np.zeros((n, 2)), np.arange(n, dtype=float),
+                   epochs, [np.random.default_rng(seed)], 1.0, 1.0, "burst")
+    return np.array(seen).reshape(epochs, n)
+
+
 def test_shuffle_preserves_multiset_and_is_seeded():
-    ds = generate_dataset(Gate.AND, 30, 5)
-    shuffled1 = shuffle_epoch(ds.samples, np.random.default_rng(9))
-    shuffled2 = shuffle_epoch(ds.samples, np.random.default_rng(9))
-    assert shuffled1 == shuffled2
-    assert sorted(s.x + (s.t,) for s in shuffled1) == sorted(s.x + (s.t,) for s in ds.samples)
+    order = presented_order(30, 4, 9)
+    assert np.array_equal(order, presented_order(30, 4, 9))
+    rng = np.random.default_rng(9)
+    for row in order:
+        assert sorted(row) == list(range(30))  # every sample exactly once
+        assert np.array_equal(row, rng.permutation(30))  # one draw per epoch
+    assert not np.array_equal(order[0], order[1])
 
 
 def test_shuffle_singleton():
-    ds = generate_dataset(Gate.AND, 1, 5)
-    assert shuffle_epoch(ds.samples, np.random.default_rng(0)) == list(ds.samples)
+    assert presented_order(1, 3, 5).tolist() == [[0], [0], [0]]
 
 
 def test_csv_round_trip(tmp_path):

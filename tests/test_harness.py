@@ -33,7 +33,7 @@ def test_empty_config_gives_protocol_defaults():
     assert config.n_realizations == 100
     assert config.learning_rate is None
     assert config.topology == (2, 2, 1)
-    assert config.thresholds == (10.0, 20.0, 30.0, 40.0)
+    assert config.window_a == 1.0
     assert config.roc_thresholds == (0.3, 0.5, 0.7)
 
 
@@ -89,8 +89,12 @@ def test_out_of_range_diagnostics():
         parse_config(overrides={"gate": "NAND"})
     with pytest.raises(ConfigError, match="'roc_thresholds' out of range"):
         parse_config(overrides={"model": "slp", "roc_thresholds": [0.3, 1.5]})
-    with pytest.raises(ConfigError, match="'thresholds' out of range"):
-        parse_config(overrides={"thresholds": [10.0, 11.0]})
+    with pytest.raises(ConfigError, match="'window_a' out of range"):
+        parse_config(overrides={"window_a": 0.0})
+    # window_a needs only to be positive: no unused threshold caps it
+    assert parse_config(overrides={"window_a": 15.0}).window_a == 15.0
+    with pytest.raises(ConfigError, match="unknown config key: thresholds"):
+        parse_config(overrides={"thresholds": [10.0, 20.0]})
     with pytest.raises(ConfigError, match="'topology' out of range"):
         parse_config(overrides={"model": "mlp", "topology": [3, 2, 1]})
     with pytest.raises(ConfigError, match="'seed' out of range"):
@@ -200,6 +204,26 @@ def test_cli_validation_failure_exits_1(tmp_path, capsys):
     rc = main(["train", "--epochs", "0", "--out", str(tmp_path)])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_window_a_errors_name_their_key(tmp_path, capsys):
+    rc = main(["train", "--window-a", "0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'window_a' out of range" in capsys.readouterr().err
+    rc = main(["validate-config", "--window-a", "15"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["window_a"] == 15.0
+
+
+def test_cli_roc_one_class_evaluation_set_exits_1(tmp_path, capsys):
+    # a one-sample evaluation set, and a 3-sample OR set drawn from seed 6
+    # that holds no negative, cannot give ROC rates: a config error, before
+    # any training
+    for args in (["--dataset-size", "1"], ["--dataset-size", "3", "--seed", "5"]):
+        rc = main(["roc", "--model", "slp", "--gate", "or", *args, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "'dataset_size' out of range" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_runtime_failure_exits_2(tmp_path, capsys):

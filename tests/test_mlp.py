@@ -5,46 +5,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memperceptron.data import Gate, Sample, generate_dataset
+from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import DeviceParams, WindowViolationError
 from memperceptron.mlp import (
     Topology,
-    backprop_step,
     bias_drift_slope,
     glorot_init,
     glorot_limit,
-    hidden_gradient,
-    make_mlp,
     mlp_forward,
-    node_activation,
-    output_gradient,
     quad_coefficient,
-    synapse_output,
-    train_mlp,
     train_mlp_ensemble,
 )
 
 from oracles import (
     central_diff_bias_grads,
     central_diff_weight_grads,
+    ideal_mlp_run,
     ideal_mlp_step,
     plain_mlp_forward,
 )
 
 SLOPE_PARAMS = (0.01, 1.0, 1.0)  # (r_on, r_off, d) used by the oracles
 T221 = Topology((2, 2, 1))
+# r_on = r_off / 2 puts the slope at exactly 0.5 for a stored bias of 1;
+# mu_v = 0 makes every node linear
+LINEAR_HALF = DeviceParams(r_on=0.5, r_off=1.0, mu_v=0.0)
 
 
-def build_net(weights, biases, eta=0.1, **kw):
-    return make_mlp(T221, weights, biases, eta, **kw)
+def forward(weights, biases, x, params=None, b_scale=1.0):
+    """mlp_forward of one network given its effective weights."""
+    params = params or DeviceParams()
+    gammas = [np.asarray(w, dtype=float) / b_scale for w in weights]
+    return mlp_forward(gammas, [np.asarray(b, dtype=float) for b in biases],
+                       np.asarray(x, dtype=float), params, quad_coefficient(params), b_scale)
 
 
-def constant_net(w=0.5, b=0.0, eta=0.1):
-    return build_net(
-        [np.full((2, 2), w), np.full((2, 1), w)],
-        [np.full(2, b), np.full(1, b)],
-        eta=eta,
+def node(s, b=0.0, params=None):
+    """(output, derivative) of one node driven by net input s."""
+    _, _, out, deriv = forward([[[1.0]]], [[b]], [s], params)[0]
+    return out[0], deriv[0]
+
+
+def constant_net(w=0.5, b=0.0):
+    return [np.full((2, 2), w), np.full((2, 1), w)], [np.full(2, b), np.full(1, b)]
+
+
+def one_step(weights, biases, x, t, eta=0.1, **kw):
+    """Present one sample once to one network; returns (cost, weights, biases)."""
+    hist, gammas, bias_out = train_mlp_ensemble(
+        [np.asarray(w, dtype=float)[None] for w in weights],
+        [np.asarray(b, dtype=float)[None] for b in biases],
+        eta, np.array([x], dtype=float), np.array([t], dtype=float), 1,
+        [np.random.default_rng(0)], **kw,
     )
+    return hist[0, 0], [g[0] for g in gammas], [b[0] for b in bias_out]
+
+
+def train_one(weights, biases, ds, epochs, seed, eta=0.1, **kw):
+    """Train a single network on a dataset; returns (history, weights, biases)."""
+    xs, ts = ds.to_arrays()
+    hist, gammas, bias_out = train_mlp_ensemble(
+        [np.asarray(w)[None] for w in weights], [np.asarray(b)[None] for b in biases],
+        eta, xs, ts, epochs, [np.random.default_rng(seed)], **kw,
+    )
+    return hist[0], [g[0] for g in gammas], [b[0] for b in bias_out]
+
+
+def stacked_inits(seeds, topology=T221):
+    """Glorot draws for several seeds, stacked; also returns the generators."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    inits = [glorot_init(topology, rng) for rng in rngs]
+    n_layers = len(topology.layer_sizes) - 1
+    gammas0 = [np.stack([init[0][l] for init in inits]) for l in range(n_layers)]
+    biases0 = [np.stack([init[1][l] for init in inits]) for l in range(n_layers)]
+    return gammas0, biases0, rngs
 
 
 # -------------------------------------------------------------- components
@@ -81,27 +115,22 @@ def test_glorot_zero_bias_option():
 
 
 def test_synapse_output():
-    net = constant_net(w=0.5)
-    syn = net.synapses[0][0][0]
-    assert synapse_output(syn, 1.0) == 0.5
-    assert synapse_output(syn, 0.0) == 0.0
-    # make_mlp takes effective weights: scaling changes the stored gamma,
-    # not the weight itself
-    net2 = build_net(
-        [np.full((2, 2), 0.6), np.full((2, 1), 0.6)],
-        [np.zeros(2), np.zeros(1)],
-        b_scale=2.0,
-    )
-    assert synapse_output(net2.synapses[0][0][0], 2.0) == pytest.approx(1.2)
-    assert net2.synapses[0][0][0].state.gamma[0] == pytest.approx(0.3)
+    # a connection outputs weight * current into its node's net input
+    weights, biases = constant_net(w=0.5)
+    assert forward(weights, biases, (1, 0))[0][1][0] == 0.5
+    assert forward(weights, biases, (0, 0))[0][1][0] == 0.0
+    # the forward pass takes stored gammas: scaling changes the stored
+    # gamma, not the weight itself
+    layer = forward([np.full((2, 2), 0.6), np.full((2, 1), 0.6)],
+                    [np.zeros(2), np.zeros(1)], (2.0, 0.0), b_scale=2.0)[0]
+    assert layer[0][0, 0] == pytest.approx(0.6)
+    assert layer[1][0] == pytest.approx(1.2)
 
 
 def test_node_activation_hand_values():
-    net = constant_net(b=0.0)
-    node = net.nodes[0][0]
-    assert node.kt == 1.0  # defaults give kappa * tau = 1
-    assert node_activation(node, 0.0) == (0.0, 1.0)
-    out, deriv = node_activation(node, 0.5)
+    assert quad_coefficient(DeviceParams()) == 1.0  # defaults give kappa * tau = 1
+    assert node(0.0) == (0.0, 1.0)
+    out, deriv = node(0.5)
     assert out == pytest.approx(0.25)
     assert deriv == pytest.approx(0.0)
 
@@ -109,39 +138,28 @@ def test_node_activation_hand_values():
 def test_node_activation_is_linear_for_negative_input():
     # negative current cannot drift the device during the read, so there
     # is no bend on that side
-    net = constant_net(b=0.0)
-    node = net.nodes[0][0]
-    out, deriv = node_activation(node, -0.5)
+    out, deriv = node(-0.5)
     assert out == pytest.approx(-0.5)
     assert deriv == pytest.approx(1.0)
     # response is continuous through zero
-    lo, _ = node_activation(node, -1e-12)
-    hi, _ = node_activation(node, 1e-12)
+    lo, _ = node(-1e-12)
+    hi, _ = node(1e-12)
     assert abs(hi - lo) < 1e-11
 
 
 def test_node_activation_linear_limit():
     params = DeviceParams(mu_v=0.0)
     assert quad_coefficient(params) == 0.0
-    net = build_net(
-        [np.full((2, 2), 0.5), np.full((2, 1), 0.5)],
-        [np.zeros(2), np.zeros(1)],
-        params=params,
-    )
-    out, deriv = node_activation(net.nodes[0][0], 0.7)
+    out, deriv = node(0.7, params=params)
     assert out == pytest.approx(0.7)
     assert deriv == 1.0
 
 
 def test_node_bias_tilts_slope():
-    net = build_net(
-        [np.full((2, 2), 0.5), np.full((2, 1), 0.5)],
-        [np.full(2, -1.0), np.zeros(1)],
-    )
     # m = 1 - 0.99 * (-1) = 1.99 on both sides of zero
-    out, _ = node_activation(net.nodes[0][0], 0.5)
+    out, _ = node(0.5, b=-1.0)
     assert out == pytest.approx(1.99 * 0.5 - 0.25)
-    out, _ = node_activation(net.nodes[0][0], -0.5)
+    out, _ = node(-0.5, b=-1.0)
     assert out == pytest.approx(-0.995)
 
 
@@ -154,9 +172,7 @@ def test_bias_drift_slope_value():
 def test_forward_zero_input_gives_zero_output():
     for seed in range(5):
         w, b = glorot_init(T221, np.random.default_rng(seed))
-        net = build_net(w, b)
-        out, _ = mlp_forward(net, (0, 0))
-        assert out[0] == 0.0
+        assert forward(w, b, (0, 0))[-1][2][0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,60 +180,82 @@ def test_forward_zero_input_gives_zero_output():
 def test_forward_zero_input_invariant_any_weights(vals):
     w = [np.array(vals[:4]).reshape(2, 2), np.array(vals[4:6]).reshape(2, 1)]
     b = [np.array(vals[6:8]), np.array(vals[8:9])]
-    net = build_net(w, b)
-    out, _ = mlp_forward(net, (0, 0))
-    assert out[0] == 0.0
+    assert forward(w, b, (0, 0))[-1][2][0] == 0.0
 
 
 def test_forward_zero_weights_gives_zero_output():
-    net = constant_net(w=0.0, b=0.3)
-    out, trace = mlp_forward(net, (1, 1))
-    assert out[0] == 0.0
+    weights, biases = constant_net(w=0.0, b=0.3)
+    layers = forward(weights, biases, (1, 1))
+    assert layers[-1][2][0] == 0.0
     # derivative at zero drive is the slope itself
-    assert trace.derivs[0][0] == pytest.approx(1.0 - 0.99 * 0.3)
+    assert layers[0][3][0] == pytest.approx(1.0 - 0.99 * 0.3)
 
 
 def test_forward_matches_plain_oracle():
     rng = np.random.default_rng(17)
     for topo in [T221, Topology((2, 3, 1)), Topology((3, 2, 2))]:
         w, b = glorot_init(topo, rng)
-        net = make_mlp(topo, w, b, 0.1)
-        x = rng.integers(0, 2, topo.n_inputs)
-        out, trace = mlp_forward(net, tuple(int(v) for v in x))
+        x = rng.integers(0, 2, topo.layer_sizes[0])
+        layers = forward(w, b, x)
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
-        assert np.allclose(out, ref[-1], atol=1e-12)
         for l in range(len(w)):
-            assert np.allclose(trace.activations[l + 1], ref[l + 1], atol=1e-12)
+            assert np.allclose(layers[l][2], ref[l + 1], atol=1e-12)
+
+
+def test_forward_broadcasts_over_leading_axes():
+    gammas, biases, _ = stacked_inits([5, 6, 7])
+    xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    params = DeviceParams()
+    scores = mlp_forward([g[:, None] for g in gammas], [b[:, None] for b in biases],
+                         xs, params, 1.0, 1.0)[-1][2]
+    assert scores.shape == (3, 4, 1)
+    for r in range(3):
+        for i in range(4):
+            single = forward([g[r] for g in gammas], [b[r] for b in biases], xs[i])
+            assert np.array_equal(scores[r, i], single[-1][2])
 
 
 def test_forward_checks_input_width():
+    weights, biases = constant_net()
     with pytest.raises(ValueError):
-        mlp_forward(constant_net(), (1, 0, 1))
+        one_step(weights, biases, (1, 0, 1), 1)
 
 
 # --------------------------------------------------------------- gradients
 
 def test_output_gradient_values():
-    assert output_gradient(1.0, 1.0, 0.7) == 0.0
-    assert output_gradient(1.0, 0.25, 0.5) == 0.375
-    assert output_gradient(0.0, 0.0, 0.9) == 0.0
+    # linear 1-1 unit with slope 0.5: out = 0.5 * w * x, and the output
+    # gradient is residual * slope; eta = 1 lands it on w unscaled
+    cost, w, b = one_step([[[0.5]]], [[1.0]], (1.0,), 1.0, eta=1.0, params=LINEAR_HALF)
+    assert cost == 0.5 * 0.75 * 0.75
+    assert w[0][0, 0] == 0.5 + 0.375
+    # a matching output leaves a zero gradient, whatever the slope
+    _, w, _ = one_step([[[2.0]]], [[1.0]], (1.0,), 1.0, eta=1.0, params=LINEAR_HALF)
+    assert w[0][0, 0] == 2.0
+    _, w, _ = one_step([[[0.0]]], [[0.0]], (1.0,), 0.0, eta=1.0, params=LINEAR_HALF)
+    assert w[0][0, 0] == 0.0
 
 
 def test_hidden_gradient_values():
-    assert hidden_gradient(0.5, []) == 0.0
-    assert hidden_gradient(0.5, [(0.6, -1.0)]) == -0.3
-    assert hidden_gradient(0.8, [(0.0, 1.0), (0.0, -2.0)]) == 0.0
+    # linear 1-1-1 chain: hidden slope 0.5, output slope 1, output weight
+    # -1.  The output delta t - out = 0.1 + 0.5 = 0.6 travels back as
+    # 0.5 * (0.6 * -1) = -0.3 onto the first weight
+    _, w, _ = one_step([[[1.0]], [[-1.0]]], [[1.0], [0.0]], (1.0,), 0.1, eta=1.0,
+                       params=LINEAR_HALF)
+    assert w[0][0, 0] == pytest.approx(0.7)
+    # no residual downstream, no hidden gradient
+    _, w, _ = one_step([[[1.0]], [[-1.0]]], [[1.0], [0.0]], (1.0,), -0.5, eta=1.0,
+                       params=LINEAR_HALF)
+    assert w[0][0, 0] == 1.0
 
 
 def test_backprop_zero_residual_moves_nothing():
-    net = constant_net(w=0.0, b=0.2)
-    before_w, before_b = net.weight_arrays()
-    err = backprop_step(net, Sample((1, 1), 0))
-    after_w, after_b = net.weight_arrays()
+    weights, biases = constant_net(w=0.0, b=0.2)
+    err, after_w, after_b = one_step(weights, biases, (1, 1), 0)
     assert err == 0.0
-    for bw, aw in zip(before_w, after_w):
+    for bw, aw in zip(weights, after_w):
         assert np.array_equal(bw, aw)
-    for bb, ab in zip(before_b, after_b):
+    for bb, ab in zip(biases, after_b):
         assert np.array_equal(bb, ab)
 
 
@@ -225,18 +263,14 @@ def test_backprop_step_matches_ideal_arithmetic():
     rng = np.random.default_rng(23)
     for topo in [T221, Topology((2, 3, 1)), Topology((3, 3, 1))]:
         w, b = glorot_init(topo, rng)
-        net = make_mlp(topo, w, b, 0.1)
-        x = tuple(int(v) for v in rng.integers(0, 2, topo.n_inputs))
-        t = int(rng.integers(0, 2))
-        ref_w, ref_b, ref_cost = ideal_mlp_step(
-            w, b, np.asarray(x, float), [float(t)], 0.1, SLOPE_PARAMS, 1.0
-        )
-        err = backprop_step(net, Sample(x, t))
-        after_w, after_b = net.weight_arrays()
-        assert err == pytest.approx(ref_cost, abs=1e-15)
+        x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
+        t = float(rng.integers(0, 2))
+        ref_w, ref_b, ref_cost = ideal_mlp_step(w, b, x, [t], 0.1, SLOPE_PARAMS, 1.0)
+        err, after_w, after_b = one_step(w, b, x, t)
+        assert err == ref_cost
         for l in range(len(w)):
-            assert np.allclose(after_w[l], ref_w[l], atol=1e-14)
-            assert np.allclose(after_b[l], ref_b[l], atol=1e-14)
+            assert np.array_equal(after_w[l], ref_w[l])
+            assert np.array_equal(after_b[l], ref_b[l])
 
 
 def test_update_rule_recovers_cost_gradient():
@@ -249,25 +283,22 @@ def test_update_rule_recovers_cost_gradient():
     worst = 0.0
     while checked < 10:
         w, b = glorot_init(T221, rng)
-        x = tuple(int(v) for v in rng.integers(0, 2, 2))
-        t = int(rng.integers(0, 2))
-        ref = plain_mlp_forward(w, b, np.asarray(x, float), SLOPE_PARAMS, 1.0)
+        x = rng.integers(0, 2, 2).astype(float)
+        t = float(rng.integers(0, 2))
+        ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
         nets_in = []
         for l, wl in enumerate(w):
             for j in range(wl.shape[1]):
                 nets_in.append(sum(wl[i, j] * ref[l][i] for i in range(wl.shape[0])))
         if min(abs(s) for s in nets_in) < 1e-3:
             continue  # keep the finite-difference stencil off the kink
-        net = make_mlp(T221, w, b, eta)
-        before_w, before_b = net.weight_arrays()
-        backprop_step(net, Sample(x, t))
-        after_w, after_b = net.weight_arrays()
-        fd_w = central_diff_weight_grads(w, b, np.asarray(x, float), [float(t)], SLOPE_PARAMS, 1.0)
-        fd_b = central_diff_bias_grads(w, b, np.asarray(x, float), [float(t)], SLOPE_PARAMS, 1.0)
+        _, after_w, after_b = one_step(w, b, x, t, eta=eta)
+        fd_w = central_diff_weight_grads(w, b, x, [t], SLOPE_PARAMS, 1.0)
+        fd_b = central_diff_bias_grads(w, b, x, [t], SLOPE_PARAMS, 1.0)
         for l in range(len(w)):
             for delivered, expected in (
-                (after_w[l] - before_w[l], -eta * fd_w[l]),
-                (after_b[l] - before_b[l], -eta * fd_b[l]),
+                (after_w[l] - w[l], -eta * fd_w[l]),
+                (after_b[l] - b[l], -eta * fd_b[l]),
             ):
                 denom = np.maximum(np.abs(expected), 1e-8)
                 worst = max(worst, np.max(np.abs(delivered - expected) / denom))
@@ -276,44 +307,38 @@ def test_update_rule_recovers_cost_gradient():
 
 
 def test_single_write_mode_rejects_window_overshoot():
-    net = constant_net(w=1.5, b=-1.5, eta=50.0)
-    before_w, before_b = net.weight_arrays()
+    weights, biases = constant_net(w=1.5, b=-1.5)
+    before = [a.copy() for a in weights + biases]
     with pytest.raises(WindowViolationError):
-        backprop_step(net, Sample((1, 1), 1), write_mode="single")
-    after_w, after_b = net.weight_arrays()
-    for bw, aw in zip(before_w, after_w):
-        assert np.array_equal(bw, aw)  # violation leaves the net untouched
-    for bb, ab in zip(before_b, after_b):
-        assert np.array_equal(bb, ab)
+        one_step(weights, biases, (1, 1), 1, eta=50.0, write_mode="single")
+    for arr, orig in zip(weights + biases, before):
+        assert np.array_equal(arr, orig)  # the caller's arrays are never written
 
 
 def test_burst_write_mode_delivers_oversized_updates():
-    net = constant_net(w=1.5, b=-1.5, eta=50.0)
-    before_w, _ = net.weight_arrays()
-    backprop_step(net, Sample((1, 1), 1))
-    after_w, after_b = net.weight_arrays()
-    assert not np.array_equal(before_w[0], after_w[0])
+    weights, biases = constant_net(w=1.5, b=-1.5)
+    _, after_w, after_b = one_step(weights, biases, (1, 1), 1, eta=50.0)
+    assert not np.array_equal(weights[0], after_w[0])
     for arr in after_w + after_b:
         assert np.all(np.abs(arr) <= 2.0)
 
 
 def test_write_modes_agree_when_updates_fit():
     ds = generate_dataset(Gate.AND, 20, 11)
-    histories, finals = [], []
+    runs = []
     for mode in ("burst", "single"):
         w, b = glorot_init(T221, np.random.default_rng(40), bias_init="zero")
-        net = build_net(w, b, eta=0.001)
-        histories.append(train_mlp(net, ds.samples, 5, np.random.default_rng(40), write_mode=mode))
-        finals.append(net.weight_arrays())
-    assert np.array_equal(histories[0], histories[1])
+        runs.append(train_one(w, b, ds, 5, 40, eta=0.001, write_mode=mode))
+    assert np.array_equal(runs[0][0], runs[1][0])
     for l in range(2):
-        assert np.array_equal(finals[0][0][l], finals[1][0][l])
-        assert np.array_equal(finals[0][1][l], finals[1][1][l])
+        assert np.array_equal(runs[0][1][l], runs[1][1][l])
+        assert np.array_equal(runs[0][2][l], runs[1][2][l])
 
 
 def test_backprop_rejects_bad_write_mode():
+    weights, biases = constant_net()
     with pytest.raises(ValueError):
-        backprop_step(constant_net(), Sample((1, 1), 1), write_mode="double")
+        one_step(weights, biases, (1, 1), 1, write_mode="double")
 
 
 # ---------------------------------------------------------------- training
@@ -323,42 +348,44 @@ def test_training_is_seed_deterministic():
     runs = []
     for _ in range(2):
         w, b = glorot_init(T221, np.random.default_rng(8))
-        net = build_net(w, b)
-        runs.append(train_mlp(net, ds.samples, 12, np.random.default_rng(8)))
+        runs.append(train_one(w, b, ds, 12, 8)[0])
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_weights_stay_inside_device_range():
     ds = generate_dataset(Gate.XOR, 30, 4)
     w, b = glorot_init(T221, np.random.default_rng(3))
-    net = build_net(w, b, eta=0.5)
-    train_mlp(net, ds.samples, 40, np.random.default_rng(3))
-    ws, bs = net.weight_arrays()
+    _, ws, bs = train_one(w, b, ds, 40, 3, eta=0.5)
     for arr in ws + bs:
         assert np.all(np.abs(arr) <= 2.0)
 
 
 def test_ensemble_matches_scalar_bit_for_bit():
-    ds = generate_dataset(Gate.XOR, 18, 6)
-    xs, ts = ds.to_arrays()
+    # at rate 0.1 both gates stage increments too large for one pulse,
+    # which burst writes land in full; on OR the first epoch blows up and
+    # the clamp at +/- d_prime/2 fires, in the trainer and the oracle alike
     seeds = [70, 71, 72, 73]
+    for gate in (Gate.XOR, Gate.OR):
+        ds = generate_dataset(gate, 18, 6)
+        xs, ts = ds.to_arrays()
+        gammas0, biases0, rngs = stacked_inits(seeds)
+        hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, rngs)
 
-    rngs = [np.random.default_rng(s) for s in seeds]
-    inits = [glorot_init(T221, rng) for rng in rngs]
-    gammas0 = [np.stack([init[0][l] for init in inits]) for l in range(2)]
-    biases0 = [np.stack([init[1][l] for init in inits]) for l in range(2)]
-    hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, rngs)
-
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        w, b = glorot_init(T221, rng)
-        net = build_net(w, b)
-        hist = train_mlp(net, ds.samples, 10, rng)
-        assert np.array_equal(hist, hist_ens[r])
-        ws, bs = net.weight_arrays()
-        for l in range(2):
-            assert np.array_equal(ws[l], g_ens[l][r])
-            assert np.array_equal(bs[l], b_ens[l][r])
+        clamps = 0
+        for r, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            w, b = glorot_init(T221, rng)
+            hist, ws, bs, hits = ideal_mlp_run(w, b, 0.1, xs, ts, 10, rng, SLOPE_PARAMS, 1.0, 2.0)
+            assert np.array_equal(hist, hist_ens[r])
+            for l in range(2):
+                assert np.array_equal(ws[l], g_ens[l][r])
+                assert np.array_equal(bs[l], b_ens[l][r])
+            clamps += hits
+        if gate is Gate.OR:
+            assert clamps > 0
+        with pytest.raises(WindowViolationError):
+            train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10,
+                               stacked_inits(seeds)[2], write_mode="single")
 
 
 def test_xor_is_learnable_by_the_mlp():
