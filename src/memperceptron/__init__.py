@@ -8,14 +8,7 @@ and ROC experiments over seeded ensembles of starting weights.
 """
 
 from .data import Dataset, Gate, Sample, generate_dataset
-from .device import (
-    DeviceParams,
-    MemristorState,
-    WindowSpec,
-    WindowViolationError,
-    apply_read_pulse,
-    select_and_update,
-)
+from .device import DeviceParams, WindowViolationError, apply_read_pulse
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +16,7 @@ from .harness import (
     run_learning_experiment,
     run_roc_experiment,
 )
-from .metrics import EpochRecord, RocPoint, auc, roc_points, sample_cost, total_error
+from .metrics import EpochRecord, RocPoint, auc, roc_points
 from .mlp import Topology, glorot_init, train_mlp_ensemble
 from .slp import train_slp_ensemble
 
@@ -36,11 +29,9 @@ __all__ = [
     "EpochRecord",
     "ExperimentConfig",
     "Gate",
-    "MemristorState",
     "RocPoint",
     "Sample",
     "Topology",
-    "WindowSpec",
     "WindowViolationError",
     "apply_read_pulse",
     "auc",
@@ -50,9 +41,6 @@ __all__ = [
     "roc_points",
     "run_learning_experiment",
     "run_roc_experiment",
-    "sample_cost",
-    "select_and_update",
-    "total_error",
     "train_mlp_ensemble",
     "train_slp_ensemble",
     "__version__",

@@ -1,26 +1,22 @@
-"""Current-controlled memristor models with threshold-window state addressing.
+"""How a current-controlled memristor is read.
 
 A current-controlled memristor couples Ohm's law V = R(gamma, I) * I with
-internal-variable dynamics gamma_dot = f(gamma, I).  Two device flavours
-live here:
-
-* a linear ion-drift device: series combination of doped (R_on) and
-  undoped (R_off) regions, R(gamma) = R_on * gamma/D + R_off * (1 - gamma/D),
-  whose state drifts only above a current threshold, and
-* a multi-variable device whose internal variables are addressed one at a
-  time through disjoint current windows, so a single physical component can
-  store several weights and be written selectively.
+internal-variable dynamics gamma_dot = f(gamma, I).  The device here is a
+linear ion-drift device: a series combination of doped (R_on) and undoped
+(R_off) regions, R(gamma) = R_on * gamma/D + R_off * (1 - gamma/D), whose
+state drifts only above a current threshold.  A constant-current read
+pulse bends the response of a fresh device quadratically in the drive,
+which is the node activation of the multilayer network.
 
 Pulses are integrated in closed form.  The drift rate never depends on
 gamma itself, so the trajectory is piecewise linear in time and the end
-state is exact, which keeps update postconditions bit-checkable.
+state is exact.  How stored variables are written through their
+addressing windows lives in `train`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class WindowViolationError(ValueError):
@@ -52,91 +48,6 @@ class DeviceParams:
             raise ValueError(f"mu_v must be non-negative, got {self.mu_v}")
         if self.i_gamma < 0.0:
             raise ValueError(f"i_gamma must be non-negative, got {self.i_gamma}")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Addressing windows for a multi-variable device.
-
-    Variable i is writable only while the drive current magnitude sits in
-    the open interval (thresholds[i], thresholds[i] + a).  Windows must be
-    disjoint with room to spare: consecutive thresholds more than 2a apart,
-    and the lowest one above a, so that signal-level currents and writes
-    aimed at one variable can never graze another window.
-    """
-
-    thresholds: tuple[float, ...]
-    a: float = 1.0
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"window width a must be positive, got {self.a}")
-        if len(self.thresholds) == 0:
-            raise ValueError("need at least one threshold")
-        prev = None
-        for thr in self.thresholds:
-            if thr <= self.a:
-                raise ValueError(f"threshold {thr} must exceed window width {self.a}")
-            if prev is not None and thr - prev <= 2.0 * self.a:
-                raise ValueError(
-                    f"thresholds {prev} and {thr} closer than 2a = {2.0 * self.a}"
-                )
-            prev = thr
-
-
-def default_window(n: int, base: float = 10.0, spacing: float = 10.0, a: float = 1.0) -> WindowSpec:
-    """Evenly spaced windows for an n-variable device."""
-    return WindowSpec(tuple(base + spacing * i for i in range(n)), a)
-
-
-@dataclass
-class MemristorState:
-    """Mutable state of one multi-variable memristor.
-
-    gamma holds the internal variables and bounds the closed clamping
-    interval per variable.
-    """
-
-    gamma: np.ndarray
-    window: WindowSpec
-    bounds: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        n = self.gamma.shape[0]
-        if len(self.window.thresholds) != n:
-            raise ValueError(
-                f"{n} variables but {len(self.window.thresholds)} windows"
-            )
-        if self.bounds.shape != (n, 2):
-            raise ValueError(f"bounds must have shape ({n}, 2), got {self.bounds.shape}")
-        if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
-            raise ValueError("each bound must satisfy lo <= hi")
-        if np.any(self.gamma < self.bounds[:, 0]) or np.any(self.gamma > self.bounds[:, 1]):
-            raise ValueError("gamma outside bounds")
-
-
-def make_state(gamma, window: WindowSpec | None = None, lo: float = -2.0, hi: float = 2.0) -> MemristorState:
-    """Convenience constructor with uniform bounds and default windows."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0]
-    if window is None:
-        window = default_window(n)
-    bounds = np.tile((lo, hi), (n, 1)).astype(float)
-    return MemristorState(gamma=gamma, window=window, bounds=bounds)
-
-
-def memristance(params: DeviceParams, gamma: float, d_eff: float) -> float:
-    """Resistance of the doped/undoped series stack at state gamma.
-
-    gamma/d_eff is the doped fraction, so the value interpolates between
-    r_off (gamma = 0) and r_on (gamma = d_eff).
-    """
-    if not 0.0 <= gamma <= d_eff:
-        raise ValueError(f"gamma {gamma} outside [0, {d_eff}]")
-    frac = gamma / d_eff
-    return params.r_on * frac + params.r_off * (1.0 - frac)
 
 
 def drift_rate(params: DeviceParams, current: float) -> float:
@@ -174,51 +85,16 @@ def apply_read_pulse(params: DeviceParams, gamma0: float, current: float,
     return final, output
 
 
-def window_update_rate(state: MemristorState, index: int, current: float, i_b: float) -> float:
-    """Drift rate of variable `index` under drive current `current`.
-
-    Writes ride on a bias current of magnitude |i_b| that lifts the drive
-    into a window; the net rate is the drive with that bias stripped off:
-
-        rate = (I - |i_b|) inside the positive window,
-               (I + |i_b|) inside the mirrored negative window,
-               0 elsewhere.
-
-    Both windows are open intervals, so currents sitting exactly on a
-    threshold do nothing.
-    """
-    thr = state.window.thresholds[index]
-    hi = thr + state.window.a
-    b = abs(i_b)
-    if thr < current < hi:
-        return current - b
-    if thr < -current < hi:
-        return current + b
-    return 0.0
+def quad_coefficient(params: DeviceParams) -> float:
+    """Curvature kappa of the read response, R_off approximation."""
+    return params.r_off * params.mu_v * params.r_on / (params.d * params.d)
 
 
-def select_and_update(state: MemristorState, index: int, delta: float) -> MemristorState:
-    """Write `delta` onto variable `index` through its addressing window.
+def bias_slope(params: DeviceParams, gamma_b):
+    """Linear slope m(gamma_b); accepts scalars or arrays."""
+    return params.r_off * (1.0 - gamma_b / params.d) + params.r_on * (gamma_b / params.d)
 
-    Models one unit-duration write pulse: the bias current i_b is set to
-    +/- thresholds[index] (sign following delta), the drive
-    I = delta + i_b then sits inside that variable's window and nowhere
-    else, and closed-form integration of the window rate over unit time
-    adds exactly delta.  The result is clamped to the variable's bounds.
 
-    Mutates `state` in place and returns it.  |delta| must stay below the
-    window width a, otherwise the write would overshoot the window.
-    """
-    if abs(delta) >= state.window.a:
-        raise WindowViolationError(
-            f"|delta| = {abs(delta)} does not fit in window width {state.window.a}"
-        )
-    lo, hi = state.bounds[index]
-    new = state.gamma[index] + delta
-    if new < lo:
-        new = lo
-    elif new > hi:
-        new = hi
-    state.gamma[index] = new
-    return state
-
+def bias_drift_slope(params: DeviceParams) -> float:
+    """Sensitivity dm/dgamma_b of the slope to the stored bias (negative)."""
+    return (params.r_on - params.r_off) / params.d

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams
+from .device import DeviceParams, quad_coefficient
 from .metrics import (
     EpochRecord,
     auc,
@@ -27,7 +27,7 @@ from .metrics import (
     write_curve_csv,
     write_roc_csv,
 )
-from .mlp import Topology, glorot_init, mlp_forward, quad_coefficient, train_mlp_ensemble
+from .mlp import Topology, glorot_init, mlp_forward, train_mlp_ensemble
 from .slp import glorot_slp_weights, slp_forward, train_slp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
 
@@ -283,11 +283,6 @@ def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarr
     return layers[-1][2][:, :, 0]
 
 
-def learning_histories(config: ExperimentConfig) -> np.ndarray:
-    histories, _ = trained_ensemble(config)
-    return histories
-
-
 def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
     """Per-epoch mean and population standard deviation, epochs 1-based."""
     records = []
@@ -318,7 +313,7 @@ def run_learning_experiment(config: ExperimentConfig):
     Returns (csv path, records).
     """
     validate_config(config)
-    histories = learning_histories(config)
+    histories = trained_ensemble(config)[0]
     records = aggregate_curve(histories)
     _ensure_out_dir(config)
     path = curve_path(config)

@@ -1,4 +1,4 @@
-"""Training cost and ROC statistics, plus their CSV serialisations."""
+"""Learning-curve records and ROC statistics, plus their CSV serialisations."""
 
 from __future__ import annotations
 
@@ -22,24 +22,6 @@ class RocPoint:
     threshold: float
     tpr: float
     fpr: float
-
-
-def sample_cost(target: float, output: float) -> float:
-    """Half squared error of one sample."""
-    diff = target - output
-    return 0.5 * diff * diff
-
-
-def total_error(targets, outputs) -> float:
-    """Epoch-summed cost: sum of per-sample half squared errors."""
-    targets = np.asarray(targets, dtype=float)
-    outputs = np.asarray(outputs, dtype=float)
-    if targets.shape != outputs.shape:
-        raise ValueError(f"shape mismatch {targets.shape} vs {outputs.shape}")
-    total = 0.0
-    for t, o in zip(targets, outputs):
-        total += sample_cost(t, o)
-    return total
 
 
 def _split_scores(scores, labels):

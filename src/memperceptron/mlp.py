@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams
+from .device import DeviceParams, bias_drift_slope, bias_slope, quad_coefficient
 from .train import train_lockstep
 
 DEFAULT_D_PRIME = 4.0
@@ -57,43 +57,21 @@ class Topology:
             raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
 
 
-def quad_coefficient(params: DeviceParams) -> float:
-    """Curvature kappa of the read response, R_off approximation."""
-    return params.r_off * params.mu_v * params.r_on / (params.d * params.d)
-
-
-def bias_slope(params: DeviceParams, gamma_b):
-    """Linear slope m(gamma_b); accepts scalars or arrays."""
-    return params.r_off * (1.0 - gamma_b / params.d) + params.r_on * (gamma_b / params.d)
-
-
-def bias_drift_slope(params: DeviceParams) -> float:
-    """Sensitivity dm/dgamma_b of the slope to the stored bias (negative)."""
-    return (params.r_on - params.r_off) / params.d
-
-
 def glorot_limit(n_in: int, n_out: int) -> float:
     return float(np.sqrt(6.0 / (n_in + n_out)))
 
 
-def glorot_init(topology: Topology, rng: np.random.Generator,
-                bias_init: str = "glorot") -> tuple[list[np.ndarray], list[np.ndarray]]:
+def glorot_init(topology: Topology, rng: np.random.Generator) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)).
 
-    Bias weights are drawn from the same interval as their layer, or left
-    at zero with bias_init="zero" (which consumes no draws).
+    Bias weights are drawn from the same interval as their layer.
     """
-    if bias_init not in ("glorot", "zero"):
-        raise ValueError(f"bias_init must be 'glorot' or 'zero', got {bias_init!r}")
     sizes = topology.layer_sizes
     weights, biases = [], []
     for l in range(len(sizes) - 1):
         limit = glorot_limit(sizes[l], sizes[l + 1])
         weights.append(rng.uniform(-limit, limit, size=(sizes[l], sizes[l + 1])))
-        if bias_init == "glorot":
-            biases.append(rng.uniform(-limit, limit, size=sizes[l + 1]))
-        else:
-            biases.append(np.zeros(sizes[l + 1]))
+        biases.append(rng.uniform(-limit, limit, size=sizes[l + 1]))
     return weights, biases
 
 

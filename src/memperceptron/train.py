@@ -1,10 +1,15 @@
-"""The online training loop shared by every model.
+"""The online training loop shared by every model, and how devices are written.
 
 Both perceptrons learn by one rule: present a sample, compute an
 increment for every stored variable, write it through the addressing
 hardware, clamp to the device range.  A model supplies only its step,
 which returns the per-realization error and the increments in
 device-variable units, computed in its own float operation order.
+
+A stored variable is written by one pulse through its addressing window,
+which adds exactly the increment and touches no other variable.  One
+pulse fits only |increment| < window_a; larger increments go out as a
+burst of pulses, or raise in "single" write mode.
 """
 
 from __future__ import annotations
@@ -12,6 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from .device import WindowViolationError
+
+
+def _window_violation(increments, window_a: float, epoch: int, sample: int) -> WindowViolationError:
+    """Locate the first increment reaching window_a: array, then realization."""
+    for i, inc in enumerate(increments):
+        over = np.abs(inc) >= window_a
+        if over.any():
+            pos = np.unravel_index(np.argmax(over), inc.shape)
+            return WindowViolationError(
+                f"realization {pos[0]}, epoch {epoch + 1}, sample {sample + 1}: increment "
+                f"{float(inc[pos])!r} to parameter array {i} does not fit in window width {window_a}"
+            )
+
 
 def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rngs,
                    bound: float, window_a: float, write_mode: str):
@@ -46,10 +64,7 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
             err, increments = step(params, xs[idx], ts[idx])
             totals += err
             if write_mode == "single" and any(np.abs(inc).max() >= window_a for inc in increments):
-                raise WindowViolationError(
-                    f"epoch {e + 1}, sample {k + 1}: an update does not fit "
-                    f"in window width {window_a}"
-                )
+                raise _window_violation(increments, window_a, e, k)
             for i, inc in enumerate(increments):
                 params[i] = np.clip(params[i] + inc, -bound, bound)
         histories[:, e] = totals

@@ -10,21 +10,12 @@ import numpy as np
 import pytest
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import (
-    DeviceParams,
-    apply_read_pulse,
-    make_state,
-    select_and_update,
-)
-from memperceptron.harness import (
-    ensemble_scores,
-    learning_histories,
-    parse_config,
-    trained_ensemble,
-)
+from memperceptron.device import DeviceParams, WindowViolationError, apply_read_pulse, quad_coefficient
+from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
-from memperceptron.mlp import Topology, glorot_init, train_mlp_ensemble
+from memperceptron.mlp import Topology, glorot_init, mlp_forward, train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
+from memperceptron.train import train_lockstep
 
 from oracles import (
     central_diff_bias_grads,
@@ -54,17 +45,17 @@ def epochs_to_half(histories):
 
 @pytest.fixture(scope="module")
 def slp_short_curves():
-    return {g: learning_histories(protocol_config("slp", g, 200)) for g in ("OR", "AND")}
+    return {g: trained_ensemble(protocol_config("slp", g, 200))[0] for g in ("OR", "AND")}
 
 
 @pytest.fixture(scope="module")
 def slp_xor_histories():
-    return learning_histories(protocol_config("slp", "XOR", 1000))
+    return trained_ensemble(protocol_config("slp", "XOR", 1000))[0]
 
 
 @pytest.fixture(scope="module")
 def mlp_histories():
-    return {g: learning_histories(protocol_config("mlp", g, 1000)) for g in GATES}
+    return {g: trained_ensemble(protocol_config("mlp", g, 1000))[0] for g in GATES}
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +189,8 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
     assert worst_g < 1e-6
     assert worst_v < 1e-6
 
-    # quadratic response of a fresh device under a zero-threshold drive
+    # a fresh device read under a zero-threshold drive gives the MLP node's
+    # quadratic activation: unit weight, zero bias, kt = kappa * duration
     worst_q = 0.0
     for _ in range(100):
         r_off_k = rng.uniform(0.5, 10.0)
@@ -210,35 +202,57 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
         duration = rng.uniform(0.05, 0.9) * d_k / rate
         p = DeviceParams(r_on=r_on_k, r_off=r_off_k, d=d_k, mu_v=mu_v_k)
         _, voltage = apply_read_pulse(p, 0.0, current_k, duration)
-        quad = voltage - r_off_k * current_k
-        expected = -r_off_k * mu_v_k * (r_on_k / (d_k * d_k)) * current_k * current_k * duration
-        worst_q = max(worst_q, abs(quad - expected))
-    print(f"criterion 6: worst quadratic-term deviation = {worst_q:.3g} (< 1e-9)")
+        node = mlp_forward([np.ones((1, 1))], [np.zeros(1)], np.array([current_k]), p,
+                           quad_coefficient(p) * duration, 1.0)[-1][2][0]
+        worst_q = max(worst_q, abs(voltage - node))
+    print(f"criterion 6: worst |read pulse - MLP node output| = {worst_q:.3g} (< 1e-9)")
     assert worst_q < 1e-9
 
 
 def test_criterion_7_window_isolation():
+    # every write goes through the trainer's own write path: a step that
+    # asks for one increment on one variable, in "single" mode at bound 2
     rng = np.random.default_rng(7)
-    calls = 0
-    while calls < 10_000:
+    writes = 0
+    while writes < 10_000:
         n = int(rng.integers(2, 6))
-        gamma = rng.uniform(-1.9, 1.9, n)
-        state = make_state(gamma.copy())
-        for _ in range(100):
-            idx = int(rng.integers(0, n))
-            delta = float(rng.uniform(-0.99, 0.99))
-            before = state.gamma.copy()
-            select_and_update(state, idx, delta)
-            new = before[idx] + delta
+        gamma0 = rng.uniform(-1.9, 1.9, (1, n))
+        target = rng.integers(0, n, 100)
+        delta = rng.uniform(-0.99, 0.99, 100)
+        trail, order = [], []
+
+        def one_hot(params, x, t):
+            k = int(x[0, 0])  # each sample carries its own index
+            trail.append(params[0][0].copy())
+            order.append(k)
+            inc = np.zeros((1, n))
+            inc[0, target[k]] = delta[k]
+            return np.zeros(1), [inc]
+
+        _, final = train_lockstep([gamma0], one_hot, np.arange(100.0)[:, None], np.zeros(100), 1,
+                                  [np.random.default_rng(writes)], 2.0, 1.0, "single")
+        trail.append(final[0][0])
+        for j, k in enumerate(order):
+            before, after = trail[j], trail[j + 1]
+            idx = target[k]
+            new = before[idx] + delta[k]
             if new < -2.0:
                 new = -2.0
             elif new > 2.0:
                 new = 2.0
-            assert state.gamma[idx] == new  # bit-exact, clamp included
+            assert after[idx] == new  # bit-exact, clamp included
             others = np.arange(n) != idx
-            assert np.array_equal(state.gamma[others], before[others])
-            calls += 1
-    print(f"criterion 7: {calls} randomized writes, addressed variable only, bit-exact")
+            assert np.array_equal(after[others], before[others])
+            writes += 1
+    # one pulse fits only |delta| < a; the window edge itself is rejected
+    for bad in (1.0, -1.0, 1.5, -1.5):
+        inc = np.array([[0.0, bad, 0.0]])
+        with pytest.raises(WindowViolationError, match="window width 1.0"):
+            train_lockstep([np.zeros((1, 3))], lambda params, x, t: (np.zeros(1), [inc]),
+                           np.zeros((1, 1)), np.zeros(1), 1, [np.random.default_rng(0)],
+                           2.0, 1.0, "single")
+    print(f"criterion 7: {writes} randomized writes through train_lockstep, addressed variable "
+          f"only, bit-exact; |delta| >= a raises for both signs")
 
 
 def test_criterion_8_slp_equals_ideal_delta_rule():

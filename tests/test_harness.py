@@ -11,10 +11,10 @@ from memperceptron.harness import (
     ExperimentConfig,
     aggregate_curve,
     effective_learning_rate,
-    learning_histories,
     parse_config,
     run_learning_experiment,
     run_roc_experiment,
+    trained_ensemble,
 )
 from memperceptron.metrics import read_curve_csv, read_roc_csv
 
@@ -126,7 +126,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_aggregation_matches_independent_recomputation(tmp_path):
     config = tiny(gate="AND", out_dir=str(tmp_path))
-    histories = learning_histories(config)
+    histories = trained_ensemble(config)[0]
     path, _ = run_learning_experiment(config)
     records = read_curve_csv(path)
     assert len(records) == config.epochs

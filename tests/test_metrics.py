@@ -1,4 +1,4 @@
-"""Cost and ROC metrics against hand values and a pairwise-count oracle."""
+"""ROC metrics against hand values and a pairwise-count oracle; CSV round trips."""
 
 import numpy as np
 import pytest
@@ -12,30 +12,11 @@ from memperceptron.metrics import (
     read_curve_csv,
     read_roc_csv,
     roc_points,
-    sample_cost,
-    total_error,
     write_curve_csv,
     write_roc_csv,
 )
 
 from oracles import pairwise_auc
-
-
-def test_sample_cost_values():
-    assert sample_cost(1.0, 1.0) == 0.0
-    assert sample_cost(1.0, 0.0) == 0.5
-    assert sample_cost(0.0, 0.5) == 0.125
-
-
-def test_total_error_sums():
-    assert total_error([], []) == 0.0
-    assert total_error([1.0, 0.0], [1.0, 0.0]) == 0.0
-    assert total_error([1.0, 0.0, 1.0], [0.0, 0.5, 1.0]) == pytest.approx(0.625)
-
-
-def test_total_error_shape_mismatch():
-    with pytest.raises(ValueError):
-        total_error([1.0], [1.0, 0.0])
 
 
 def test_roc_perfect_separation():

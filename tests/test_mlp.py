@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, WindowViolationError
-from memperceptron.mlp import (
-    Topology,
-    bias_drift_slope,
-    glorot_init,
-    glorot_limit,
-    mlp_forward,
-    quad_coefficient,
-    train_mlp_ensemble,
-)
+from memperceptron.device import DeviceParams, WindowViolationError, bias_drift_slope, quad_coefficient
+from memperceptron.mlp import Topology, glorot_init, glorot_limit, mlp_forward, train_mlp_ensemble
 
 from oracles import (
     central_diff_bias_grads,
@@ -105,13 +97,6 @@ def test_glorot_init_support():
     assert max(ws) < glorot_limit(2, 2)
     assert max(ws) > 0.95 * glorot_limit(2, 2)
     assert max(bs) < glorot_limit(2, 1)
-
-
-def test_glorot_zero_bias_option():
-    w, b = glorot_init(T221, np.random.default_rng(0), bias_init="zero")
-    assert all(np.all(layer == 0.0) for layer in b)
-    with pytest.raises(ValueError):
-        glorot_init(T221, np.random.default_rng(0), bias_init="ones")
 
 
 def test_synapse_output():
@@ -309,7 +294,8 @@ def test_update_rule_recovers_cost_gradient():
 def test_single_write_mode_rejects_window_overshoot():
     weights, biases = constant_net(w=1.5, b=-1.5)
     before = [a.copy() for a in weights + biases]
-    with pytest.raises(WindowViolationError):
+    with pytest.raises(WindowViolationError, match=r"realization 0, epoch 1, sample 1: increment "
+                       r"-\d+\.\d+ to parameter array 0 does not fit in window width 1\.0"):
         one_step(weights, biases, (1, 1), 1, eta=50.0, write_mode="single")
     for arr, orig in zip(weights + biases, before):
         assert np.array_equal(arr, orig)  # the caller's arrays are never written
@@ -327,7 +313,8 @@ def test_write_modes_agree_when_updates_fit():
     ds = generate_dataset(Gate.AND, 20, 11)
     runs = []
     for mode in ("burst", "single"):
-        w, b = glorot_init(T221, np.random.default_rng(40), bias_init="zero")
+        w, b = glorot_init(T221, np.random.default_rng(40))
+        b = [np.zeros_like(layer) for layer in b]
         runs.append(train_one(w, b, ds, 5, 40, eta=0.001, write_mode=mode))
     assert np.array_equal(runs[0][0], runs[1][0])
     for l in range(2):

@@ -9,6 +9,7 @@ from scipy.special import expit
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import WindowViolationError
 from memperceptron.slp import glorot_slp_weights, slp_forward, train_slp_ensemble
+from memperceptron.train import train_lockstep
 
 from oracles import ideal_slp_run
 
@@ -97,8 +98,26 @@ def test_delta_rule_step_zero_residual_changes_nothing():
 
 
 def test_delta_rule_step_rejects_window_overshoot():
-    with pytest.raises(WindowViolationError):
+    # eta * residual * slope = 8 * 0.5 * 0.25 lands exactly on the width
+    with pytest.raises(WindowViolationError, match=r"realization 0, epoch 1, sample 1: "
+                       r"increment 1\.0 to parameter array 0 does not fit in window width 1\.0"):
         one_step(x=(1, 1), t=1, eta=8.0)
+
+
+def test_window_violation_names_where_it_happened():
+    calls = []
+
+    def step(params, x, t):
+        calls.append(None)
+        late = np.zeros((3, 2))
+        if len(calls) == 3:
+            late[2, 1] = -1.5  # third sample overall: epoch 2, sample 1
+        return np.zeros(3), [np.zeros((3, 2)), late]
+
+    with pytest.raises(WindowViolationError, match=r"^realization 2, epoch 2, sample 1: "
+                       r"increment -1\.5 to parameter array 1 does not fit in window width 1\.0$"):
+        train_lockstep([np.zeros((3, 2)), np.zeros((3, 2))], step, np.zeros((2, 1)), np.zeros(2), 3,
+                       [np.random.default_rng(r) for r in range(3)], 2.0, 1.0, "single")
 
 
 @settings(max_examples=150, deadline=None)
