@@ -11,57 +11,43 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .data import Gate, generate_dataset, infer_gate, load_samples_csv, save_dataset_csv
 from .harness import (
+    ROC_EPOCHS,
     ConfigError,
-    config_as_dict,
+    ExperimentConfig,
+    key_type,
     parse_config,
     run_learning_experiment,
     run_roc_experiment,
 )
 
-_FLAG_FIELDS = (
-    "model", "gate", "epochs", "dataset_size", "n_realizations",
-    "learning_rate", "seed", "window_a", "d_prime",
-    "b_scale", "tau", "mu_v", "r_on", "r_off", "topology",
-    "roc_thresholds", "out_dir", "svg",
-)
+_FLAGS = {"n_realizations": "--realizations", "out_dir": "--out"}  # else --key-with-dashes
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """Every ExperimentConfig field gets a flag; unset flags stay None so
-    file and default values shine through."""
+    """One flag per ExperimentConfig key; unset flags stay None so file
+    and default values shine through."""
     parser.add_argument("--config", dest="config_path", metavar="FILE",
                         help="JSON config file; flags override its values")
-    parser.add_argument("--model", metavar="MODEL", help="slp or mlp")
-    parser.add_argument("--gate", metavar="GATE", help="OR, AND or XOR")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--dataset-size", dest="dataset_size", type=int)
-    parser.add_argument("--realizations", dest="n_realizations", type=int,
-                        help="independent starting-weight draws")
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--window-a", dest="window_a", type=float)
-    parser.add_argument("--d-prime", dest="d_prime", type=float)
-    parser.add_argument("--b-scale", dest="b_scale", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--mu-v", dest="mu_v", type=float)
-    parser.add_argument("--r-on", dest="r_on", type=float)
-    parser.add_argument("--r-off", dest="r_off", type=float)
-    parser.add_argument("--topology", type=int, nargs="+", metavar="N",
-                        help="mlp layer widths, input first")
-    parser.add_argument("--roc-thresholds", dest="roc_thresholds", type=float,
-                        nargs="+", metavar="T")
-    parser.add_argument("--out", dest="out_dir", metavar="DIR")
-    parser.add_argument("--svg", action="store_true", default=None,
-                        help="also write an .svg sibling next to each CSV")
+    for f in fields(ExperimentConfig):
+        kind = key_type(f.name)
+        if kind is bool:
+            shape = {"action": "store_true", "default": None}
+        elif isinstance(f.default, tuple):
+            shape = {"type": kind, "nargs": "+"}
+        else:
+            shape = {"type": kind}
+        flag = _FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, help=f"config key {f.name}", **shape)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     values = vars(args)
-    return {k: values[k] for k in _FLAG_FIELDS if values.get(k) is not None}
+    return {f.name: values[f.name] for f in fields(ExperimentConfig) if values[f.name] is not None}
 
 
 def _parsed(args: argparse.Namespace, defaults: dict | None = None):
@@ -79,7 +65,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_roc(args: argparse.Namespace) -> int:
-    config = _parsed(args, defaults={"epochs": 500})
+    config = _parsed(args, defaults={"epochs": ROC_EPOCHS})
     path, points, auc_value = run_roc_experiment(config)
     summary = "; ".join(f"t={p.threshold:g}: tpr={p.tpr:.2f} fpr={p.fpr:.2f}" for p in points)
     print(f"wrote {path} ({summary}; AUC {auc_value:.3f})")
@@ -96,15 +82,11 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         print(f"{args.load}: {len(samples)} samples, gate {gate.value}, "
               f"{positives} positive / {len(samples) - positives} negative")
         return 0
-    try:
-        gate = Gate[args.gate.upper()]
-    except KeyError:
-        raise ConfigError("config key 'gate' out of range: must be one of OR, AND, XOR") from None
-    if args.dataset_size < 1:
-        raise ConfigError("config key 'dataset_size' out of range: must be at least 1")
-    if args.seed < 0:
-        raise ConfigError("config key 'seed' out of range: must be non-negative")
-    dataset = generate_dataset(gate, args.dataset_size, args.seed)
+    config = parse_config(overrides={
+        "gate": args.gate, "dataset_size": args.dataset_size, "seed": args.seed,
+    })
+    gate = Gate[config.gate]
+    dataset = generate_dataset(gate, config.dataset_size, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"dataset_{gate.value.lower()}.csv"
@@ -115,7 +97,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
     config = _parsed(args)
-    print(json.dumps(config_as_dict(config), indent=2, sort_keys=True))
+    print(json.dumps(asdict(config), indent=2, sort_keys=True))
     return 0
 
 

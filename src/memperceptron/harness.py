@@ -13,13 +13,13 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams, quad_coefficient
+from .device import DeviceParams, WindowViolationError, quad_coefficient
 from .metrics import (
     EpochRecord,
     auc,
@@ -37,15 +37,19 @@ class ConfigError(ValueError):
 
 
 MODELS = ("slp", "mlp")
-GATE_NAMES = ("OR", "AND", "XOR")
+GATE_NAMES = tuple(gate.name for gate in Gate)
+ROC_EPOCHS = 500  # the roc experiments' default, in place of `epochs`'s 1000
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
 
-    learning_rate=None means the per-model protocol default: 0.1
-    everywhere except the mlp on XOR, which uses 0.01.
+    The fields are the config keys: each default's type is the type the
+    key accepts (a tuple's first element types its elements), and
+    construction rejects any value out of range, so every instance can
+    be run.  learning_rate=None means the per-model protocol default:
+    0.1 everywhere except the mlp on XOR, which uses 0.01.
     """
 
     model: str = "slp"
@@ -67,66 +71,81 @@ class ExperimentConfig:
     out_dir: str = "."
     svg: bool = False
 
+    def __post_init__(self) -> None:
+        """Raise ConfigError on the first field that cannot be run."""
+        if self.model not in MODELS:
+            raise ConfigError(f"config key 'model' out of range: must be one of {', '.join(MODELS)}")
+        if self.gate not in GATE_NAMES:
+            raise ConfigError(f"config key 'gate' out of range: must be one of {', '.join(GATE_NAMES)}")
+        for key in ("epochs", "dataset_size", "n_realizations"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"config key '{key}' out of range: must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("config key 'seed' out of range: must be non-negative")
+        if self.learning_rate is not None and self.learning_rate <= 0.0:
+            raise ConfigError("config key 'learning_rate' out of range: must be positive")
+        if self.window_a <= 0.0:
+            raise ConfigError("config key 'window_a' out of range: must be positive")
+        device_params(self)
+        if self.d_prime <= 0.0:
+            raise ConfigError("config key 'd_prime' out of range: must be positive")
+        if self.b_scale <= 0.0:
+            raise ConfigError("config key 'b_scale' out of range: must be positive")
+        if self.tau < 0.0:
+            raise ConfigError("config key 'tau' out of range: must be non-negative")
+        if len(self.topology) < 3 or any(n < 1 for n in self.topology):
+            raise ConfigError(
+                "config key 'topology' out of range: need input, hidden and output widths of at least 1"
+            )
+        if self.model == "mlp" and (self.topology[0] != 2 or self.topology[-1] != 1):
+            raise ConfigError(
+                "config key 'topology' out of range: gate experiments need 2 inputs and 1 output"
+            )
+        if len(self.roc_thresholds) == 0:
+            raise ConfigError("config key 'roc_thresholds' out of range: need at least one threshold")
+        if self.model == "slp" and any(not 0.0 < t < 1.0 for t in self.roc_thresholds):
+            raise ConfigError(
+                "config key 'roc_thresholds' out of range: logistic scores need thresholds in (0, 1)"
+            )
 
-_FIELD_NAMES = tuple(ExperimentConfig.__dataclass_fields__)
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_EXPECTS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key '{key}' expects an integer, got {value!r}")
-    return value
+def key_type(key: str) -> type:
+    """The scalar type a config key takes, or its elements take for a tuple key."""
+    default = _DEFAULTS[key]
+    if default is None:  # learning_rate: a number or null
+        return float
+    return type(default[0]) if isinstance(default, tuple) else type(default)
 
 
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key '{key}' expects a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"config key '{key}' expects a string, got {value!r}")
-    return value
-
-
-def _as_bool(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key '{key}' expects true or false, got {value!r}")
-    return value
-
-
-def _as_float_tuple(key: str, value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config key '{key}' expects a list of numbers, got {value!r}")
-    return tuple(_as_float(key, v) for v in value)
-
-
-def _as_int_tuple(key: str, value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config key '{key}' expects a list of integers, got {value!r}")
-    return tuple(_as_int(key, v) for v in value)
+def _as(kind: type, key: str, value):
+    accepted = (int, float) if kind is float else kind
+    # bool subclasses int, so it is told apart first: only a bool key takes one
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key '{key}' expects {_EXPECTS[kind]}, got {value!r}")
+    return kind(value)
 
 
 def _coerce(key: str, value):
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key: {key}")
+    kind = key_type(key)
+    if isinstance(_DEFAULTS[key], tuple):
+        if not isinstance(value, (list, tuple)):
+            plural = "integers" if kind is int else "numbers"
+            raise ConfigError(f"config key '{key}' expects a list of {plural}, got {value!r}")
+        return tuple(_as(kind, key, v) for v in value)
+    if value is None and _DEFAULTS[key] is None:
+        return None
+    value = _as(kind, key, value)
     if key == "model":
-        return _as_str(key, value).lower()
+        return value.lower()
     if key == "gate":
-        return _as_str(key, value).upper()
-    if key == "out_dir":
-        return _as_str(key, value)
-    if key in ("epochs", "dataset_size", "n_realizations", "seed"):
-        return _as_int(key, value)
-    if key == "learning_rate":
-        return None if value is None else _as_float(key, value)
-    if key in ("window_a", "d_prime", "b_scale", "tau", "mu_v", "r_on", "r_off"):
-        return _as_float(key, value)
-    if key == "svg":
-        return _as_bool(key, value)
-    if key == "roc_thresholds":
-        return _as_float_tuple(key, value)
-    if key == "topology":
-        return _as_int_tuple(key, value)
-    raise ConfigError(f"unknown config key: {key}")
+        return value.upper()
+    return value
 
 
 def _load_config_file(path) -> dict:
@@ -150,44 +169,6 @@ def device_params(config: ExperimentConfig) -> DeviceParams:
         raise ConfigError(f"device parameters out of range: {exc}") from exc
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError on the first field that cannot be run."""
-    if config.model not in MODELS:
-        raise ConfigError(f"config key 'model' out of range: must be one of {', '.join(MODELS)}")
-    if config.gate not in GATE_NAMES:
-        raise ConfigError(f"config key 'gate' out of range: must be one of {', '.join(GATE_NAMES)}")
-    for key in ("epochs", "dataset_size", "n_realizations"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"config key '{key}' out of range: must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("config key 'seed' out of range: must be non-negative")
-    if config.learning_rate is not None and config.learning_rate <= 0.0:
-        raise ConfigError("config key 'learning_rate' out of range: must be positive")
-    if config.window_a <= 0.0:
-        raise ConfigError("config key 'window_a' out of range: must be positive")
-    device_params(config)
-    if config.d_prime <= 0.0:
-        raise ConfigError("config key 'd_prime' out of range: must be positive")
-    if config.b_scale <= 0.0:
-        raise ConfigError("config key 'b_scale' out of range: must be positive")
-    if config.tau < 0.0:
-        raise ConfigError("config key 'tau' out of range: must be non-negative")
-    if len(config.topology) < 3 or any(n < 1 for n in config.topology):
-        raise ConfigError(
-            "config key 'topology' out of range: need input, hidden and output widths of at least 1"
-        )
-    if config.model == "mlp" and (config.topology[0] != 2 or config.topology[-1] != 1):
-        raise ConfigError(
-            "config key 'topology' out of range: gate experiments need 2 inputs and 1 output"
-        )
-    if len(config.roc_thresholds) == 0:
-        raise ConfigError("config key 'roc_thresholds' out of range: need at least one threshold")
-    if config.model == "slp" and any(not 0.0 < t < 1.0 for t in config.roc_thresholds):
-        raise ConfigError(
-            "config key 'roc_thresholds' out of range: logistic scores need thresholds in (0, 1)"
-        )
-
-
 def parse_config(path=None, overrides: dict | None = None,
                  defaults: dict | None = None) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides.
@@ -202,20 +183,8 @@ def parse_config(path=None, overrides: dict | None = None,
     sources.append(overrides or {})
     for source in sources:
         for key, value in source.items():
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"unknown config key: {key}")
             merged[key] = _coerce(key, value)
-    config = ExperimentConfig(**merged)
-    validate_config(config)
-    return config
-
-
-def config_as_dict(config: ExperimentConfig) -> dict:
-    """JSON-ready view; tuples become lists."""
-    out = asdict(config)
-    for key in ("roc_thresholds", "topology"):
-        out[key] = list(out[key])
-    return out
+    return ExperimentConfig(**merged)
 
 
 def effective_learning_rate(config: ExperimentConfig) -> float:
@@ -256,10 +225,13 @@ def trained_ensemble(config: ExperimentConfig):
     rngs = realization_rngs(config)
     if config.model == "slp":
         w0 = np.stack([glorot_slp_weights(xs.shape[1], rng) for rng in rngs])
-        histories, w = train_slp_ensemble(
-            w0, eta, xs, ts, config.epochs, rngs, window_a=config.window_a
-        )
-        return histories, w
+        try:
+            return train_slp_ensemble(w0, eta, xs, ts, config.epochs, rngs, window_a=config.window_a)
+        except WindowViolationError as exc:
+            raise ConfigError(
+                f"config keys 'learning_rate' and 'window_a' do not fit together "
+                f"(slp writes are single pulses): {exc}"
+            ) from exc
     topology = Topology(tuple(config.topology))
     gammas0, biases0 = _stacked_glorot(topology, rngs, config.b_scale)
     histories, gammas, biases = train_mlp_ensemble(
@@ -312,7 +284,6 @@ def run_learning_experiment(config: ExperimentConfig):
 
     Returns (csv path, records).
     """
-    validate_config(config)
     histories = trained_ensemble(config)[0]
     records = aggregate_curve(histories)
     _ensure_out_dir(config)
@@ -332,7 +303,6 @@ def run_roc_experiment(config: ExperimentConfig):
     The single model is realization 0 of the config's seed.  Returns
     (csv path, points, auc value).
     """
-    validate_config(config)
     eval_set = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1)
     xs, ts = eval_set.to_arrays()
     if ts.min() == ts.max():

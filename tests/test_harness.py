@@ -1,11 +1,15 @@
 """Config parsing, experiment runners, artifact emission, CLI exit codes."""
 
 import json
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memperceptron.cli import main
+from memperceptron.cli import build_parser, main
+from memperceptron.device import WindowViolationError
 from memperceptron.harness import (
     ConfigError,
     ExperimentConfig,
@@ -279,3 +283,99 @@ def test_config_object_is_frozen():
     config = ExperimentConfig()
     with pytest.raises(Exception):
         config.epochs = 5
+
+
+def test_config_validates_on_construction():
+    # every config that exists can be run, however it was made
+    with pytest.raises(ConfigError, match="'epochs' out of range"):
+        ExperimentConfig(epochs=0)
+    with pytest.raises(ConfigError, match="'seed' out of range"):
+        replace(ExperimentConfig(), seed=-1)
+
+
+def test_slp_window_overshoot_is_a_keyed_config_error():
+    with pytest.raises(ConfigError, match="'learning_rate' and 'window_a'") as info:
+        trained_ensemble(tiny(learning_rate=20.0, epochs=2))
+    assert isinstance(info.value.__cause__, WindowViolationError)
+    # the location of the overshoot is kept word for word
+    assert str(info.value).endswith(str(info.value.__cause__))
+
+
+@pytest.mark.parametrize("command", ["train", "roc"])
+def test_cli_slp_window_overshoot_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--model", "slp", "--gate", "or", "--learning-rate", "20",
+               "--epochs", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'learning_rate'" in err and "'window_a'" in err
+    assert not out.exists()
+
+
+# one valid non-default value per config key
+_NON_DEFAULTS = {
+    "model": "mlp", "gate": "XOR", "epochs": 7, "dataset_size": 12, "n_realizations": 3,
+    "learning_rate": 0.5, "seed": 4, "window_a": 2.5, "d_prime": 3.0, "b_scale": 2.0,
+    "tau": 0.5, "mu_v": 50.0, "r_on": 0.02, "r_off": 2.0, "topology": [2, 3, 1],
+    "roc_thresholds": [0.2, 0.4], "out_dir": "results", "svg": True,
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_every_key_has_one_working_flag(tmp_path, capsys, key):
+    value = _NON_DEFAULTS[key]
+    config = parse_config(overrides={key: value})
+    assert getattr(config, key) != getattr(ExperimentConfig(), key)
+    expected = json.dumps(asdict(config), indent=2, sort_keys=True)
+    flag = {"n_realizations": "--realizations", "out_dir": "--out"}.get(
+        key, "--" + key.replace("_", "-"))
+    if value is True:
+        args = [flag]
+    elif isinstance(value, list):
+        args = [flag, *map(str, value)]
+    else:
+        args = [flag, str(value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for argv in (["validate-config", *args], ["validate-config", "--config", str(cfg)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+
+def _option_strings(command: str) -> list[str]:
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return sorted(s for a in subparsers.choices[command]._actions for s in a.option_strings)
+
+
+def test_config_option_strings_are_pinned():
+    expected = [
+        "--b-scale", "--config", "--d-prime", "--dataset-size", "--epochs", "--gate",
+        "--help", "--learning-rate", "--model", "--mu-v", "--out", "--r-off", "--r-on",
+        "--realizations", "--roc-thresholds", "--seed", "--svg", "--tau", "--topology",
+        "--window-a", "-h",
+    ]
+    for command in ("train", "roc", "validate-config"):
+        assert _option_strings(command) == expected
+    assert _option_strings("dataset") == [
+        "--dataset-size", "--gate", "--help", "--load", "--out", "--seed", "-h",
+    ]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--gate", "nand"], "'gate' out of range"),
+    (["--dataset-size", "0"], "'dataset_size' out of range"),
+    (["--seed", "-1"], "'seed' out of range"),
+])
+def test_cli_dataset_config_errors(tmp_path, capsys, args, message):
+    rc = main(["dataset", *args, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_configuration_table_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = [key for row in rows for key in re.findall(r"`(\w+)` \(", row.split(" | ")[0])]
+    assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
