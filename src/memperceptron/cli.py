@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: `train` runs a learning-curve experiment, `roc` trains one
-model and scores a fresh evaluation set, `dataset` emits or inspects
-sample CSVs, `validate-config` checks a config and prints the normalized
-result.  Exit codes: 0 success, 1 configuration error, 2 runtime error.
+model and scores a fresh evaluation set, `protocol` runs the paper's six
+curves and three ROC models with one training per (model, gate) pair,
+`dataset` emits or inspects sample CSVs, `validate-config` checks a
+config and prints the normalized result.  Exit codes: 0 success, 1
+configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .harness import (
     key_type,
     parse_config,
     run_learning_experiment,
+    run_protocol,
     run_roc_experiment,
 )
 
@@ -74,6 +77,18 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_protocol(args: argparse.Namespace) -> int:
+    for key in ("model", "gate"):
+        if getattr(args, key) is not None:
+            raise ConfigError(f"config key '{key}' is set pair by pair by protocol; drop --{key}")
+    config = _parsed(args)
+    for path in run_protocol(config):
+        print(f"wrote {path}")
+        if config.svg:
+            print(f"wrote {path.with_suffix('.svg')}")
+    return 0
+
+
 def _cmd_dataset(args: argparse.Namespace) -> int:
     if args.load is not None:
         samples = load_samples_csv(args.load)
@@ -108,13 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run a learning-curve experiment")
-    _add_config_flags(p_train)
-    p_train.set_defaults(func=_cmd_train)
-
-    p_roc = sub.add_parser("roc", help="train one model and write its ROC points")
-    _add_config_flags(p_roc)
-    p_roc.set_defaults(func=_cmd_roc)
+    for name, func, help_text in (
+        ("train", _cmd_train, "run a learning-curve experiment"),
+        ("roc", _cmd_roc, "train one model and write its ROC points"),
+        ("protocol", _cmd_protocol, "run the six curves and three ROC models, each model trained once"),
+        ("validate-config", _cmd_validate_config, "check a config, print the normalized form"),
+    ):
+        p_config = sub.add_parser(name, help=help_text)
+        _add_config_flags(p_config)
+        p_config.set_defaults(func=func)
 
     p_data = sub.add_parser("dataset", help="emit a gate dataset CSV or inspect one")
     p_data.add_argument("--gate", default="OR", help="OR, AND or XOR")
@@ -124,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.add_argument("--load", metavar="FILE",
                         help="read a dataset CSV back and report its gate")
     p_data.set_defaults(func=_cmd_dataset)
-
-    p_val = sub.add_parser("validate-config", help="check a config, print the normalized form")
-    _add_config_flags(p_val)
-    p_val.set_defaults(func=_cmd_validate_config)
 
     return parser
 

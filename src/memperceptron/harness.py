@@ -39,6 +39,7 @@ class ConfigError(ValueError):
 MODELS = ("slp", "mlp")
 GATE_NAMES = tuple(gate.name for gate in Gate)
 ROC_EPOCHS = 500  # the roc experiments' default, in place of `epochs`'s 1000
+ROC_PAIRS = (("slp", "OR"), ("slp", "XOR"), ("mlp", "XOR"))  # the paper's ROC experiments
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,6 @@ def effective_learning_rate(config: ExperimentConfig) -> float:
     return 0.1
 
 
-def realization_rngs(config: ExperimentConfig) -> list[np.random.Generator]:
-    """One generator per realization, seeded base + r; weight draws come
-    first, then one permutation per epoch."""
-    return [np.random.default_rng(config.seed + r) for r in range(config.n_realizations)]
-
-
 def _stacked_glorot(topology: Topology, rngs, b_scale: float):
     per_w: list[list[np.ndarray]] = [[] for _ in topology.layer_sizes[1:]]
     per_b: list[list[np.ndarray]] = [[] for _ in topology.layer_sizes[1:]]
@@ -212,34 +207,67 @@ def _stacked_glorot(topology: Topology, rngs, b_scale: float):
     return [np.stack(ws) for ws in per_w], [np.stack(bs) for bs in per_b]
 
 
-def trained_ensemble(config: ExperimentConfig):
+def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     """Train all realizations; returns (histories, final parameters).
 
     histories is (n_realizations, epochs) of per-epoch E_total.  The
-    final parameters are the weight rows for the slp and the (gammas,
-    biases) arrays for the mlp, as needed for scoring.
+    parameters are the weight rows for the slp and the (gammas, biases)
+    arrays for the mlp, as needed for scoring.  Given `snapshot`, the
+    parameters after that many epochs come third: the epochs then run in
+    two trainer calls on the same generators, and the second call resumes
+    exactly where the first stopped.  A realization whose error or
+    parameters are not finite raises FloatingPointError.
     """
     dataset = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
     xs, ts = dataset.to_arrays()
     eta = effective_learning_rate(config)
-    rngs = realization_rngs(config)
+    # weight draws come first, then one permutation per epoch
+    rngs = [np.random.default_rng(config.seed + r) for r in range(config.n_realizations)]
     if config.model == "slp":
-        w0 = np.stack([glorot_slp_weights(xs.shape[1], rng) for rng in rngs])
-        try:
-            return train_slp_ensemble(w0, eta, xs, ts, config.epochs, rngs, window_a=config.window_a)
-        except WindowViolationError as exc:
-            raise ConfigError(
-                f"config keys 'learning_rate' and 'window_a' do not fit together "
-                f"(slp writes are single pulses): {exc}"
-            ) from exc
-    topology = Topology(tuple(config.topology))
-    gammas0, biases0 = _stacked_glorot(topology, rngs, config.b_scale)
-    histories, gammas, biases = train_mlp_ensemble(
-        gammas0, biases0, eta, xs, ts, config.epochs, rngs,
-        params=device_params(config), tau=config.tau, d_prime=config.d_prime,
-        b_scale=config.b_scale, window_a=config.window_a,
-    )
-    return histories, (gammas, biases)
+        start = np.stack([glorot_slp_weights(xs.shape[1], rng) for rng in rngs])
+
+        def train(params, epochs):
+            return train_slp_ensemble(params, eta, xs, ts, epochs, rngs, window_a=config.window_a)
+    else:
+        start = _stacked_glorot(Topology(tuple(config.topology)), rngs, config.b_scale)
+
+        def train(params, epochs):
+            histories, gammas, biases = train_mlp_ensemble(
+                *params, eta, xs, ts, epochs, rngs,
+                params=device_params(config), tau=config.tau, d_prime=config.d_prime,
+                b_scale=config.b_scale, window_a=config.window_a,
+            )
+            return histories, (gammas, biases)
+
+    done = 0
+    try:
+        if snapshot is None or snapshot == config.epochs:  # the trainers reject 0 epochs
+            histories, final = train(start, config.epochs)
+            taken = final
+        else:
+            head, taken = train(start, snapshot)
+            done = snapshot
+            tail, final = train(taken, config.epochs - snapshot)
+            histories = np.concatenate((head, tail), axis=1)
+    except WindowViolationError as exc:
+        note = f"; epochs are counted after the epoch-{done} snapshot" if done else ""
+        raise ConfigError(
+            f"config keys 'learning_rate' and 'window_a' do not fit together "
+            f"(slp writes are single pulses{note}): {exc}"
+        ) from exc
+    # the clamp maps inf to a bound, so a parameter goes bad as NaN, which
+    # makes every later error NaN: the histories and the final parameters
+    # cover every epoch, a snapshot included
+    bad = ~np.isfinite(histories)
+    for p in [final] if config.model == "slp" else [*final[0], *final[1]]:
+        bad[:, -1] |= ~np.isfinite(p.reshape(len(p), -1)).all(axis=1)
+    if bad.any():
+        r = int(bad.any(axis=1).argmax())
+        raise FloatingPointError(
+            f"{config.model} {config.gate}: realization {r} is not finite "
+            f"from epoch {int(bad[r].argmax()) + 1} on"
+        )
+    return (histories, final) if snapshot is None else (histories, final, taken)
 
 
 def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarray:
@@ -267,16 +295,43 @@ def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
     return records
 
 
-def curve_path(config: ExperimentConfig) -> Path:
-    return Path(config.out_dir) / f"curve_{config.model}_{config.gate.lower()}.csv"
+def _emit_curve(config: ExperimentConfig, records: list[EpochRecord]) -> Path:
+    """Write the learning-curve CSV (+ optional SVG); returns the CSV path."""
+    path = Path(config.out_dir) / f"curve_{config.model}_{config.gate.lower()}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_curve_csv(path, records)
+    if config.svg:
+        write_curve_svg(
+            path.with_suffix(".svg"), records,
+            title=f"{config.model} {config.gate}: mean total error per epoch",
+        )
+    return path
 
 
-def roc_path(config: ExperimentConfig) -> Path:
-    return Path(config.out_dir) / f"roc_{config.model}_{config.gate.lower()}.csv"
+def _evaluation_set(config: ExperimentConfig):
+    """The fresh ROC evaluation set (xs, ts), drawn from seed + 1."""
+    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1).to_arrays()
+    if ts.min() == ts.max():
+        raise ConfigError(
+            f"config key 'dataset_size' out of range: the {config.dataset_size}-sample "
+            f"evaluation set drawn from seed {config.seed + 1} holds only one class"
+        )
+    return xs, ts
 
 
-def _ensure_out_dir(config: ExperimentConfig) -> None:
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+def _emit_roc(config: ExperimentConfig, scores: np.ndarray, ts: np.ndarray):
+    """Write one model's ROC CSV (+ optional SVG); returns (CSV path, points, AUC)."""
+    points = roc_points(scores, ts, config.roc_thresholds)
+    auc_value = auc(scores, ts)
+    path = Path(config.out_dir) / f"roc_{config.model}_{config.gate.lower()}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_roc_csv(path, points, auc_value)
+    if config.svg:
+        write_roc_svg(
+            path.with_suffix(".svg"), points, auc_value,
+            title=f"{config.model} {config.gate}: ROC on a fresh evaluation set",
+        )
+    return path, points, auc_value
 
 
 def run_learning_experiment(config: ExperimentConfig):
@@ -284,17 +339,8 @@ def run_learning_experiment(config: ExperimentConfig):
 
     Returns (csv path, records).
     """
-    histories = trained_ensemble(config)[0]
-    records = aggregate_curve(histories)
-    _ensure_out_dir(config)
-    path = curve_path(config)
-    write_curve_csv(path, records)
-    if config.svg:
-        write_curve_svg(
-            path.with_suffix(".svg"), records,
-            title=f"{config.model} {config.gate}: mean total error per epoch",
-        )
-    return path, records
+    records = aggregate_curve(trained_ensemble(config)[0])
+    return _emit_curve(config, records), records
 
 
 def run_roc_experiment(config: ExperimentConfig):
@@ -303,24 +349,27 @@ def run_roc_experiment(config: ExperimentConfig):
     The single model is realization 0 of the config's seed.  Returns
     (csv path, points, auc value).
     """
-    eval_set = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1)
-    xs, ts = eval_set.to_arrays()
-    if ts.min() == ts.max():
-        raise ConfigError(
-            f"config key 'dataset_size' out of range: the {config.dataset_size}-sample "
-            f"evaluation set drawn from seed {config.seed + 1} holds only one class"
-        )
+    xs, ts = _evaluation_set(config)
     single = replace(config, n_realizations=1)
     _, final = trained_ensemble(single)
-    scores = ensemble_scores(single, final, xs)[0]
-    points = roc_points(scores, ts, config.roc_thresholds)
-    auc_value = auc(scores, ts)
-    _ensure_out_dir(config)
-    path = roc_path(config)
-    write_roc_csv(path, points, auc_value)
-    if config.svg:
-        write_roc_svg(
-            path.with_suffix(".svg"), points, auc_value,
-            title=f"{config.model} {config.gate}: ROC on a fresh evaluation set",
-        )
-    return path, points, auc_value
+    return _emit_roc(config, ensemble_scores(single, final, xs)[0], ts)
+
+
+def run_protocol(config: ExperimentConfig):
+    """Run the paper's experiments, training each (model, gate) pair once.
+
+    Each pair of MODELS x GATE_NAMES runs the config with its own model
+    and gate and writes its learning curve; the ROC_PAIRS also write the
+    ROC of realization 0 after (epochs + 1) // 2 epochs.  Every pair
+    config and evaluation set is checked before any training.  Yields
+    each CSV path once it is written.
+    """
+    snapshot = (config.epochs + 1) // 2
+    pairs = [replace(config, model=model, gate=gate) for model in MODELS for gate in GATE_NAMES]
+    evals = {(c.model, c.gate): _evaluation_set(c) for c in pairs if (c.model, c.gate) in ROC_PAIRS}
+    for pair in pairs:
+        histories, _, taken = trained_ensemble(pair, snapshot)
+        yield _emit_curve(pair, aggregate_curve(histories))
+        if (pair.model, pair.gate) in evals:
+            xs, ts = evals[(pair.model, pair.gate)]
+            yield _emit_roc(pair, ensemble_scores(pair, taken, xs)[0], ts)[0]

@@ -38,11 +38,6 @@ import numpy as np
 from .device import DeviceParams, bias_drift_slope, bias_slope, quad_coefficient
 from .train import train_lockstep
 
-DEFAULT_D_PRIME = 4.0
-DEFAULT_B_SCALE = 1.0
-DEFAULT_TAU = 1.0
-DEFAULT_WINDOW_A = 1.0
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -99,10 +94,8 @@ def mlp_forward(gammas, biases, x, params: DeviceParams, kt: float, b_scale: flo
 
 def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
                        epochs: int, rngs, params: DeviceParams | None = None,
-                       tau: float = DEFAULT_TAU, d_prime: float = DEFAULT_D_PRIME,
-                       b_scale: float = DEFAULT_B_SCALE,
-                       window_a: float = DEFAULT_WINDOW_A,
-                       write_mode: str = "burst"):
+                       tau: float = 1.0, d_prime: float = 4.0, b_scale: float = 1.0,
+                       window_a: float = 1.0, write_mode: str = "burst"):
     """Backprop many seeded networks in lock step.
 
     gammas0[l] is (realizations, n_in, n_out) of synapse internal

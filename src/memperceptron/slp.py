@@ -19,8 +19,6 @@ from scipy.special import expit
 
 from .train import train_lockstep
 
-DEFAULT_WEIGHT_BOUND = 10.0
-
 
 def glorot_slp_weights(input_dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias."""
@@ -42,7 +40,7 @@ def slp_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.ndarray,
-                       epochs: int, rngs, weight_bound: float = DEFAULT_WEIGHT_BOUND,
+                       epochs: int, rngs, weight_bound: float = 10.0,
                        window_a: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Train one machine per row of weights0, all in lock step.
 

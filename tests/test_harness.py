@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -21,6 +22,10 @@ from memperceptron.harness import (
     trained_ensemble,
 )
 from memperceptron.metrics import read_curve_csv, read_roc_csv
+
+from test_golden import GOLDEN, _digests
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def tiny(**kw):
@@ -299,6 +304,13 @@ def test_slp_window_overshoot_is_a_keyed_config_error():
     assert isinstance(info.value.__cause__, WindowViolationError)
     # the location of the overshoot is kept word for word
     assert str(info.value).endswith(str(info.value.__cause__))
+    # an overshoot in epoch 2 of a run split at a snapshot after epoch 1 is
+    # named as epoch 1 of the second trainer call, and the message says so
+    late = tiny(learning_rate=6.8, epochs=2, seed=2)
+    with pytest.raises(ConfigError, match=r"single pulses\): realization 2, epoch 2,"):
+        trained_ensemble(late)
+    with pytest.raises(ConfigError, match="counted after the epoch-1 snapshot.*, epoch 1,"):
+        trained_ensemble(late, snapshot=1)
 
 
 @pytest.mark.parametrize("command", ["train", "roc"])
@@ -354,7 +366,7 @@ def test_config_option_strings_are_pinned():
         "--realizations", "--roc-thresholds", "--seed", "--svg", "--tau", "--topology",
         "--window-a", "-h",
     ]
-    for command in ("train", "roc", "validate-config"):
+    for command in ("train", "roc", "protocol", "validate-config"):
         assert _option_strings(command) == expected
     assert _option_strings("dataset") == [
         "--dataset-size", "--gate", "--help", "--load", "--out", "--seed", "-h",
@@ -374,8 +386,87 @@ def test_cli_dataset_config_errors(tmp_path, capsys, args, message):
 
 
 def test_readme_configuration_table_names_every_key():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     named = [key for row in rows for key in re.findall(r"`(\w+)` \(", row.split(" | ")[0])]
     assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("memperceptron ")]
+    assert any(line.startswith("memperceptron protocol ") for line in lines)
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
+def test_trained_ensemble_snapshot_splits_exactly():
+    def arrays(model, params):
+        return [params] if model == "slp" else [*params[0], *params[1]]
+
+    for model in ("slp", "mlp"):
+        config = tiny(model=model, epochs=6)
+        histories, final = trained_ensemble(config)
+        head, at_2 = trained_ensemble(replace(config, epochs=2))
+        split, split_final, taken = trained_ensemble(config, snapshot=2)
+        assert np.array_equal(split, histories)
+        assert np.array_equal(head, histories[:, :2])
+        for got, want in zip(arrays(model, split_final) + arrays(model, taken),
+                             arrays(model, final) + arrays(model, at_2)):
+            assert np.array_equal(got, want)
+
+
+def test_cli_protocol_writes_the_golden_artifacts(tmp_path, capsys):
+    rc = main(["protocol", "--epochs", "20", "--realizations", "10", "--svg",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert _digests(tmp_path) == GOLDEN
+    assert capsys.readouterr().out.count("wrote ") == len(GOLDEN)
+
+
+def test_cli_protocol_roc_files_equal_the_roc_command(tmp_path):
+    shape = ["--epochs", "1", "--dataset-size", "12"]
+    assert main(["protocol", *shape, "--realizations", "2", "--out", str(tmp_path / "p")]) == 0
+    for model, gate in (("slp", "or"), ("slp", "xor"), ("mlp", "xor")):
+        out = tmp_path / f"{model}_{gate}"
+        assert main(["roc", "--model", model, "--gate", gate, *shape, "--out", str(out)]) == 0
+        name = f"roc_{model}_{gate}.csv"
+        assert (tmp_path / "p" / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, key", [(["--model", "mlp"], "'model'"),
+                                       (["--gate", "xor"], "'gate'")])
+def test_cli_protocol_rejects_model_and_gate(tmp_path, capsys, args, key):
+    rc = main(["protocol", *args, "--epochs", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_protocol_one_class_evaluation_set_exits_1(tmp_path, capsys):
+    rc = main(["protocol", "--dataset-size", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'dataset_size' out of range" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "roc", "protocol"])
+@pytest.mark.parametrize("flag", ["--tau", "--mu-v"])
+def test_cli_non_finite_training_exits_2(tmp_path, capsys, command, flag):
+    # both pass validation, and the mlp's node output overflows
+    pair = [] if command == "protocol" else ["--model", "mlp", "--gate", "xor"]
+    rc = main([command, *pair, flag, "1e300", "--epochs", "3", "--realizations", "3",
+               "--dataset-size", "12", "--out", str(tmp_path)])
+    assert rc == 2
+    assert re.search(r"mlp \w+: realization \d+ is not finite from epoch \d+ on",
+                     capsys.readouterr().err)
+    # nothing is written for the failing pair; protocol keeps the slp pairs before it
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["curve_slp_and.csv", "curve_slp_or.csv", "curve_slp_xor.csv",
+                        "roc_slp_or.csv", "roc_slp_xor.csv"] if command == "protocol" else [])
