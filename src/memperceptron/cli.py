@@ -11,7 +11,9 @@ configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -116,6 +118,23 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Stdout:
+    """stdout for one command: a reader gone away (a closed pipe) ends the printing, not the run."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            self.stream.write(text)
+            self.stream.flush()
+        except BrokenPipeError:  # later lines and the exit flush go to /dev/null
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd = self.stream.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return len(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memperceptron",
@@ -148,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(_Stdout(sys.stdout)):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

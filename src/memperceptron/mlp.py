@@ -26,7 +26,7 @@ instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware; changes too large for one pulse go out
 as a burst of pulses by default, or raise in "single" write mode.
 `train_mlp_ensemble` runs many seeded networks in lock step through the
-shared loop in `train`.
+shared loop in `train`, compiled as `mlp_epoch`.
 """
 
 from __future__ import annotations
@@ -107,11 +107,13 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
     """
     if params is None:
         params = DeviceParams()
-    if xs.shape[1] != np.shape(gammas0[0])[1]:
-        raise ValueError(f"first layer takes {np.shape(gammas0[0])[1]} inputs, got {xs.shape[1]}")
+    n_layers, sizes = len(gammas0), [xs.shape[1]] + [np.shape(g)[-1] for g in gammas0]
+    want = [(np.shape(gammas0[0])[0], *sizes[l:l + 2]) for l in range(n_layers)]  # (R, n_in, n_out)
+    shapes = [np.shape(a) for a in (*gammas0, *biases0)]
+    if 0 in sizes or shapes != want + [(r, n_out) for r, _, n_out in want]:
+        raise ValueError(f"gammas0 must be {want} (no width 0) for {xs.shape[1]} inputs, biases0 to match")
     kt = quad_coefficient(params) * tau
     m_prime = bias_drift_slope(params)
-    n_layers = len(gammas0)
 
     def backprop(state, x, t):
         layers = mlp_forward(state[:n_layers], state[n_layers:], x, params, kt, b_scale)
@@ -137,6 +139,9 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
                 delta = layers[l - 1][3] * upstream
         return err, inc_g + inc_b
 
+    scratch = np.empty(3 * sum(sizes[1:]) + 3 * max(sizes))  # the kernel's per-sample vectors
+    kernel = ("mlp_epoch", (eta, n_layers, np.array(sizes, dtype=np.int64), scratch, b_scale, kt,
+                            m_prime, params.r_off, params.r_on, params.d))
     histories, final = train_lockstep(list(gammas0) + list(biases0), backprop, xs, ts, epochs,
-                                      rngs, d_prime / 2.0, window_a, write_mode)
+                                      rngs, d_prime / 2.0, window_a, write_mode, kernel)
     return histories, final[:n_layers], final[n_layers:]

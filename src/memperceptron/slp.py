@@ -9,7 +9,7 @@ the requested amount (then clamps at the variable bounds).  Every update
 must fit a single pulse.
 
 `train_slp_ensemble` runs many independently seeded machines in lock
-step through the shared loop in `train`.
+step through the shared loop in `train`, compiled as `slp_epoch`.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
     component; the bias acts as an always-on input of 1.  Returns
     (histories, final weights).
     """
-    if xs.shape[1] != np.shape(weights0)[1] - 1:
-        raise ValueError(f"weights0 holds {np.shape(weights0)[1]} columns for {xs.shape[1]} inputs")
+    if np.ndim(weights0) != 2 or xs.shape[1] != np.shape(weights0)[1] - 1:
+        raise ValueError(f"weights0 of shape {np.shape(weights0)} does not fit {xs.shape[1]} inputs")
 
     def delta_rule(params, x, t):
         out = slp_forward(params[0], x)
@@ -60,5 +60,5 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
         return 0.5 * diff * diff, [np.concatenate((base * x, base), axis=1)]
 
     histories, (w,) = train_lockstep([weights0], delta_rule, xs, ts, epochs, rngs,
-                                     weight_bound, window_a, "single")
+                                     weight_bound, window_a, "single", ("slp_epoch", (eta,)))
     return histories, w

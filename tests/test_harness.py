@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -427,6 +428,22 @@ def test_cli_protocol_writes_the_golden_artifacts(tmp_path, capsys):
     assert rc == 0
     assert _digests(tmp_path) == GOLDEN
     assert capsys.readouterr().out.count("wrote ") == len(GOLDEN)
+
+
+def test_cli_closed_stdout_stops_only_the_printing(tmp_path, monkeypatch):
+    # e.g. `memperceptron protocol ... | head -1`: the reader goes away early
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main(["protocol", "--epochs", "20", "--realizations", "10", "--svg",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert _digests(tmp_path) == GOLDEN
 
 
 def test_cli_protocol_roc_files_equal_the_roc_command(tmp_path):

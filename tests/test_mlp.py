@@ -347,7 +347,7 @@ def test_weights_stay_inside_device_range():
         assert np.all(np.abs(arr) <= 2.0)
 
 
-def test_ensemble_matches_scalar_bit_for_bit():
+def test_ensemble_matches_scalar_bit_for_bit(engine):
     # at rate 0.1 both gates stage increments too large for one pulse,
     # which burst writes land in full; on OR the first epoch blows up and
     # the clamp at +/- d_prime/2 fires, in the trainer and the oracle alike

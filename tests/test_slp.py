@@ -184,7 +184,7 @@ def test_memristor_updates_equal_ideal_delta_rule():
         assert np.max(np.abs(w[0] - trail[-1])) < 1e-12
 
 
-def test_ensemble_matches_scalar_bit_for_bit():
+def test_ensemble_matches_scalar_bit_for_bit(engine):
     # the oracle is a plain per-sample loop with the trainer's float
     # order; bound 0.3 makes the clamps fire
     ds = generate_dataset(Gate.OR, 20, 9)
