@@ -1,8 +1,9 @@
-/* One training epoch of each model, compiled; `train.py` calls these through ctypes.
+/* One training epoch of each model, and the epoch's shuffles, compiled;
+ * `train.py` calls these through ctypes.
  *
- * Each function replays, for every realization in turn, the samples in its
- * row of `perm` with exactly the float operations of the numpy steps in
- * `slp.py` and `mlp.py` (same operands, same order, no contraction), so
+ * Each epoch function replays, for every realization in turn, the samples
+ * in its row of `perm` with exactly the float operations of the numpy steps
+ * in `slp.py` and `mlp.py` (same operands, same order, no contraction), so
  * both engines produce the same bytes.  Parameters are updated in place:
  * add the increment, then clamp to [-bound, bound].  The per-realization
  * error summed over the epoch goes to `totals`.
@@ -13,6 +14,47 @@
  */
 #include <math.h>
 #include <stdint.h>
+
+/* numpy's public bitgen_t (numpy/random/bitgen.h); calling its functions
+ * advances the Python generator's own state, buffered halves included. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's random_interval for max >= 1: masked rejection on [0, max]. */
+static uint64_t random_interval(bitgen_t *g, uint64_t max)
+{
+    uint64_t mask = max, value;
+    for (int s = 1; s < 64; s <<= 1)
+        mask |= mask >> s;
+    if (max <= 0xffffffffULL)
+        while ((value = (g->next_uint32(g->state) & mask)) > max)
+            ;
+    else
+        while ((value = (g->next_uint64(g->state) & mask)) > max)
+            ;
+    return value;
+}
+
+/* Row r of perm becomes gens[r]'s rng.permutation(n): the Fisher-Yates of
+ * numpy's Generator.shuffle, with the same draws. */
+void shuffle_rows(int64_t R, int64_t n, bitgen_t **gens, int64_t *perm)
+{
+    for (int64_t r = 0; r < R; r++) {
+        int64_t *row = perm + r * n;
+        for (int64_t i = 0; i < n; i++)
+            row[i] = i;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = (int64_t)random_interval(gens[r], (uint64_t)i), swap = row[i];
+            row[i] = row[j];
+            row[j] = swap;
+        }
+    }
+}
 
 /* np.clip(x, -b, b): the lower bound first, then the upper, a tie keeping x.
  * A NaN in x or b comes out NaN (fmin/fmax would drop it) and +/-inf clamps. */

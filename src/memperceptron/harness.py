@@ -74,6 +74,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Raise ConfigError on the first field that cannot be run."""
+        for key in _DEFAULTS:  # each range check below is a comparison, which NaN slips past
+            values = getattr(self, key) if isinstance(_DEFAULTS[key], tuple) else [getattr(self, key)]
+            if key_type(key) is float and any(v != v for v in values):
+                raise ConfigError(f"config key '{key}' out of range: must not be NaN")
         if self.model not in MODELS:
             raise ConfigError(f"config key 'model' out of range: must be one of {', '.join(MODELS)}")
         if self.gate not in GATE_NAMES:
@@ -196,17 +200,6 @@ def effective_learning_rate(config: ExperimentConfig) -> float:
     return 0.1
 
 
-def _stacked_glorot(topology: Topology, rngs, b_scale: float):
-    per_w: list[list[np.ndarray]] = [[] for _ in topology.layer_sizes[1:]]
-    per_b: list[list[np.ndarray]] = [[] for _ in topology.layer_sizes[1:]]
-    for rng in rngs:
-        ws, bs = glorot_init(topology, rng)
-        for l, (w, b) in enumerate(zip(ws, bs)):
-            per_w[l].append(w / b_scale)
-            per_b[l].append(b)
-    return [np.stack(ws) for ws in per_w], [np.stack(bs) for bs in per_b]
-
-
 def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     """Train all realizations; returns (histories, final parameters).
 
@@ -229,7 +222,8 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
         def train(params, epochs):
             return train_slp_ensemble(params, eta, xs, ts, epochs, rngs, window_a=config.window_a)
     else:
-        start = _stacked_glorot(Topology(tuple(config.topology)), rngs, config.b_scale)
+        gammas0, biases0 = glorot_init(Topology(tuple(config.topology)), rngs)
+        start = [w / config.b_scale for w in gammas0], biases0
 
         def train(params, epochs):
             histories, gammas, biases = train_mlp_ensemble(

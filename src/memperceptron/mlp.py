@@ -56,17 +56,25 @@ def glorot_limit(n_in: int, n_out: int) -> float:
     return float(np.sqrt(6.0 / (n_in + n_out)))
 
 
-def glorot_init(topology: Topology, rng: np.random.Generator) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)).
+def glorot_init(topology: Topology, rngs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per generator.
 
-    Bias weights are drawn from the same interval as their layer.
+    Bias weights are drawn from the same interval as their layer.  Each
+    generator makes one rng.random draw, split in the order W1, b1, W2,
+    b2, ... and scaled as rng.uniform scales it: the values and the
+    final state of one rng.uniform call per array.  Returns per-layer
+    weights (realizations, n_in, n_out) and biases (realizations, n_out).
     """
-    sizes = topology.layer_sizes
-    weights, biases = [], []
-    for l in range(len(sizes) - 1):
-        limit = glorot_limit(sizes[l], sizes[l + 1])
-        weights.append(rng.uniform(-limit, limit, size=(sizes[l], sizes[l + 1])))
-        biases.append(rng.uniform(-limit, limit, size=sizes[l + 1]))
+    pairs = list(zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]))
+    draws = np.stack([rng.random(sum((n_in + 1) * n_out for n_in, n_out in pairs)) for rng in rngs])
+    weights, biases, start = [], [], 0
+    for n_in, n_out in pairs:
+        limit = glorot_limit(n_in, n_out)
+        # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
+        layer = -limit + (limit - -limit) * draws[:, start:start + (n_in + 1) * n_out]
+        start += (n_in + 1) * n_out
+        weights.append(layer[:, :n_in * n_out].reshape(len(rngs), n_in, n_out))
+        biases.append(layer[:, n_in * n_out:])
     return weights, biases
 
 

@@ -57,6 +57,11 @@ def load_library():
         return None
     for name, tail in _TAILS.items():
         getattr(lib, name).argtypes, getattr(lib, name).restype = _HEAD + tail, ctypes.c_int
+    lib.shuffle_rows.argtypes, lib.shuffle_rows.restype = [_I, _I, _P, _P], None
+    # a bit generator's bitgen_t from its capsule, by a prototype of our own
+    # so that the shared ctypes.pythonapi keeps its declarations
+    lib.bitgen = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
     return lib
 
 
@@ -78,8 +83,12 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
 
     params is a list of arrays with realizations on the leading axis
     (copied, never mutated); step(params, x, t) gets one sample per
-    realization.  Each generator in rngs draws one permutation per
-    epoch.  Increments are added, then clamped to [-bound, bound].  In
+    realization.  Each generator in rngs is consumed by one permutation
+    per epoch, the draws of rng.permutation(samples), and by nothing
+    else.  On the compiled engine `shuffle_rows` makes those draws in C
+    through the generator's own bitgen_t, without the GIL or numpy's
+    generator lock: the generators belong to the trainer until it
+    returns.  Increments are added, then clamped to [-bound, bound].  In
     "single" mode an increment reaching window_a raises before the step
     is applied; in "burst" mode it lands in full as a pulse train.
     kernel, if given, is (name, trailing arguments, arrays by pointer) of
@@ -110,17 +119,22 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
             perms.ctypes.data, (ctypes.c_void_p * len(params))(*[p.ctypes.data for p in params]),
             totals.ctypes.data, bound, window_a, single,
             *[a.ctypes.data if isinstance(a, np.ndarray) else a for a in kernel[1]])
+        gens = (_P * n_real)(*[lib.bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs])
+        shuffle = functools.partial(lib.shuffle_rows, n_real, n_samples, gens, perms.ctypes.data)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite runs are the caller's to report
         for e in range(epochs):
-            perms[:] = np.arange(n_samples)
-            for rng, row in zip(rngs, perms):
-                rng.shuffle(row)  # the draws of rng.permutation(n_samples)
-            if lib is not None:
+            if lib is None:
+                perms[:] = np.arange(n_samples)
+                for rng, row in zip(rngs, perms):
+                    rng.shuffle(row)  # the draws of rng.permutation(n_samples)
+            else:
+                shuffle()
                 start = [p.copy() for p in params] if single else []
                 if compiled() == 0:
                     histories[:, e] = totals
                     continue
-                # an increment reached window_a: numpy replays the epoch and decides
+                # an increment reached window_a: numpy replays the epoch on the
+                # same permutations to raise at the first one in its order
                 for p, saved in zip(params, start):
                     p[...] = saved
             sums = np.zeros(n_real)
@@ -128,7 +142,7 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
                 idx = perms[:, k]
                 err, increments = step(params, xs[idx], ts[idx])
                 sums += err
-                if single and any(np.abs(inc).max() >= window_a for inc in increments):
+                if single and any((np.abs(inc) >= window_a).any() for inc in increments):
                     raise _window_violation(increments, window_a, e, k)
                 for p, inc in zip(params, increments):
                     np.clip(p + inc, -bound, bound, out=p)

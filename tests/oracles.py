@@ -78,6 +78,17 @@ def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
     return np.array(history)
 
 
+def glorot_loop_init(layer_sizes, rng):
+    """One network's Glorot draws, one rng.uniform call per array in the
+    order W1, b1, W2, b2, ..., each in +/- sqrt(6 / (n_in + n_out))."""
+    weights, biases = [], []
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        limit = np.sqrt(6.0 / (n_in + n_out))
+        weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
+        biases.append(rng.uniform(-limit, limit, size=n_out))
+    return weights, biases
+
+
 def plain_mlp_forward(weights, biases, x, slope_params, kt):
     """Feedforward pass with one-sided quadratic nodes, explicit loops.
 

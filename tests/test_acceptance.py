@@ -135,7 +135,7 @@ def test_criterion_5_backprop_matches_finite_differences():
     worst = 0.0
     while checked < 100:
         topo = topologies[checked % len(topologies)]
-        w, b = glorot_init(topo, rng)
+        w, b = ([a[0] for a in part] for part in glorot_init(topo, [rng]))
         x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
         t = float(rng.integers(0, 2))
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)

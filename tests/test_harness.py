@@ -17,6 +17,7 @@ from memperceptron.harness import (
     ExperimentConfig,
     aggregate_curve,
     effective_learning_rate,
+    key_type,
     parse_config,
     run_learning_experiment,
     run_roc_experiment,
@@ -283,6 +284,16 @@ def test_cli_dataset_rejects_bad_labels(tmp_path, capsys):
     rc = main(["dataset", "--load", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if key_type(f.name) is float])
+def test_nan_in_any_float_key_is_a_keyed_config_error(capsys, key):
+    # every range check compares, and NaN fails every comparison
+    values = [0.5, float("nan")] if key == "roc_thresholds" else [float("nan")]
+    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must not be NaN$"):
+        parse_config(overrides={key: values if key == "roc_thresholds" else values[0]})
+    assert main(["validate-config", "--" + key.replace("_", "-"), *map(str, values)]) == 1
+    assert f"config key '{key}' out of range" in capsys.readouterr().err
 
 
 def test_config_object_is_frozen():

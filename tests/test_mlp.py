@@ -66,11 +66,13 @@ def train_one(weights, biases, ds, epochs, seed, eta=0.1, **kw):
 def stacked_inits(seeds, topology=T221):
     """Glorot draws for several seeds, stacked; also returns the generators."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    inits = [glorot_init(topology, rng) for rng in rngs]
-    n_layers = len(topology.layer_sizes) - 1
-    gammas0 = [np.stack([init[0][l] for init in inits]) for l in range(n_layers)]
-    biases0 = [np.stack([init[1][l] for init in inits]) for l in range(n_layers)]
-    return gammas0, biases0, rngs
+    return *glorot_init(topology, rngs), rngs
+
+
+def init_one(topology, rng):
+    """One network's Glorot draws, without the realization axis."""
+    weights, biases = glorot_init(topology, [rng])
+    return [w[0] for w in weights], [b[0] for b in biases]
 
 
 # -------------------------------------------------------------- components
@@ -91,7 +93,7 @@ def test_glorot_init_support():
     ws = []
     bs = []
     for seed in range(300):
-        w, b = glorot_init(T221, np.random.default_rng(seed))
+        w, b = init_one(T221, np.random.default_rng(seed))
         ws.append(np.abs(w[0]).max())
         bs.append(np.abs(b[1]).max())
     assert max(ws) < glorot_limit(2, 2)
@@ -156,7 +158,7 @@ def test_bias_drift_slope_value():
 
 def test_forward_zero_input_gives_zero_output():
     for seed in range(5):
-        w, b = glorot_init(T221, np.random.default_rng(seed))
+        w, b = init_one(T221, np.random.default_rng(seed))
         assert forward(w, b, (0, 0))[-1][2][0] == 0.0
 
 
@@ -179,7 +181,7 @@ def test_forward_zero_weights_gives_zero_output():
 def test_forward_matches_plain_oracle():
     rng = np.random.default_rng(17)
     for topo in [T221, Topology((2, 3, 1)), Topology((3, 2, 2))]:
-        w, b = glorot_init(topo, rng)
+        w, b = init_one(topo, rng)
         x = rng.integers(0, 2, topo.layer_sizes[0])
         layers = forward(w, b, x)
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
@@ -247,7 +249,7 @@ def test_backprop_zero_residual_moves_nothing():
 def test_backprop_step_matches_ideal_arithmetic():
     rng = np.random.default_rng(23)
     for topo in [T221, Topology((2, 3, 1)), Topology((3, 3, 1))]:
-        w, b = glorot_init(topo, rng)
+        w, b = init_one(topo, rng)
         x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
         t = float(rng.integers(0, 2))
         ref_w, ref_b, ref_cost = ideal_mlp_step(w, b, x, [t], 0.1, SLOPE_PARAMS, 1.0)
@@ -267,7 +269,7 @@ def test_update_rule_recovers_cost_gradient():
     checked = 0
     worst = 0.0
     while checked < 10:
-        w, b = glorot_init(T221, rng)
+        w, b = init_one(T221, rng)
         x = rng.integers(0, 2, 2).astype(float)
         t = float(rng.integers(0, 2))
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
@@ -313,7 +315,7 @@ def test_write_modes_agree_when_updates_fit():
     ds = generate_dataset(Gate.AND, 20, 11)
     runs = []
     for mode in ("burst", "single"):
-        w, b = glorot_init(T221, np.random.default_rng(40))
+        w, b = init_one(T221, np.random.default_rng(40))
         b = [np.zeros_like(layer) for layer in b]
         runs.append(train_one(w, b, ds, 5, 40, eta=0.001, write_mode=mode))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -334,14 +336,14 @@ def test_training_is_seed_deterministic():
     ds = generate_dataset(Gate.AND, 25, 2)
     runs = []
     for _ in range(2):
-        w, b = glorot_init(T221, np.random.default_rng(8))
+        w, b = init_one(T221, np.random.default_rng(8))
         runs.append(train_one(w, b, ds, 12, 8)[0])
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_weights_stay_inside_device_range():
     ds = generate_dataset(Gate.XOR, 30, 4)
-    w, b = glorot_init(T221, np.random.default_rng(3))
+    w, b = init_one(T221, np.random.default_rng(3))
     _, ws, bs = train_one(w, b, ds, 40, 3, eta=0.5)
     for arr in ws + bs:
         assert np.all(np.abs(arr) <= 2.0)
@@ -361,7 +363,7 @@ def test_ensemble_matches_scalar_bit_for_bit(engine):
         clamps = 0
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            w, b = glorot_init(T221, rng)
+            w, b = init_one(T221, rng)
             hist, ws, bs, hits = ideal_mlp_run(w, b, 0.1, xs, ts, 10, rng, SLOPE_PARAMS, 1.0, 2.0)
             assert np.array_equal(hist, hist_ens[r])
             for l in range(2):
@@ -379,9 +381,7 @@ def test_xor_is_learnable_by_the_mlp():
     ds = generate_dataset(Gate.XOR, 60, 13)
     xs, ts = ds.to_arrays()
     rngs = [np.random.default_rng(500 + r) for r in range(5)]
-    inits = [glorot_init(T221, rng) for rng in rngs]
-    gammas0 = [np.stack([init[0][l] for init in inits]) for l in range(2)]
-    biases0 = [np.stack([init[1][l] for init in inits]) for l in range(2)]
+    gammas0, biases0 = glorot_init(T221, rngs)
     hist, _, _ = train_mlp_ensemble(gammas0, biases0, 0.01, xs, ts, 500, rngs)
     ratios = hist[:, -1] / hist[:, 0]
     assert np.count_nonzero(ratios < 0.1) >= 4
