@@ -13,6 +13,7 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -74,10 +75,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Raise ConfigError on the first field that cannot be run."""
-        for key in _DEFAULTS:  # each range check below is a comparison, which NaN slips past
+        for key in _DEFAULTS:  # the range checks below are one-sided comparisons: NaN and inf slip past
             values = getattr(self, key) if isinstance(_DEFAULTS[key], tuple) else [getattr(self, key)]
-            if key_type(key) is float and any(v != v for v in values):
-                raise ConfigError(f"config key '{key}' out of range: must not be NaN")
+            if key_type(key) is float and not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigError(f"config key '{key}' out of range: must be finite")
         if self.model not in MODELS:
             raise ConfigError(f"config key 'model' out of range: must be one of {', '.join(MODELS)}")
         if self.gate not in GATE_NAMES:
@@ -217,7 +218,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     # weight draws come first, then one permutation per epoch
     rngs = [np.random.default_rng(config.seed + r) for r in range(config.n_realizations)]
     if config.model == "slp":
-        start = np.stack([glorot_slp_weights(xs.shape[1], rng) for rng in rngs])
+        start = glorot_slp_weights(xs.shape[1], rngs)
 
         def train(params, epochs):
             return train_slp_ensemble(params, eta, xs, ts, epochs, rngs, window_a=config.window_a)
@@ -278,15 +279,15 @@ def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarr
 
 
 def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
-    """Per-epoch mean and population standard deviation, epochs 1-based."""
-    records = []
-    for e in range(histories.shape[1]):
-        col = histories[:, e]
-        records.append(
-            EpochRecord(epoch=e + 1, mean_e_total=float(np.mean(col)),
-                        std_e_total=float(np.std(col)))
-        )
-    return records
+    """Per-epoch mean and population standard deviation, epochs 1-based.
+
+    Each epoch's realizations are reduced as one contiguous row, which
+    gives the bytes of np.mean and np.std on that epoch's column alone.
+    """
+    by_epoch = np.ascontiguousarray(histories.T)
+    means, stds = by_epoch.mean(axis=1), by_epoch.std(axis=1)
+    return [EpochRecord(epoch=e + 1, mean_e_total=float(m), std_e_total=float(sd))
+            for e, (m, sd) in enumerate(zip(means, stds))]
 
 
 def _emit_curve(config: ExperimentConfig, records: list[EpochRecord]) -> Path:

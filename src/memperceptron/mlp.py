@@ -147,8 +147,7 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
                 delta = layers[l - 1][3] * upstream
         return err, inc_g + inc_b
 
-    scratch = np.empty(3 * sum(sizes[1:]) + 3 * max(sizes))  # the kernel's per-sample vectors
-    kernel = ("mlp_epoch", (eta, n_layers, np.array(sizes, dtype=np.int64), scratch, b_scale, kt,
+    kernel = ("mlp_epoch", (eta, n_layers, np.array(sizes, dtype=np.int64), b_scale, kt,
                             m_prime, params.r_off, params.r_on, params.d))
     histories, final = train_lockstep(list(gammas0) + list(biases0), backprop, xs, ts, epochs,
                                       rngs, d_prime / 2.0, window_a, write_mode, kernel)

@@ -20,10 +20,17 @@ from scipy.special import expit
 from .train import train_lockstep
 
 
-def glorot_slp_weights(input_dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias."""
+def glorot_slp_weights(input_dim: int, rngs) -> np.ndarray:
+    """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias, a row per generator.
+
+    Each generator makes one rng.random draw, scaled as rng.uniform scales
+    it: the values and the final state of rng.uniform(-limit, limit,
+    input_dim + 1).  Returns (realizations, input_dim + 1).
+    """
     limit = np.sqrt(6.0 / (input_dim + 1))
-    return rng.uniform(-limit, limit, size=input_dim + 1)
+    draws = np.stack([rng.random(input_dim + 1) for rng in rngs])
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
+    return -limit + (limit - -limit) * draws
 
 
 def slp_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

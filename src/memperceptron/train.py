@@ -32,7 +32,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # R, samples, inputs, xs, ts, perms, parameter pointers, totals, bound, window_a, single, eta
 _HEAD = [_I, _I, _I, _P, _P, _P, _P, _P, _F, _F, _I, _F]
-_TAILS = {"slp_epoch": [], "mlp_epoch": [_I, _P, _P] + [_F] * 6}
+_TAILS = {"slp_epoch": [], "mlp_epoch": [_I, _P] + [_F] * 6}
 
 
 @functools.cache
@@ -91,10 +91,12 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
     returns.  Increments are added, then clamped to [-bound, bound].  In
     "single" mode an increment reaching window_a raises before the step
     is applied; in "burst" mode it lands in full as a pulse train.
-    kernel, if given, is (name, trailing arguments, arrays by pointer) of
-    a compiled epoch that computes what step does; when the library
-    loads, each epoch is one call into it.  Returns (histories, params),
-    histories being (realizations, epochs) of the summed pre-update error.
+    kernel, if given, is (name, trailing arguments) of a compiled epoch
+    that computes what step does, array arguments passed by pointer;
+    when the library loads, each epoch is one call into it, and a kernel
+    that cannot allocate its scratch raises MemoryError.  Returns
+    (histories, params), histories being (realizations, epochs) of the
+    summed pre-update error.
     """
     if write_mode not in ("burst", "single"):
         raise ValueError(f"write_mode must be 'burst' or 'single', got {write_mode!r}")
@@ -130,9 +132,12 @@ def train_lockstep(params, step, xs: np.ndarray, ts: np.ndarray, epochs: int, rn
             else:
                 shuffle()
                 start = [p.copy() for p in params] if single else []
-                if compiled() == 0:
+                status = compiled()
+                if status == 0:
                     histories[:, e] = totals
                     continue
+                if status == 2:
+                    raise MemoryError(f"{kernel[0]}: cannot allocate its scratch")
                 # an increment reached window_a: numpy replays the epoch on the
                 # same permutations to raise at the first one in its order
                 for p, saved in zip(params, start):

@@ -78,6 +78,20 @@ def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
     return np.array(history)
 
 
+def glorot_slp_loop_init(input_dim, rng):
+    """One machine's Glorot draws: a single rng.uniform call in
+    +/- sqrt(6 / (input_dim + 1)) for the weights and the bias weight."""
+    limit = np.sqrt(6.0 / (input_dim + 1))
+    return rng.uniform(-limit, limit, size=input_dim + 1)
+
+
+def aggregate_curve_loop(histories):
+    """Per-epoch (mean, population std) of a (realizations, epochs) array,
+    one np.mean and np.std call on each epoch's column."""
+    return [(float(np.mean(histories[:, e])), float(np.std(histories[:, e])))
+            for e in range(histories.shape[1])]
+
+
 def glorot_loop_init(layer_sizes, rng):
     """One network's Glorot draws, one rng.uniform call per array in the
     order W1, b1, W2, b2, ..., each in +/- sqrt(6 / (n_in + n_out))."""

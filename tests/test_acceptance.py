@@ -271,7 +271,7 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
         xs, ts = ds.to_arrays()
 
         rng = np.random.default_rng(seed)
-        w0 = glorot_slp_weights(2, rng)
+        w0 = glorot_slp_weights(2, [rng])[0]
         # the device trainer sees one sample at a time, in the order this
         # run's own generator draws; its own generator has nothing to shuffle
         w = w0[None]
@@ -283,7 +283,7 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
                 trail_dev.append(w[0].copy())
 
         rng_ref = np.random.default_rng(seed)
-        glorot_slp_weights(2, rng_ref)  # burn the init draw the same way
+        glorot_slp_weights(2, [rng_ref])  # burn the init draw the same way
         _, trail_ref = ideal_slp_run(w0, 0.1, xs, ts, 50, rng_ref, record_weights=True)
 
         assert np.max(np.abs(trail_ref)) < 9.0  # no clamp ever binds

@@ -3,8 +3,10 @@
 import ctypes
 import functools
 import hashlib
+import os
 import shutil
 import subprocess
+import types
 import warnings
 from unittest import mock
 
@@ -18,9 +20,13 @@ from memperceptron import train
 from memperceptron.device import DeviceParams, WindowViolationError
 from memperceptron.harness import parse_config, trained_ensemble
 from memperceptron.mlp import Topology, glorot_init, train_mlp_ensemble
-from memperceptron.slp import train_slp_ensemble
+from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
 
-from oracles import glorot_loop_init
+from oracles import glorot_loop_init, glorot_slp_loop_init
+
+# realization counts for the kernel properties: below one lane block, one
+# partial block, and full blocks with a ragged tail
+REALIZATIONS = [1, 3, 17, 35]
 
 
 def on_both_engines(run):
@@ -113,6 +119,54 @@ def test_nan_realization_keeps_the_window_check_on_both_engines():
     assert numpy.startswith("realization 1, epoch 1, sample 1: increment 1.0 ")
 
 
+@pytest.mark.parametrize("model", ["slp", "mlp"])
+def test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines(model):
+    # only realization 10 of 20 writes at least window_a; the others move
+    # by almost nothing (slp) or exactly nothing (mlp)
+    n_real, xs, ts = 20, np.ones((1, 2)), np.ones(1)
+    weights0 = np.full((n_real, 3), 5.0)
+    weights0[10] = 0.0
+    gammas0 = [np.zeros((n_real, 2, 2)), np.zeros((n_real, 2, 1))]
+    gammas0[0][10], gammas0[1][10] = 1.0, 1.0
+    biases0 = [np.zeros((n_real, 2)), np.zeros((n_real, 1))]
+
+    def run():
+        rngs = [np.random.default_rng(r) for r in range(n_real)]
+        if model == "slp":
+            return train_slp_ensemble(weights0, 8.0, xs, ts, 2, rngs)
+        return train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 2, rngs, write_mode="single")
+
+    compiled, numpy = on_both_engines(run)
+    assert compiled == numpy
+    assert numpy.startswith("realization 10, epoch 1, sample 1: increment ")
+
+
+def test_a_wide_hidden_layer_fits_the_kernel_scratch():
+    # the kernel sizes each lane's scratch from the topology: no fixed cap
+    rng = np.random.default_rng(3)
+    n_real, sizes = 9, (2, 300, 1)
+    gammas0 = [rng.uniform(-0.1, 0.1, (n_real, a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    biases0 = [rng.uniform(-0.1, 0.1, (n_real, b)) for b in sizes[1:]]
+    xs = rng.integers(0, 2, (6, 2)).astype(float)
+    ts = rng.integers(0, 2, 6).astype(float)
+    compiled, numpy = on_both_engines(lambda: train_mlp_ensemble(
+        gammas0, biases0, 0.05, xs, ts, 2, [np.random.default_rng(r) for r in range(n_real)]))
+    assert np.isfinite(numpy[0]).all()
+    assert_same(compiled, numpy)
+
+
+def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch):
+    lib = train.load_library()
+    if lib is None:
+        pytest.skip("no compiled library")
+    failing = types.SimpleNamespace(bitgen=lib.bitgen, shuffle_rows=lib.shuffle_rows,
+                                    slp_epoch=lambda *args: 2)
+    monkeypatch.setattr(train, "load_library", lambda: failing)
+    with pytest.raises(MemoryError, match="slp_epoch"):
+        train_slp_ensemble(np.zeros((2, 3)), 0.1, np.eye(2), np.ones(2), 1,
+                           [np.random.default_rng(r) for r in range(2)])
+
+
 @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
 def test_clamp_is_np_clip_at_odd_bounds(bound):
     # config validation rejects a NaN, negative or zero d_prime, so these
@@ -127,7 +181,7 @@ def test_clamp_is_np_clip_at_odd_bounds(bound):
 @settings(max_examples=60, deadline=None)
 @given(
     widths=st.lists(st.integers(1, 4), min_size=3, max_size=5),
-    n_real=st.sampled_from([1, 3]),
+    n_real=st.sampled_from(REALIZATIONS),
     n_samples=st.integers(1, 5),
     epochs=st.integers(1, 3),
     eta=st.floats(1e-3, 5.0),
@@ -158,7 +212,7 @@ def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale
 @settings(max_examples=60, deadline=None)
 @given(
     width=st.integers(1, 4),
-    n_real=st.sampled_from([1, 3]),
+    n_real=st.sampled_from(REALIZATIONS),
     n_samples=st.integers(1, 5),
     epochs=st.integers(1, 3),
     eta=st.floats(1e-3, 5.0),
@@ -241,8 +295,19 @@ def test_glorot_init_equals_one_uniform_call_per_array(sizes):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("input_dim", [1, 2, 5])
+def test_glorot_slp_weights_equal_one_uniform_call_per_generator(input_dim):
+    rngs, refs = ([np.random.default_rng(s) for s in range(40)] for _ in range(2))
+    got = glorot_slp_weights(input_dim, rngs)
+    want = np.stack([glorot_slp_loop_init(input_dim, ref) for ref in refs])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for rng, ref in zip(rngs, refs):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings():
-    built = subprocess.run(["cc", *train._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+    # a full compile: -Wmaybe-uninitialized and friends need the optimizer
+    built = subprocess.run(["cc", *train._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c", "-o", os.devnull,
                             str(train._SOURCE)], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr

@@ -25,6 +25,7 @@ from memperceptron.harness import (
 )
 from memperceptron.metrics import read_curve_csv, read_roc_csv
 
+from oracles import aggregate_curve_loop
 from test_golden import GOLDEN, _digests
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -202,6 +203,15 @@ def test_aggregate_curve_epochs_one_based():
     assert records[0].std_e_total == 1.0
 
 
+@pytest.mark.parametrize("n_real", [1, 7, 100, 1000])
+def test_aggregate_curve_equals_mean_and_std_per_column(n_real):
+    histories = np.random.default_rng(n_real).lognormal(0.0, 2.0, (n_real, 50))
+    records = aggregate_curve(histories)
+    want = aggregate_curve_loop(histories)
+    got = [(r.mean_e_total, r.std_e_total) for r in records]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_cli_train_success(tmp_path, capsys):
     rc = main(["train", "--model", "slp", "--gate", "or", "--epochs", "3",
                "--realizations", "2", "--dataset-size", "10",
@@ -286,14 +296,32 @@ def test_cli_dataset_rejects_bad_labels(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if key_type(f.name) is float])
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if key_type(f.name) is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_nan_in_any_float_key_is_a_keyed_config_error(capsys, key):
     # every range check compares, and NaN fails every comparison
     values = [0.5, float("nan")] if key == "roc_thresholds" else [float("nan")]
-    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must not be NaN$"):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must be finite$"):
         parse_config(overrides={key: values if key == "roc_thresholds" else values[0]})
     assert main(["validate-config", "--" + key.replace("_", "-"), *map(str, values)]) == 1
     assert f"config key '{key}' out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_infinity_in_any_float_key_is_a_keyed_config_error(tmp_path, capsys, key, value):
+    # the range checks are one-sided, so one infinity passes each of them
+    setting = {key: [0.5, value] if key == "roc_thresholds" else value}
+    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must be finite$"):
+        parse_config(overrides=setting)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(setting))  # JSON's Infinity
+    # "--flag=-inf": argparse would take a bare "-inf" for an option
+    for argv in (["--config", str(path)], [f"--{key.replace('_', '-')}={value}"]):
+        assert main(["validate-config", *argv]) == 1
+        assert f"config key '{key}' out of range: must be finite" in capsys.readouterr().err
 
 
 def test_config_object_is_frozen():

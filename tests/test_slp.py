@@ -170,14 +170,14 @@ def test_memristor_updates_equal_ideal_delta_rule():
     # shuffling, in both routes
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
-        w0 = glorot_slp_weights(2, rng)
+        w0 = glorot_slp_weights(2, [rng])[0]
         ds = generate_dataset(Gate.XOR if seed % 2 else Gate.OR, 12, seed)
         xs, ts = ds.to_arrays()
 
         hist, w = train_slp_ensemble(w0[None], 0.1, xs, ts, 40, [rng])
 
         rng_ref = np.random.default_rng(100 + seed)
-        glorot_slp_weights(2, rng_ref)  # burn the init draw the same way
+        glorot_slp_weights(2, [rng_ref])  # burn the init draw the same way
         ref_hist, trail = ideal_slp_run(w0, 0.1, xs, ts, 40, rng_ref, record_weights=True)
 
         assert np.max(np.abs(hist[0] - ref_hist)) < 1e-12
@@ -192,14 +192,13 @@ def test_ensemble_matches_scalar_bit_for_bit(engine):
     seeds = [60, 61, 62, 63, 64]
     for bound in (10.0, 0.3):
         rngs = [np.random.default_rng(s) for s in seeds]
-        weights0 = np.stack([glorot_slp_weights(2, rng) for rng in rngs])
-        weights0 = np.clip(weights0, -bound, bound)
+        weights0 = np.clip(glorot_slp_weights(2, rngs), -bound, bound)
         hist_ens, w_ens = train_slp_ensemble(weights0, 0.1, xs, ts, 15, rngs,
                                              weight_bound=bound)
         clamped = 0
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            glorot_slp_weights(2, rng)  # burn the init draw the same way
+            glorot_slp_weights(2, [rng])  # burn the init draw the same way
             hist, trail = ideal_slp_run(weights0[r], 0.1, xs, ts, 15, rng, record_weights=True,
                                         bound=bound, sigmoid=expit)
             assert np.array_equal(hist, hist_ens[r])
@@ -219,9 +218,7 @@ def test_ensemble_rejects_mismatched_generators():
 
 def test_glorot_draws_stay_inside_limit():
     limit = np.sqrt(6.0 / 3.0)
-    draws = np.concatenate(
-        [glorot_slp_weights(2, np.random.default_rng(s)) for s in range(400)]
-    )
+    draws = glorot_slp_weights(2, [np.random.default_rng(s) for s in range(400)])
     assert np.max(np.abs(draws)) < limit
     assert np.max(np.abs(draws)) > 0.9 * limit  # actually fills the range
 
@@ -232,7 +229,7 @@ def test_or_is_learnable_and_xor_is_not():
     for ds, learnable in [(ds_or, True), (ds_xor, False)]:
         xs, ts = ds.to_arrays()
         rngs = [np.random.default_rng(300 + r) for r in range(5)]
-        weights0 = np.stack([glorot_slp_weights(2, rng) for rng in rngs])
+        weights0 = glorot_slp_weights(2, rngs)
         hist, _ = train_slp_ensemble(weights0, 0.1, xs, ts, 150, rngs)
         ratios = hist[:, -1] / hist[:, 0]
         if learnable:
