@@ -1,5 +1,6 @@
-/* One training epoch of each model, and the epoch's shuffles, compiled;
- * `train.py` calls these through ctypes.
+/* One training epoch of each model, and the realizations' random streams:
+ * numpy's PCG64 seeding, draws and shuffles.  `train.py` calls these
+ * through ctypes.
  *
  * Each epoch function replays, for every realization, the samples in its
  * row of `perm` with exactly the float operations of the numpy steps in
@@ -22,44 +23,160 @@
 
 #define LANES 8
 
-/* numpy's public bitgen_t (numpy/random/bitgen.h); calling its functions
- * advances the Python generator's own state, buffered halves included. */
+/* A realization's PCG64 stream is a row of STREAM words holding the fields
+ * of numpy's PCG64.state: the 128-bit state and increment, each as its high
+ * then its low word, then has_uint32 and uinteger, the buffered half of an
+ * output that a 32-bit draw left. */
+#define STREAM 6
+
+typedef unsigned __int128 u128;
 typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+    u128 state, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64;
+
+#define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+static pcg64 load(const uint64_t *row)
+{
+    return (pcg64){(u128)row[0] << 64 | row[1], (u128)row[2] << 64 | row[3], row[4], row[5]};
+}
+
+static void store(uint64_t *row, const pcg64 *g)
+{
+    row[0] = (uint64_t)(g->state >> 64);
+    row[1] = (uint64_t)g->state;
+    row[2] = (uint64_t)(g->inc >> 64);
+    row[3] = (uint64_t)g->inc;
+    row[4] = g->has_uint32;
+    row[5] = g->uinteger;
+}
+
+/* pcg64_random_r: step the LCG, then the XSL RR output of the new state. */
+static uint64_t next64(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* pcg64_next32: the low half of an output, keeping the high half for the
+ * next call. */
+static uint32_t next32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    uint64_t next = next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
+/* SeedSequence's hash and mixing functions (numpy/random/bit_generator.pyx). */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* Row r of streams becomes the state of np.random.default_rng(seed + r):
+ * SeedSequence(seed + r).generate_state(4, uint64), then PCG64's seeding.
+ * words holds the base seed as n_words little-endian uint32 words, room
+ * enough for seed + R; one is added to it, with carry, after each row. */
+void seed_streams(int64_t R, int64_t n_words, uint32_t *words, uint64_t *streams)
+{
+    for (int64_t r = 0; r < R; r++) {
+        int64_t n = n_words; /* the entropy: the seed's words, high zero words dropped */
+        while (n > 1 && words[n - 1] == 0)
+            n--;
+        uint32_t pool[POOL], hash = INIT_A;
+        for (int i = 0; i < POOL; i++)
+            pool[i] = hashmix(i < n ? words[i] : 0, &hash);
+        for (int src = 0; src < POOL; src++)
+            for (int dst = 0; dst < POOL; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+        for (int64_t src = POOL; src < n; src++)
+            for (int dst = 0; dst < POOL; dst++)
+                pool[dst] = mix(pool[dst], hashmix(words[src], &hash));
+        uint64_t seed[4];
+        hash = INIT_B;
+        for (int i = 0; i < 8; i++) {
+            uint32_t value = pool[i % POOL] ^ hash;
+            hash *= MULT_B;
+            value *= hash;
+            value ^= value >> 16;
+            seed[i / 2] = i % 2 ? seed[i / 2] | (uint64_t)value << 32 : value;
+        }
+        /* pcg64_set_seed, then pcg_setseq_128_srandom_r */
+        pcg64 g = {0, ((u128)seed[2] << 64 | seed[3]) << 1 | 1, 0, 0};
+        g.state = g.state * PCG_MULT + g.inc;
+        g.state += (u128)seed[0] << 64 | seed[1];
+        g.state = g.state * PCG_MULT + g.inc;
+        store(streams + r * STREAM, &g);
+        for (int64_t i = 0; i < n_words && ++words[i] == 0; i++)
+            ;
+    }
+}
+
+/* Row r of out becomes stream r's rng.random(k): next_double's 53 bits. */
+void random_rows(int64_t R, int64_t k, uint64_t *streams, double *out)
+{
+    for (int64_t r = 0; r < R; r++) {
+        pcg64 g = load(streams + r * STREAM);
+        for (int64_t i = 0; i < k; i++)
+            out[r * k + i] = (double)(next64(&g) >> 11) * (1.0 / 9007199254740992.0);
+        store(streams + r * STREAM, &g);
+    }
+}
 
 /* numpy's random_interval for max >= 1: masked rejection on [0, max]. */
-static uint64_t random_interval(bitgen_t *g, uint64_t max)
+static uint64_t random_interval(pcg64 *g, uint64_t max)
 {
     uint64_t mask = max, value;
     for (int s = 1; s < 64; s <<= 1)
         mask |= mask >> s;
     if (max <= 0xffffffffULL)
-        while ((value = (g->next_uint32(g->state) & mask)) > max)
+        while ((value = (next32(g) & mask)) > max)
             ;
     else
-        while ((value = (g->next_uint64(g->state) & mask)) > max)
+        while ((value = (next64(g) & mask)) > max)
             ;
     return value;
 }
 
-/* Row r of perm becomes gens[r]'s rng.permutation(n): the Fisher-Yates of
+/* Row r of perm becomes stream r's rng.permutation(n): the Fisher-Yates of
  * numpy's Generator.shuffle, with the same draws. */
-void shuffle_rows(int64_t R, int64_t n, bitgen_t **gens, int64_t *perm)
+void shuffle_rows(int64_t R, int64_t n, uint64_t *streams, int64_t *perm)
 {
     for (int64_t r = 0; r < R; r++) {
+        pcg64 g = load(streams + r * STREAM);
         int64_t *row = perm + r * n;
         for (int64_t i = 0; i < n; i++)
             row[i] = i;
         for (int64_t i = n - 1; i > 0; i--) {
-            int64_t j = (int64_t)random_interval(gens[r], (uint64_t)i), swap = row[i];
+            int64_t j = (int64_t)random_interval(&g, (uint64_t)i), swap = row[i];
             row[i] = row[j];
             row[j] = swap;
         }
+        store(streams + r * STREAM, &g);
     }
 }
 

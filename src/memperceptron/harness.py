@@ -5,9 +5,10 @@ three layers (subcommand defaults, a JSON config file, CLI flags; later
 layers win key by key).  The seed protocol keeps runs reproducible while
 varying only the starting weights: the training dataset is drawn once per
 experiment from the base seed, realization r draws its weights and its
-shuffles from a generator seeded with base seed + r, and ROC evaluation
-uses a fresh dataset from base seed + 1.  Identical configs therefore
-produce byte-identical CSV files.
+shuffles from the PCG64 stream of np.random.default_rng(base seed + r),
+held as a row of a stream array and seeded and advanced in C when the
+compiled library loads, and ROC evaluation uses a fresh dataset from base
+seed + 1.  Identical configs therefore produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .metrics import (
 from .mlp import Topology, glorot_init, mlp_forward, train_mlp_ensemble
 from .slp import glorot_slp_weights, slp_forward, train_slp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
+from .train import seed_streams
 
 
 class ConfigError(ValueError):
@@ -208,7 +210,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     parameters are the weight rows for the slp and the (gammas, biases)
     arrays for the mlp, as needed for scoring.  Given `snapshot`, the
     parameters after that many epochs come third: the epochs then run in
-    two trainer calls on the same generators, and the second call resumes
+    two trainer calls on the same streams, and the second call resumes
     exactly where the first stopped.  A realization whose error or
     parameters are not finite raises FloatingPointError.
     """
@@ -216,19 +218,19 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     xs, ts = dataset.to_arrays()
     eta = effective_learning_rate(config)
     # weight draws come first, then one permutation per epoch
-    rngs = [np.random.default_rng(config.seed + r) for r in range(config.n_realizations)]
+    streams = seed_streams(config.seed, config.n_realizations)
     if config.model == "slp":
-        start = glorot_slp_weights(xs.shape[1], rngs)
+        start = glorot_slp_weights(xs.shape[1], streams)
 
         def train(params, epochs):
-            return train_slp_ensemble(params, eta, xs, ts, epochs, rngs, window_a=config.window_a)
+            return train_slp_ensemble(params, eta, xs, ts, epochs, streams, window_a=config.window_a)
     else:
-        gammas0, biases0 = glorot_init(Topology(tuple(config.topology)), rngs)
+        gammas0, biases0 = glorot_init(Topology(tuple(config.topology)), streams)
         start = [w / config.b_scale for w in gammas0], biases0
 
         def train(params, epochs):
             histories, gammas, biases = train_mlp_ensemble(
-                *params, eta, xs, ts, epochs, rngs,
+                *params, eta, xs, ts, epochs, streams,
                 params=device_params(config), tau=config.tau, d_prime=config.d_prime,
                 b_scale=config.b_scale, window_a=config.window_a,
             )

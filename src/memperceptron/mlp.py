@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams, bias_drift_slope, bias_slope, quad_coefficient
-from .train import train_lockstep
+from .train import random_rows, train_lockstep
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,25 @@ def glorot_limit(n_in: int, n_out: int) -> float:
 
 
 def glorot_init(topology: Topology, rngs) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per generator.
+    """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per stream.
 
-    Bias weights are drawn from the same interval as their layer.  Each
-    generator makes one rng.random draw, split in the order W1, b1, W2,
-    b2, ... and scaled as rng.uniform scales it: the values and the
-    final state of one rng.uniform call per array.  Returns per-layer
-    weights (realizations, n_in, n_out) and biases (realizations, n_out).
+    rngs is a stream array or a list of PCG64 Generators (see
+    `train_lockstep`).  Bias weights are drawn from the same interval as
+    their layer.  Each stream makes one rng.random draw, split in the
+    order W1, b1, W2, b2, ... and scaled as rng.uniform scales it: the
+    values and the final state of one rng.uniform call per array.
+    Returns per-layer weights (realizations, n_in, n_out) and biases
+    (realizations, n_out).
     """
     pairs = list(zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]))
-    draws = np.stack([rng.random(sum((n_in + 1) * n_out for n_in, n_out in pairs)) for rng in rngs])
+    draws = random_rows(rngs, sum((n_in + 1) * n_out for n_in, n_out in pairs))
     weights, biases, start = [], [], 0
     for n_in, n_out in pairs:
         limit = glorot_limit(n_in, n_out)
         # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
         layer = -limit + (limit - -limit) * draws[:, start:start + (n_in + 1) * n_out]
         start += (n_in + 1) * n_out
-        weights.append(layer[:, :n_in * n_out].reshape(len(rngs), n_in, n_out))
+        weights.append(layer[:, :n_in * n_out].reshape(len(draws), n_in, n_out))
         biases.append(layer[:, n_in * n_out:])
     return weights, biases
 

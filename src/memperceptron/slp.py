@@ -17,18 +17,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .train import train_lockstep
+from .train import random_rows, train_lockstep
 
 
 def glorot_slp_weights(input_dim: int, rngs) -> np.ndarray:
-    """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias, a row per generator.
+    """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias, a row per stream.
 
-    Each generator makes one rng.random draw, scaled as rng.uniform scales
-    it: the values and the final state of rng.uniform(-limit, limit,
-    input_dim + 1).  Returns (realizations, input_dim + 1).
+    rngs is a stream array or a list of PCG64 Generators (see
+    `train_lockstep`).  Each stream makes one rng.random draw, scaled as
+    rng.uniform scales it: the values and the final state of
+    rng.uniform(-limit, limit, input_dim + 1).  Returns (realizations,
+    input_dim + 1).
     """
     limit = np.sqrt(6.0 / (input_dim + 1))
-    draws = np.stack([rng.random(input_dim + 1) for rng in rngs])
+    draws = random_rows(rngs, input_dim + 1)
     # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
     return -limit + (limit - -limit) * draws
 
@@ -52,7 +54,7 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
     """Train one machine per row of weights0, all in lock step.
 
     weights0 is (realizations, n + 1) with the bias weight last; rngs is
-    one generator per realization, consumed one permutation per epoch.
+    one stream per realization, consumed one permutation per epoch.
     The common factor eta * (t - out) * out * (1 - out) scales each input
     component; the bias acts as an always-on input of 1.  Returns
     (histories, final weights).

@@ -1,6 +1,5 @@
 """The compiled engine against numpy: the same bytes, the same draws or the same error."""
 
-import ctypes
 import functools
 import hashlib
 import os
@@ -68,11 +67,16 @@ def test_loader_returns_the_library_whenever_a_compiler_is_found(tmp_path, monke
     if shutil.which("cc") is None:
         return
     assert train.load_library() is not None
-    # a fresh build lands in the source's own cache, under its key
+    # a fresh build lands in the source's own cache, under its key, and
+    # removes the builds of other sources; one it cannot remove stays
     source = fresh_source(tmp_path, monkeypatch)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    (cache / "epoch-stale.so").write_bytes(b"")
+    (cache / "epoch-busy.so").mkdir()  # unlink raises IsADirectoryError
     assert train.load_library.__wrapped__() is not None
     key = hashlib.sha256(source.read_bytes() + " ".join(train._CFLAGS).encode()).hexdigest()
-    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [f"epoch-{key}.so"]
+    assert sorted(p.name for p in cache.iterdir()) == ["epoch-busy.so", f"epoch-{key}.so"]
 
 
 def test_without_a_compiler_training_warns_once_and_runs_on_numpy(tmp_path, monkeypatch):
@@ -159,8 +163,7 @@ def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch
     lib = train.load_library()
     if lib is None:
         pytest.skip("no compiled library")
-    failing = types.SimpleNamespace(bitgen=lib.bitgen, shuffle_rows=lib.shuffle_rows,
-                                    slp_epoch=lambda *args: 2)
+    failing = types.SimpleNamespace(shuffle_rows=lib.shuffle_rows, slp_epoch=lambda *args: 2)
     monkeypatch.setattr(train, "load_library", lambda: failing)
     with pytest.raises(MemoryError, match="slp_epoch"):
         train_slp_ensemble(np.zeros((2, 3)), 0.1, np.eye(2), np.ones(2), 1,
@@ -243,22 +246,87 @@ def test_shapes_the_kernel_cannot_take_are_rejected():
                            [np.zeros((1, 2)), np.zeros((1, 2))], 0.1, np.ones((3, 2)), np.ones(3), 1, rngs)
 
 
+def pcg64_row(rng):
+    """A generator's PCG64.state as a stream row: state and inc (high, low word), has_uint32, uinteger."""
+    state = rng.bit_generator.state
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s >> 64, s % 2**64, inc >> 64, inc % 2**64, state["has_uint32"], state["uinteger"]]
+
+
+# bases whose five streams cross 2**32 and 2**64 (a carry into a new word),
+# and one of 7 words, which SeedSequence mixes in past its pool of 4
+STREAM_SEEDS = [0, 2**32 - 2, 2**64 - 2, 2**200 - 2]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_seed_streams_hold_the_states_of_default_rng(seed, engine):
+    streams = train.seed_streams(seed, 5)
+    assert streams.dtype == np.uint64 and streams.shape == (5, train.STREAM)
+    assert streams.tolist() == [pcg64_row(np.random.default_rng(seed + r)) for r in range(5)]
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        train.seed_streams(-1, 5)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_random_rows_draw_rng_random(seed, engine):
+    streams = train.seed_streams(seed, 5)
+    refs = [np.random.default_rng(seed + r) for r in range(5)]
+    for k in (3, 1):
+        assert train.random_rows(streams, k).tobytes() == np.stack([ref.random(k) for ref in refs]).tobytes()
+    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_shuffle_rows_on_seeded_streams_draw_rng_permutation(seed):
+    lib = train.load_library()
+    if lib is None:
+        pytest.skip("no compiled library")
+    streams = train.seed_streams(seed, 3)
+    refs = [np.random.default_rng(seed + r) for r in range(3)]
+    for n in (1, 2, 3, 100, 4099):
+        perms = np.empty((3, n), dtype=np.int64)
+        for _ in range(3):  # an odd number of 32-bit draws leaves half of an output buffered
+            lib.shuffle_rows(3, n, streams.ctypes.data, perms.ctypes.data)
+            assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
+            assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 4099])
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64,
                                            np.random.Philox])
 def test_shuffle_rows_draws_rng_permutation(bit_generator, n):
+    # through a list of generators, as a trainer takes one; only PCG64 has a stream
     lib = train.load_library()
     if lib is None:
         pytest.skip("no compiled library")
     rngs, refs = ([np.random.Generator(bit_generator(s)) for s in range(3)] for _ in range(2))
-    gens = (ctypes.c_void_p * 3)(*[lib.bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs])
+    if bit_generator is not np.random.PCG64:
+        with pytest.raises(ValueError, match=f"got {bit_generator.__name__}$"):
+            with train.as_streams(rngs):
+                pass
+        for rng, ref in zip(rngs, refs):
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        return
     perms = np.empty((3, n), dtype=np.int64)
-    for _ in range(3):  # an odd number of 32-bit draws leaves half of a PCG64 output buffered
-        lib.shuffle_rows(3, n, gens, perms.ctypes.data)
-        assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
+    with train.as_streams(rngs) as streams:
+        for _ in range(3):
+            lib.shuffle_rows(3, n, streams.ctypes.data, perms.ctypes.data)
+            assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
     for rng, ref in zip(rngs, refs):
-        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
+
+
+def test_other_bit_generators_and_malformed_stream_arrays_are_refused(engine):
+    others = [np.random.Generator(np.random.PCG64DXSM(0))]
+    with pytest.raises(ValueError, match="got PCG64DXSM$"):
+        glorot_slp_weights(2, others)
+    with pytest.raises(ValueError, match="got PCG64DXSM$"):
+        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.eye(2), np.ones(2), 1, others)
+    for streams in (train.seed_streams(0, 2).astype(np.int64), train.seed_streams(0, 2)[:, :5],
+                    np.asfortranarray(train.seed_streams(0, 2))):
+        with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
+            train.random_rows(streams, 3)
 
 
 @pytest.mark.parametrize("model", ["slp", "mlp"])
@@ -266,19 +334,23 @@ def test_generators_end_in_the_same_state_on_both_engines(model):
     xs = np.random.default_rng(1).uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
 
-    def run():
-        rngs = [np.random.default_rng(10 + r) for r in range(3)]
+    def run(rngs):
         params = [np.full((3, 3), 0.1)] if model == "slp" else [
             [np.full((3, 2, 2), 0.1), np.full((3, 2, 1), -0.1)], [np.zeros((3, 2)), np.zeros((3, 1))]]
-        for epochs in (2, 3):  # a snapshot split: two calls on the same generators
+        for epochs in (2, 3):  # a snapshot split: two calls on the same streams
             if model == "slp":
                 params = train_slp_ensemble(*params, 0.1, xs, ts, epochs, rngs)[1:]
             else:
                 params = train_mlp_ensemble(*params, 0.1, xs, ts, epochs, rngs)[1:]
-        return [rng.bit_generator.state for rng in rngs], [rng.random() for rng in rngs]
+        return rngs.tolist() if isinstance(rngs, np.ndarray) else [pcg64_row(rng) for rng in rngs]
 
-    compiled, numpy = on_both_engines(run)
-    assert compiled == numpy
+    refs = [np.random.default_rng(10 + r) for r in range(3)]
+    for ref in refs:
+        for _ in range(5):
+            ref.permutation(7)
+    want = [pcg64_row(ref) for ref in refs]
+    assert on_both_engines(lambda: run([np.random.default_rng(10 + r) for r in range(3)])) == [want] * 2
+    assert on_both_engines(lambda: run(train.seed_streams(10, 3))) == [want] * 2
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 1), (2, 3, 4, 1), (3, 1, 2)])

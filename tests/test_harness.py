@@ -9,10 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memperceptron.cli import build_parser, main
 from memperceptron.device import WindowViolationError
 from memperceptron.harness import (
+    GATE_NAMES,
+    MODELS,
     ConfigError,
     ExperimentConfig,
     aggregate_curve,
@@ -526,3 +530,51 @@ def test_cli_non_finite_training_exits_2(tmp_path, capsys, command, flag):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == (["curve_slp_and.csv", "curve_slp_or.csv", "curve_slp_xor.csv",
                         "roc_slp_or.csv", "roc_slp_xor.csv"] if command == "protocol" else [])
+
+
+# each float key is drawn half the time from a working range, half the time
+# from anywhere in its valid range, subnormals and the largest floats included
+POSITIVE = st.floats(0.01, 10.0) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(0.0, 100.0) | st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def small_configs(draw):
+    """Config dicts over every key that changes a training run, at small sizes."""
+    model = draw(st.sampled_from(MODELS))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    r_on, r_off = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2, unique=True)))
+    return dict(
+        model=model, gate=draw(st.sampled_from(GATE_NAMES)), epochs=draw(st.integers(1, 3)),
+        n_realizations=draw(st.integers(1, 3)), dataset_size=draw(st.integers(1, 16)),
+        seed=draw(st.integers(0, 2**70)), learning_rate=draw(st.none() | POSITIVE),
+        window_a=draw(POSITIVE), d_prime=draw(POSITIVE), b_scale=draw(POSITIVE),
+        tau=draw(NON_NEGATIVE), mu_v=draw(NON_NEGATIVE), r_on=r_on, r_off=r_off,
+        topology=(2, *hidden, 1),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(overrides=small_configs(), split=st.booleans())
+def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrides, split):
+    # the three outcomes allowed: finite histories with every parameter inside
+    # its clamp; a ConfigError naming a key (exit 1); a FloatingPointError (exit 2)
+    config = parse_config(overrides=overrides)
+    snapshot = (config.epochs + 1) // 2 if split else None
+    try:
+        histories, final, *taken = trained_ensemble(config, snapshot)
+    except ConfigError as exc:
+        assert set(re.findall(r"config keys? '(\w+)'", str(exc))) & {f.name for f in fields(ExperimentConfig)}
+        return
+    except FloatingPointError:
+        return
+    assert histories.shape == (config.n_realizations, config.epochs)
+    assert np.isfinite(histories).all() and (histories >= 0.0).all()
+    # the slp trains with train_slp_ensemble's default weight_bound; the
+    # mlp clamps gammas and node biases to +/- d_prime / 2
+    bound = 10.0 if config.model == "slp" else config.d_prime / 2.0
+    for params in [final, *taken]:
+        for p in [params] if config.model == "slp" else [*params[0], *params[1]]:
+            assert p.shape[0] == config.n_realizations
+            assert np.isfinite(p).all() and (np.abs(p) <= bound).all()
