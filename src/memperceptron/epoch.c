@@ -1,25 +1,30 @@
-/* One training epoch of each model, and the realizations' random streams:
- * numpy's PCG64 seeding, draws and shuffles.  `train.py` calls these
- * through ctypes.
+/* Each model's training run, and the realizations' random streams: numpy's
+ * PCG64 seeding, draws and shuffles.  `train.py` calls these through
+ * ctypes, and the plain loops of `tests/oracles.py` are their spec: a run
+ * repeats their float operations (same operands, same order, no
+ * contraction), so it gives their bytes.
  *
- * Each epoch function replays, for every realization, the samples in its
- * row of `perm` with exactly the float operations of the numpy steps in
- * `slp.py` and `mlp.py` (same operands, same order, no contraction), so
- * both engines produce the same bytes.  Realizations run in blocks of
- * LANES, the last one ragged: each operation of a sample runs for every
- * lane of the block before the next operation, so the lanes' independent
- * dependency chains overlap in the core instead of one step waiting on
- * the previous one.  Parameters are updated in place: add the increment,
- * then clamp to [-bound, bound].  The per-realization error summed over
- * the epoch goes to `totals`.
+ * A run trains R realizations online for `epochs` epochs.  Realizations run
+ * in blocks of LANES, the last one ragged: each operation of a sample runs
+ * for every lane of the block before the next operation, so the lanes'
+ * independent dependency chains overlap in the core instead of one step
+ * waiting on the previous one.  A block loads its streams and parameters
+ * once.  Each epoch it draws every lane's permutation of the samples from
+ * the lane's stream, presents the samples in that order, and writes each
+ * lane's summed error to histories[r, e].  At the end it stores parameters
+ * and streams back.  A parameter is written by adding its increment, then
+ * clamping to [-bound, bound].
  *
- * In single write mode an increment with |inc| >= window_a in any lane
- * stops the epoch and the function returns 1; the caller restores the
- * parameters and replays the epoch in numpy, which raises or finishes it.
+ * In single write mode an increment with |inc| >= window_a is a window
+ * violation.  The run reports the first one in the order (epoch, sample,
+ * parameter array in the order of p, realization, element) in where[0..4],
+ * with its increment in *inc.  A block stops after the sample of the first
+ * violation found so far, since no later one can come first.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define LANES 8
 
@@ -162,20 +167,26 @@ static uint64_t random_interval(pcg64 *g, uint64_t max)
     return value;
 }
 
-/* Row r of perm becomes stream r's rng.permutation(n): the Fisher-Yates of
- * numpy's Generator.shuffle, with the same draws. */
+
+/* row becomes g's rng.permutation(n): the Fisher-Yates of numpy's
+ * Generator.shuffle, with the same draws. */
+static void permutation(pcg64 *g, int64_t n, int64_t *row)
+{
+    for (int64_t i = 0; i < n; i++)
+        row[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(g, (uint64_t)i), swap = row[i];
+        row[i] = row[j];
+        row[j] = swap;
+    }
+}
+
+/* Row r of perm becomes stream r's rng.permutation(n). */
 void shuffle_rows(int64_t R, int64_t n, uint64_t *streams, int64_t *perm)
 {
     for (int64_t r = 0; r < R; r++) {
         pcg64 g = load(streams + r * STREAM);
-        int64_t *row = perm + r * n;
-        for (int64_t i = 0; i < n; i++)
-            row[i] = i;
-        for (int64_t i = n - 1; i > 0; i--) {
-            int64_t j = (int64_t)random_interval(&g, (uint64_t)i), swap = row[i];
-            row[i] = row[j];
-            row[j] = swap;
-        }
+        permutation(&g, n, perm + r * n);
         store(streams + r * STREAM, &g);
     }
 }
@@ -209,84 +220,140 @@ INLINE void lanes(int64_t nb, int64_t r0, double *a, int64_t size, double *q, in
         }
 }
 
-/* Adds inc[b] to lane b of q, then clamps.  In single mode an increment
- * with |inc| >= window_a in any lane returns 1 and writes nothing. */
-INLINE int apply(int64_t nb, double *q, const double *inc, double bound, double window_a,
-                 int64_t single)
+/* The streams of the block's nb lanes from r0, to g if in, else back. */
+INLINE void lane_streams(int64_t nb, int64_t r0, uint64_t *streams, pcg64 *g, int in)
+{
+    for (int64_t b = 0; b < nb; b++)
+        if (in)
+            g[b] = load(streams + (r0 + b) * STREAM);
+        else
+            store(streams + (r0 + b) * STREAM, g + b);
+}
+
+/* Adds inc[b] to q[b], then clamps, for each b < n: in a block, the lanes
+ * of one parameter.  In single mode an increment with |inc| >= window_a
+ * writes nothing and the call returns the first such b; else it returns -1. */
+INLINE int64_t apply(int64_t n, double *q, const double *inc, double bound, double window_a,
+                     int64_t single)
 {
     if (single) {
         int over = 0;
-        for (int64_t b = 0; b < nb; b++)
+        for (int64_t b = 0; b < n; b++)
             over |= fabs(inc[b]) >= window_a;
-        if (over)
-            return 1;
+        if (over) {
+            int64_t b = 0;
+            while (!(fabs(inc[b]) >= window_a))
+                b++;
+            return b;
+        }
     }
-    for (int64_t b = 0; b < nb; b++)
+    for (int64_t b = 0; b < n; b++)
         q[b] = clamp(q[b] + inc[b], bound);
-    return 0;
+    return -1;
+}
+
+/* apply, on n variables at once: the runs' write, exported for its tests. */
+int64_t write_pulses(int64_t n, double *q, const double *inc, double bound, double window_a,
+                     int64_t single)
+{
+    return apply(n, q, inc, bound, window_a, single);
+}
+
+/* Keeps the violation (epoch e, sample k, array a, realization r, element
+ * el) and its increment in where and *inc if it comes before the one kept. */
+static void note(int64_t *where, double *inc, int64_t e, int64_t k, int64_t a, int64_t r,
+                 int64_t el, double value)
+{
+    int64_t key[5] = {e, k, a, r, el};
+    for (int i = 0; i < 5 && key[i] <= where[i]; i++)
+        if (key[i] < where[i]) {
+            memcpy(where, key, sizeof key);
+            *inc = value;
+            return;
+        }
+}
+
+/* Whether the violation kept comes no later than sample k of epoch e. */
+INLINE int reached(const int64_t *where, int64_t e, int64_t k)
+{
+    return where[0] < e || (where[0] == e && where[1] <= k);
 }
 
 /* p[0] is (R, n_in + 1) weights, the bias weight last.  The block of nb
- * lanes from realization r0 works in scratch, lane-major: its weights, then
- * the sample's inputs. */
-INLINE int slp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
-                     const double *ts, const int64_t *perm, double **p, double *totals,
-                     double bound, double window_a, int64_t single, double eta, double *scratch)
+ * lanes from realization r0 works in scratch, lane-major: its weights and
+ * the sample's inputs, then each lane's permutation. */
+INLINE void slp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
+                      const double *ts, int64_t epochs, uint64_t *streams, double **p,
+                      double *histories, double bound, double window_a, int64_t single,
+                      int64_t *where, double *vinc, double eta, double *scratch)
 {
     double *w = scratch, *x = w + (n_in + 1) * LANES;
+    int64_t *perm = (int64_t *)(x + n_in * LANES);
     double t[LANES], out[LANES], base[LANES], inc[LANES], total[LANES];
+    pcg64 g[LANES];
+    lane_streams(nb, r0, streams, g, 1);
     lanes(nb, r0, p[0], n_in + 1, w, 1);
-    for (int64_t b = 0; b < nb; b++)
-        total[b] = 0.0;
-    for (int64_t k = 0; k < n; k++) {
+    for (int64_t e = 0; e < epochs; e++) {
         for (int64_t b = 0; b < nb; b++) {
-            int64_t idx = perm[(r0 + b) * n + k];
-            t[b] = ts[idx];
-            for (int64_t i = 0; i < n_in; i++)
-                x[i * LANES + b] = xs[idx * n_in + i];
+            permutation(g + b, n, perm + b * n);
+            total[b] = 0.0;
+        }
+        for (int64_t k = 0; k < n; k++) {
+            for (int64_t b = 0; b < nb; b++) {
+                int64_t idx = perm[b * n + k];
+                t[b] = ts[idx];
+                for (int64_t i = 0; i < n_in; i++)
+                    x[i * LANES + b] = xs[idx * n_in + i];
+            }
+            for (int64_t b = 0; b < nb; b++)
+                out[b] = w[b] * x[b];
+            for (int64_t i = 1; i < n_in; i++)
+                for (int64_t b = 0; b < nb; b++)
+                    out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
+            for (int64_t b = 0; b < nb; b++)
+                out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
+            for (int64_t b = 0; b < nb; b++) {
+                double diff = t[b] - out[b];
+                base[b] = (eta * diff) * (out[b] * (1.0 - out[b]));
+                total[b] += (0.5 * diff) * diff;
+            }
+            for (int64_t i = 0; i < n_in; i++) {
+                for (int64_t b = 0; b < nb; b++)
+                    inc[b] = base[b] * x[i * LANES + b];
+                int64_t hit = apply(nb, w + i * LANES, inc, bound, window_a, single);
+                if (hit >= 0)
+                    note(where, vinc, e, k, 0, r0 + hit, i, inc[hit]);
+            }
+            int64_t hit = apply(nb, w + n_in * LANES, base, bound, window_a, single);
+            if (hit >= 0)
+                note(where, vinc, e, k, 0, r0 + hit, n_in, base[hit]);
+            if (reached(where, e, k))
+                goto done;
         }
         for (int64_t b = 0; b < nb; b++)
-            out[b] = w[b] * x[b];
-        for (int64_t i = 1; i < n_in; i++)
-            for (int64_t b = 0; b < nb; b++)
-                out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
-        for (int64_t b = 0; b < nb; b++)
-            out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
-        for (int64_t b = 0; b < nb; b++) {
-            double diff = t[b] - out[b];
-            base[b] = (eta * diff) * (out[b] * (1.0 - out[b]));
-            total[b] += (0.5 * diff) * diff;
-        }
-        for (int64_t i = 0; i < n_in; i++) {
-            for (int64_t b = 0; b < nb; b++)
-                inc[b] = base[b] * x[i * LANES + b];
-            if (apply(nb, w + i * LANES, inc, bound, window_a, single))
-                return 1;
-        }
-        if (apply(nb, w + n_in * LANES, base, bound, window_a, single))
-            return 1;
+            histories[(r0 + b) * epochs + e] = total[b];
     }
+done:
     lanes(nb, r0, p[0], n_in + 1, w, 0);
-    for (int64_t b = 0; b < nb; b++)
-        totals[r0 + b] = total[b];
-    return 0;
+    lane_streams(nb, r0, streams, g, 0);
 }
 
-/* Allocates the blocks' scratch for the call; returns 2 if that fails. */
-int slp_epoch(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
-              const int64_t *perm, double **p, double *totals, double bound, double window_a,
-              int64_t single, double eta)
+/* Allocates the blocks' scratch for the run; returns 2 if that fails, 1
+ * after a window violation, else 0. */
+int slp_run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
+            int64_t epochs, uint64_t *streams, double **p, double *histories, double bound,
+            double window_a, int64_t single, int64_t *where, double *inc, double eta)
 {
-    double *scratch = malloc((size_t)((2 * n_in + 1) * LANES) * sizeof *scratch);
+    double *scratch = malloc((size_t)((2 * n_in + 1 + n) * LANES) * sizeof *scratch);
     if (scratch == NULL)
         return 2;
-    int status = 0;
-#define SLP(nb) slp_block(nb, r0, n, n_in, xs, ts, perm, p, totals, bound, window_a, single, eta, \
-                          scratch)
-    for (int64_t r0 = 0; r0 < R && !status; r0 += LANES)
-        status = R - r0 >= LANES ? SLP(LANES) : R - r0 == 1 ? SLP(1) : SLP(R - r0);
+    where[0] = INT64_MAX;
+#define SLP(nb) slp_block(nb, r0, n, n_in, xs, ts, epochs, streams, p, histories, bound, window_a, \
+                          single, where, inc, eta, scratch)
+    for (int64_t r0 = 0; r0 < R; r0 += LANES)
+        R - r0 >= LANES ? SLP(LANES) : R - r0 == 1 ? SLP(1) : SLP(R - r0);
     free(scratch);
-    return status;
+    return where[0] != INT64_MAX;
 }
 
 /* The 2L arrays of p, each (R, size) for its size below, to or from q. */
@@ -304,115 +371,131 @@ INLINE void mlp_lanes(int64_t nb, int64_t r0, double **p, int64_t L, const int64
  * (R, sizes[l + 1]) node biases, `nodes` of them per realization.  The
  * block works in scratch, lane-major: its parameters in the order of p,
  * the sample's inputs, each layer's net input, output and activation
- * derivative, then three vectors of the widest layer for the backward pass. */
-INLINE int mlp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
-                     const double *ts, const int64_t *perm, double **p, double *totals,
-                     double bound, double window_a, int64_t single, double eta, int64_t L,
-                     const int64_t *sizes, double b_scale, double kt, double m_prime, double r_off,
-                     double r_on, double d, double *scratch, int64_t weights, int64_t nodes,
-                     int64_t widest)
+ * derivative, three vectors of the widest layer for the backward pass,
+ * then each lane's permutation. */
+INLINE void mlp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
+                      const double *ts, int64_t epochs, uint64_t *streams, double **p,
+                      double *histories, double bound, double window_a, int64_t single,
+                      int64_t *where, double *vinc, double eta, int64_t L, const int64_t *sizes,
+                      double b_scale, double kt, double m_prime, double r_off, double r_on,
+                      double d, double *scratch, int64_t weights, int64_t nodes, int64_t widest)
 {
     double *biases = scratch + weights * LANES, *x = biases + nodes * LANES, *fwd = x + n_in * LANES;
     double *up = fwd + 3 * nodes * LANES, *delta = up + widest * LANES, *next = delta + widest * LANES;
+    int64_t *perm = (int64_t *)(next + widest * LANES);
     double total[LANES], t[LANES], acc[LANES], inc[LANES];
     double err[LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
+    pcg64 g[LANES];
+    lane_streams(nb, r0, streams, g, 1);
     mlp_lanes(nb, r0, p, L, sizes, scratch, 1);
-    for (int64_t b = 0; b < nb; b++)
-        total[b] = 0.0;
-    for (int64_t k = 0; k < n; k++) {
+    for (int64_t e = 0; e < epochs; e++) {
         for (int64_t b = 0; b < nb; b++) {
-            int64_t idx = perm[(r0 + b) * n + k];
-            t[b] = ts[idx];
-            for (int64_t i = 0; i < n_in; i++)
-                x[i * LANES + b] = xs[idx * n_in + i];
+            permutation(g + b, n, perm + b * n);
+            total[b] = 0.0;
         }
-        const double *in = x;
-        double *g = scratch, *bias = biases, *s = fwd;
-        for (int64_t l = 0; l < L; l++) {
-            int64_t ni = sizes[l], no = sizes[l + 1];
-            double *v = s + no * LANES, *dv = v + no * LANES;
-            for (int64_t j = 0; j < no; j++) {
-                for (int64_t b = 0; b < nb; b++)
-                    acc[b] = (b_scale * g[j * LANES + b]) * in[b];
-                for (int64_t i = 1; i < ni; i++)
-                    for (int64_t b = 0; b < nb; b++)
-                        acc[b] = acc[b] + (b_scale * g[(i * no + j) * LANES + b]) * in[i * LANES + b];
-                for (int64_t b = 0; b < nb; b++) {
-                    double bj = bias[j * LANES + b];
-                    double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
-                    double drive = acc[b] > 0.0 ? acc[b] : 0.0;
-                    s[j * LANES + b] = acc[b];
-                    v[j * LANES + b] = m * acc[b] - kt * (drive * drive);
-                    dv[j * LANES + b] = m - (2.0 * kt) * drive;
-                }
-            }
-            in = v;
-            g += ni * no * LANES;
-            bias += no * LANES;
-            s = dv + no * LANES;
-        }
-        /* in is the network output; up is the pull on a layer's outputs,
-         * delta the pull on its net inputs */
-        int64_t nout = sizes[L];
-        for (int64_t j = 0; j < nout; j++)
+        for (int64_t k = 0; k < n; k++) {
             for (int64_t b = 0; b < nb; b++) {
-                double diff = t[b] - in[j * LANES + b], sq = (0.5 * diff) * diff;
-                err[b] = j ? err[b] + sq : sq;
-                up[j * LANES + b] = diff;
-                delta[j * LANES + b] = diff * in[(nout + j) * LANES + b];
+                int64_t idx = perm[b * n + k];
+                t[b] = ts[idx];
+                for (int64_t i = 0; i < n_in; i++)
+                    x[i * LANES + b] = xs[idx * n_in + i];
             }
-        for (int64_t b = 0; b < nb; b++)
-            total[b] += err[b];
-        for (int64_t l = L - 1; l >= 0; l--) {
-            int64_t ni = sizes[l], no = sizes[l + 1];
-            g -= ni * no * LANES;
-            bias -= no * LANES;
-            s -= 3 * no * LANES;
-            const double *prev = l ? s - 2 * ni * LANES : x;
-            if (l) /* with the weights before this step's update */
-                for (int64_t i = 0; i < ni; i++) {
-                    for (int64_t b = 0; b < nb; b++)
-                        acc[b] = delta[b] * (b_scale * g[i * no * LANES + b]);
-                    for (int64_t j = 1; j < no; j++)
-                        for (int64_t b = 0; b < nb; b++)
-                            acc[b] = acc[b] + delta[j * LANES + b] * (b_scale * g[(i * no + j) * LANES + b]);
-                    for (int64_t b = 0; b < nb; b++)
-                        next[i * LANES + b] = acc[b];
-                }
-            for (int64_t i = 0; i < ni; i++)
+            const double *in = x;
+            double *gam = scratch, *bias = biases, *s = fwd;
+            for (int64_t l = 0; l < L; l++) {
+                int64_t ni = sizes[l], no = sizes[l + 1];
+                double *v = s + no * LANES, *dv = v + no * LANES;
                 for (int64_t j = 0; j < no; j++) {
                     for (int64_t b = 0; b < nb; b++)
-                        inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
-                    if (apply(nb, g + (i * no + j) * LANES, inc, bound, window_a, single))
-                        return 1;
+                        acc[b] = (b_scale * gam[j * LANES + b]) * in[b];
+                    for (int64_t i = 1; i < ni; i++)
+                        for (int64_t b = 0; b < nb; b++)
+                            acc[b] = acc[b] + (b_scale * gam[(i * no + j) * LANES + b]) * in[i * LANES + b];
+                    for (int64_t b = 0; b < nb; b++) {
+                        double bj = bias[j * LANES + b];
+                        double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
+                        double drive = acc[b] > 0.0 ? acc[b] : 0.0;
+                        s[j * LANES + b] = acc[b];
+                        v[j * LANES + b] = m * acc[b] - kt * (drive * drive);
+                        dv[j * LANES + b] = m - (2.0 * kt) * drive;
+                    }
                 }
-            for (int64_t j = 0; j < no; j++) {
-                for (int64_t b = 0; b < nb; b++)
-                    inc[b] = ((eta * up[j * LANES + b]) * m_prime) * s[j * LANES + b];
-                if (apply(nb, bias + j * LANES, inc, bound, window_a, single))
-                    return 1;
+                in = v;
+                gam += ni * no * LANES;
+                bias += no * LANES;
+                s = dv + no * LANES;
             }
-            if (l) {
-                double *spare = up;
-                up = next;
-                next = spare;
+            /* in is the network output; up is the pull on a layer's outputs,
+             * delta the pull on its net inputs */
+            int64_t nout = sizes[L];
+            for (int64_t j = 0; j < nout; j++)
+                for (int64_t b = 0; b < nb; b++) {
+                    double diff = t[b] - in[j * LANES + b], sq = (0.5 * diff) * diff;
+                    err[b] = j ? err[b] + sq : sq;
+                    up[j * LANES + b] = diff;
+                    delta[j * LANES + b] = diff * in[(nout + j) * LANES + b];
+                }
+            for (int64_t b = 0; b < nb; b++)
+                total[b] += err[b];
+            for (int64_t l = L - 1; l >= 0; l--) {
+                int64_t ni = sizes[l], no = sizes[l + 1];
+                gam -= ni * no * LANES;
+                bias -= no * LANES;
+                s -= 3 * no * LANES;
+                const double *prev = l ? s - 2 * ni * LANES : x;
+                if (l) /* with the weights before this step's update */
+                    for (int64_t i = 0; i < ni; i++) {
+                        for (int64_t b = 0; b < nb; b++)
+                            acc[b] = delta[b] * (b_scale * gam[i * no * LANES + b]);
+                        for (int64_t j = 1; j < no; j++)
+                            for (int64_t b = 0; b < nb; b++)
+                                acc[b] = acc[b] + delta[j * LANES + b] * (b_scale * gam[(i * no + j) * LANES + b]);
+                        for (int64_t b = 0; b < nb; b++)
+                            next[i * LANES + b] = acc[b];
+                    }
+                /* the increments of a sample do not depend on its writes */
                 for (int64_t i = 0; i < ni; i++)
+                    for (int64_t j = 0; j < no; j++) {
+                        for (int64_t b = 0; b < nb; b++)
+                            inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
+                        int64_t hit = apply(nb, gam + (i * no + j) * LANES, inc, bound, window_a, single);
+                        if (hit >= 0)
+                            note(where, vinc, e, k, l, r0 + hit, i * no + j, inc[hit]);
+                    }
+                for (int64_t j = 0; j < no; j++) {
                     for (int64_t b = 0; b < nb; b++)
-                        delta[i * LANES + b] = s[(i - ni) * LANES + b] * up[i * LANES + b];
+                        inc[b] = ((eta * up[j * LANES + b]) * m_prime) * s[j * LANES + b];
+                    int64_t hit = apply(nb, bias + j * LANES, inc, bound, window_a, single);
+                    if (hit >= 0)
+                        note(where, vinc, e, k, L + l, r0 + hit, j, inc[hit]);
+                }
+                if (l) {
+                    double *spare = up;
+                    up = next;
+                    next = spare;
+                    for (int64_t i = 0; i < ni; i++)
+                        for (int64_t b = 0; b < nb; b++)
+                            delta[i * LANES + b] = s[(i - ni) * LANES + b] * up[i * LANES + b];
+                }
             }
+            if (reached(where, e, k))
+                goto done;
         }
+        for (int64_t b = 0; b < nb; b++)
+            histories[(r0 + b) * epochs + e] = total[b];
     }
+done:
     mlp_lanes(nb, r0, p, L, sizes, scratch, 0);
-    for (int64_t b = 0; b < nb; b++)
-        totals[r0 + b] = total[b];
-    return 0;
+    lane_streams(nb, r0, streams, g, 0);
 }
 
-/* Allocates the blocks' scratch for the call; returns 2 if that fails. */
-int mlp_epoch(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
-              const int64_t *perm, double **p, double *totals, double bound, double window_a,
-              int64_t single, double eta, int64_t L, const int64_t *sizes, double b_scale,
-              double kt, double m_prime, double r_off, double r_on, double d)
+/* Allocates the blocks' scratch for the run; returns 2 if that fails, 1
+ * after a window violation, else 0. */
+int mlp_run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
+            int64_t epochs, uint64_t *streams, double **p, double *histories, double bound,
+            double window_a, int64_t single, int64_t *where, double *inc, double eta, int64_t L,
+            const int64_t *sizes, double b_scale, double kt, double m_prime, double r_off,
+            double r_on, double d)
 {
     int64_t weights = 0, nodes = 0, widest = 0;
     for (int64_t l = 0; l < L; l++) {
@@ -420,15 +503,17 @@ int mlp_epoch(int64_t R, int64_t n, int64_t n_in, const double *xs, const double
         nodes += sizes[l + 1];
         widest = sizes[l + 1] > widest ? sizes[l + 1] : widest;
     }
-    int64_t width = weights + nodes + n_in + 3 * nodes + 3 * widest; /* doubles per lane */
+    /* doubles per lane, the permutation's int64s included */
+    int64_t width = weights + nodes + n_in + 3 * nodes + 3 * widest + n;
     double *scratch = malloc((size_t)(width * LANES) * sizeof *scratch);
     if (scratch == NULL)
         return 2;
-    int status = 0;
-#define MLP(nb) mlp_block(nb, r0, n, n_in, xs, ts, perm, p, totals, bound, window_a, single, eta, \
-                          L, sizes, b_scale, kt, m_prime, r_off, r_on, d, scratch, weights, nodes, widest)
-    for (int64_t r0 = 0; r0 < R && !status; r0 += LANES)
-        status = R - r0 >= LANES ? MLP(LANES) : R - r0 == 1 ? MLP(1) : MLP(R - r0);
+    where[0] = INT64_MAX;
+#define MLP(nb) mlp_block(nb, r0, n, n_in, xs, ts, epochs, streams, p, histories, bound, window_a, \
+                          single, where, inc, eta, L, sizes, b_scale, kt, m_prime, r_off, r_on, d, \
+                          scratch, weights, nodes, widest)
+    for (int64_t r0 = 0; r0 < R; r0 += LANES)
+        R - r0 >= LANES ? MLP(LANES) : R - r0 == 1 ? MLP(1) : MLP(R - r0);
     free(scratch);
-    return status;
+    return where[0] != INT64_MAX;
 }

@@ -6,9 +6,9 @@ layers win key by key).  The seed protocol keeps runs reproducible while
 varying only the starting weights: the training dataset is drawn once per
 experiment from the base seed, realization r draws its weights and its
 shuffles from the PCG64 stream of np.random.default_rng(base seed + r),
-held as a row of a stream array and seeded and advanced in C when the
-compiled library loads, and ROC evaluation uses a fresh dataset from base
-seed + 1.  Identical configs therefore produce byte-identical CSV files.
+held as a row of a stream array that the compiled library seeds and
+advances, and ROC evaluation uses a fresh dataset from base seed + 1.
+Identical configs therefore produce byte-identical CSV files.
 """
 
 from __future__ import annotations

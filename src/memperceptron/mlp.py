@@ -25,8 +25,8 @@ slope-bias semantics carries the device's slope response m' = dm/dgamma_b
 instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware; changes too large for one pulse go out
 as a burst of pulses by default, or raise in "single" write mode.
-`train_mlp_ensemble` runs many seeded networks in lock step through the
-shared loop in `train`, compiled as `mlp_epoch`.
+`train_mlp_ensemble` runs many seeded networks through the shared run in
+`train`, compiled as `mlp_run`.
 """
 
 from __future__ import annotations
@@ -56,19 +56,19 @@ def glorot_limit(n_in: int, n_out: int) -> float:
     return float(np.sqrt(6.0 / (n_in + n_out)))
 
 
-def glorot_init(topology: Topology, rngs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def glorot_init(topology: Topology, streams: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per stream.
 
-    rngs is a stream array or a list of PCG64 Generators (see
-    `train_lockstep`).  Bias weights are drawn from the same interval as
-    their layer.  Each stream makes one rng.random draw, split in the
-    order W1, b1, W2, b2, ... and scaled as rng.uniform scales it: the
-    values and the final state of one rng.uniform call per array.
+    streams is a stream array (see `train.seed_streams`).  Bias weights
+    are drawn from the same interval as their layer.  Each stream makes
+    one rng.random draw, split in the order W1, b1, W2, b2, ... and
+    scaled as rng.uniform scales it: the values and the final state of
+    one rng.uniform call per array.
     Returns per-layer weights (realizations, n_in, n_out) and biases
     (realizations, n_out).
     """
     pairs = list(zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]))
-    draws = random_rows(rngs, sum((n_in + 1) * n_out for n_in, n_out in pairs))
+    draws = random_rows(streams, sum((n_in + 1) * n_out for n_in, n_out in pairs))
     weights, biases, start = [], [], 0
     for n_in, n_out in pairs:
         limit = glorot_limit(n_in, n_out)
@@ -103,10 +103,10 @@ def mlp_forward(gammas, biases, x, params: DeviceParams, kt: float, b_scale: flo
 
 
 def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
-                       epochs: int, rngs, params: DeviceParams | None = None,
+                       epochs: int, streams: np.ndarray, params: DeviceParams | None = None,
                        tau: float = 1.0, d_prime: float = 4.0, b_scale: float = 1.0,
                        window_a: float = 1.0, write_mode: str = "burst"):
-    """Backprop many seeded networks in lock step.
+    """Backprop many seeded networks, one stream row each.
 
     gammas0[l] is (realizations, n_in, n_out) of synapse internal
     variables (weight / b_scale), biases0[l] is (realizations, n_out).
@@ -122,35 +122,9 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
     shapes = [np.shape(a) for a in (*gammas0, *biases0)]
     if 0 in sizes or shapes != want + [(r, n_out) for r, _, n_out in want]:
         raise ValueError(f"gammas0 must be {want} (no width 0) for {xs.shape[1]} inputs, biases0 to match")
-    kt = quad_coefficient(params) * tau
-    m_prime = bias_drift_slope(params)
-
-    def backprop(state, x, t):
-        layers = mlp_forward(state[:n_layers], state[n_layers:], x, params, kt, b_scale)
-        diff = t[:, None] - layers[-1][2]
-        sq = 0.5 * diff * diff
-        err = sq[:, 0]
-        for k in range(1, sq.shape[1]):
-            err = err + sq[:, k]
-        # upstream is the pull on layer l's outputs; delta folds in the
-        # activation derivative to give the pull on its net inputs
-        upstream = diff
-        delta = diff * layers[-1][3]
-        inc_g, inc_b = [None] * n_layers, [None] * n_layers
-        for l in range(n_layers - 1, -1, -1):
-            w, s = layers[l][:2]
-            prev = layers[l - 1][2] if l else x
-            inc_g[l] = ((eta * delta)[:, None, :] * prev[:, :, None]) / b_scale
-            inc_b[l] = eta * upstream * m_prime * s
-            if l:
-                upstream = delta[:, 0, None] * w[:, :, 0]
-                for j in range(1, w.shape[2]):
-                    upstream = upstream + delta[:, j, None] * w[:, :, j]
-                delta = layers[l - 1][3] * upstream
-        return err, inc_g + inc_b
-
-    kernel = ("mlp_epoch", (eta, n_layers, np.array(sizes, dtype=np.int64), b_scale, kt,
-                            m_prime, params.r_off, params.r_on, params.d))
-    histories, final = train_lockstep(list(gammas0) + list(biases0), backprop, xs, ts, epochs,
-                                      rngs, d_prime / 2.0, window_a, write_mode, kernel)
+    kernel = ("mlp_run", (eta, n_layers, np.array(sizes, dtype=np.int64), b_scale,
+                          quad_coefficient(params) * tau, bias_drift_slope(params),
+                          params.r_off, params.r_on, params.d))
+    histories, final = train_lockstep(list(gammas0) + list(biases0), xs, ts, epochs, streams,
+                                      d_prime / 2.0, window_a, write_mode, kernel)
     return histories, final[:n_layers], final[n_layers:]

@@ -34,19 +34,41 @@ def naive_sigmoid(z):
 
 
 def clamp(value, bound):
-    if value < -bound:
-        return -bound
-    if value > bound:
+    """np.clip(value, -bound, bound): the lower bound first, then the upper,
+    a tie keeping value; a NaN bound gives NaN."""
+    if bound != bound:
         return bound
-    return value
+    value = -bound if value < -bound else value
+    return bound if value > bound else value
+
+
+class Overshoot(Exception):
+    """A single-pulse increment reaching the window: key is (epoch, sample,
+    parameter array, element), each counted from 0."""
+
+    def __init__(self, key, increment):
+        super().__init__(key, increment)
+        self.key, self.increment = key, increment
+
+
+def check_window(increments, window_a, epoch, sample, array):
+    """Raise Overshoot at the first of the flat increments with |inc| >=
+    window_a; window_a None (burst writes) checks nothing."""
+    if window_a is not None:
+        for element, inc in enumerate(increments):
+            if abs(inc) >= window_a:
+                raise Overshoot((epoch, sample, array, element), float(inc))
 
 
 def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
-                  bound=np.inf, sigmoid=naive_sigmoid):
+                  bound=np.inf, sigmoid=naive_sigmoid, window_a=None):
     """Textbook online delta rule on a logistic unit, no device in sight.
 
     w0 has the bias weight last.  Every weight is clamped to +/- bound
-    after its update.  With sigmoid=scipy.special.expit the float
+    after its update.  Given window_a, every write is a single pulse: the
+    first increment with |inc| >= window_a, weights before the bias,
+    raises Overshoot before the sample writes anything.  Sums start from
+    their first term.  With sigmoid=scipy.special.expit the float
     operations are the trainer's own, so results agree bit for bit; the
     naive 1/(1+exp(-z)) differs from expit in the last bit on a few
     percent of inputs.  Returns per-epoch summed cost and, optionally,
@@ -56,20 +78,21 @@ def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
     n = xs.shape[1]
     history = []
     trail = []
-    for _ in range(epochs):
+    for e in range(epochs):
         order = rng.permutation(len(xs))
         total = 0.0
-        for i in order:
-            s = 0.0
-            for j in range(n):
+        for k, i in enumerate(order):
+            s = w[0] * xs[i, 0]
+            for j in range(1, n):
                 s += w[j] * xs[i, j]
             out = sigmoid(s + w[n])
             diff = ts[i] - out
             total += 0.5 * diff * diff
             grad = eta * diff * (out * (1.0 - out))
-            for j in range(n):
-                w[j] = clamp(w[j] + grad * xs[i, j], bound)
-            w[n] = clamp(w[n] + grad, bound)
+            increments = [grad * xs[i, j] for j in range(n)] + [grad]
+            check_window(increments, window_a, e, k, 0)
+            for j in range(n + 1):
+                w[j] = clamp(w[j] + increments[j], bound)
             if record_weights:
                 trail.append(w.copy())
         history.append(total)
@@ -140,74 +163,73 @@ def plain_mlp_cost(weights, biases, x, t, slope_params, kt):
     return e
 
 
-def ideal_mlp_step(weights, biases, x, t, eta, slope_params, kt):
+def ideal_mlp_step(gammas, biases, x, t, eta, slope_params, kt, b_scale=1.0):
     """One online backprop step on the one-sided quadratic net, plain arrays.
 
-    Local gradients use the frozen pre-update weights.  Connections move
-    by eta * delta_j * v_i; the bias of node j moves down its own cost
-    gradient, eta * pull_j * dm/db * s_j, since the bias acts through the
-    slope m.  Returns the updated (weights, biases) copies and the
+    gammas[l] is (n_in, n_out) of synapse variables, each weight being
+    b_scale * gamma, and biases[l] is (n_out,); t is every output's
+    target.  Local gradients use the frozen pre-update weights.  A
+    connection's gamma moves by eta * delta_j * v_i / b_scale; the bias
+    of node j moves down its own cost gradient, eta * pull_j * dm/db *
+    s_j, since the bias acts through the slope m.  Sums start from their
+    first term.  Returns the increments of gammas and biases, and the
     pre-update cost.
     """
     r_on, r_off, d = slope_params
     m_prime = (r_on - r_off) / d
-    x = np.asarray(x, dtype=float)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    acts = [x]
+    acts = [np.asarray(x, dtype=float)]
     sums = []
     derivs = []
-    for w, b in zip(weights, biases):
+    for g, b in zip(gammas, biases):
         prev = acts[-1]
-        n_out = w.shape[1]
+        n_out = g.shape[1]
         s_vec = np.zeros(n_out)
         o_vec = np.zeros(n_out)
         dv_vec = np.zeros(n_out)
         for j in range(n_out):
-            s = 0.0
-            for i in range(w.shape[0]):
-                s += w[i, j] * prev[i]
+            s = (b_scale * g[0, j]) * prev[0]
+            for i in range(1, g.shape[0]):
+                s += (b_scale * g[i, j]) * prev[i]
             m = r_off * (1.0 - b[j] / d) + r_on * (b[j] / d)
+            drive = s if s > 0.0 else 0.0
             s_vec[j] = s
-            if s > 0.0:
-                o_vec[j] = m * s - kt * (s * s)
-                dv_vec[j] = m - 2.0 * kt * s
-            else:
-                o_vec[j] = m * s
-                dv_vec[j] = m
+            o_vec[j] = m * s - kt * (drive * drive)
+            dv_vec[j] = m - 2.0 * kt * drive
         sums.append(s_vec)
         acts.append(o_vec)
         derivs.append(dv_vec)
 
-    cost = 0.0
-    for k in range(len(acts[-1])):
+    t = np.broadcast_to(np.asarray(t, dtype=float), acts[-1].shape)
+    cost = 0.5 * (t[0] - acts[-1][0]) * (t[0] - acts[-1][0])
+    for k in range(1, len(acts[-1])):
         diff = t[k] - acts[-1][k]
         cost += 0.5 * diff * diff
 
-    n_layers = len(weights)
+    n_layers = len(gammas)
     pulls = [None] * n_layers
     deltas = [None] * n_layers
     pulls[-1] = t - acts[-1]
     deltas[-1] = (t - acts[-1]) * derivs[-1]
     for l in range(n_layers - 2, -1, -1):
-        w_next = weights[l + 1]
+        g_next = gammas[l + 1]
         d_next = deltas[l + 1]
-        pv = np.zeros(w_next.shape[0])
-        for k in range(w_next.shape[0]):
-            s = 0.0
-            for j in range(w_next.shape[1]):
-                s += d_next[j] * w_next[k, j]
+        pv = np.zeros(g_next.shape[0])
+        for k in range(g_next.shape[0]):
+            s = d_next[0] * (b_scale * g_next[k, 0])
+            for j in range(1, g_next.shape[1]):
+                s += d_next[j] * (b_scale * g_next[k, j])
             pv[k] = s
         pulls[l] = pv
         deltas[l] = derivs[l] * pv
 
-    new_w = [w.copy() for w in weights]
-    new_b = [b.copy() for b in biases]
+    inc_g = [np.zeros(np.shape(g)) for g in gammas]
+    inc_b = [np.zeros(np.shape(b)) for b in biases]
     for l in range(n_layers):
-        for j in range(weights[l].shape[1]):
-            for i in range(weights[l].shape[0]):
-                new_w[l][i, j] += (eta * deltas[l][j]) * acts[l][i]
-            new_b[l][j] += eta * pulls[l][j] * m_prime * sums[l][j]
-    return new_w, new_b, cost
+        for j in range(gammas[l].shape[1]):
+            for i in range(gammas[l].shape[0]):
+                inc_g[l][i, j] = (eta * deltas[l][j]) * acts[l][i] / b_scale
+            inc_b[l][j] = eta * pulls[l][j] * m_prime * sums[l][j]
+    return inc_g, inc_b, cost
 
 
 def clamp_all(arrays, bound):
@@ -216,29 +238,36 @@ def clamp_all(arrays, bound):
     return out, sum(int(np.count_nonzero(o != a)) for o, a in zip(out, arrays))
 
 
-def ideal_mlp_run(weights0, biases0, eta, xs, ts, epochs, rng, slope_params, kt, bound):
+def ideal_mlp_run(gammas0, biases0, eta, xs, ts, epochs, rng, slope_params, kt, bound,
+                  b_scale=1.0, window_a=None):
     """Online backprop over epochs of rng.permutation order, plain arrays.
 
-    Loops ideal_mlp_step and clamps every weight and bias to +/- bound
+    Loops ideal_mlp_step and clamps every gamma and bias to +/- bound
     after each step, as a burst write followed by the device clamp would.
-    Returns the per-epoch summed cost, the final weights and biases, and
+    Given window_a, every write is a single pulse: the first increment
+    with |inc| >= window_a, arrays in the order gammas by layer, then
+    biases by layer, raises Overshoot before the sample writes anything.
+    Returns the per-epoch summed cost, the final gammas and biases, and
     how many writes the clamp cut short.
     """
-    weights, biases = list(weights0), list(biases0)
+    gammas = [np.array(g, dtype=float) for g in gammas0]
+    biases = [np.array(b, dtype=float) for b in biases0]
     history = []
     clamps = 0
-    for _ in range(epochs):
-        total = 0.0
-        for i in rng.permutation(len(xs)):
-            weights, biases, cost = ideal_mlp_step(
-                weights, biases, xs[i], [ts[i]], eta, slope_params, kt
-            )
-            weights, hits_w = clamp_all(weights, bound)
-            biases, hits_b = clamp_all(biases, bound)
-            clamps += hits_w + hits_b
-            total += cost
-        history.append(total)
-    return np.array(history), weights, biases, clamps
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is compared as it is
+        for e in range(epochs):
+            total = 0.0
+            for k, i in enumerate(rng.permutation(len(xs))):
+                inc_g, inc_b, cost = ideal_mlp_step(gammas, biases, xs[i], ts[i], eta,
+                                                    slope_params, kt, b_scale)
+                for a, inc in enumerate(inc_g + inc_b):
+                    check_window(inc.ravel(), window_a, e, k, a)
+                gammas, hits_g = clamp_all([g + inc for g, inc in zip(gammas, inc_g)], bound)
+                biases, hits_b = clamp_all([b + inc for b, inc in zip(biases, inc_b)], bound)
+                clamps += hits_g + hits_b
+                total += cost
+            history.append(total)
+    return np.array(history), gammas, biases, clamps
 
 
 def central_diff_weight_grads(weights, biases, x, t, slope_params, kt, h=1e-5):
@@ -274,6 +303,13 @@ def central_diff_bias_grads(weights, biases, x, t, slope_params, kt, h=1e-5):
             g[j] = (e_plus - e_minus) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def pcg64_row(rng):
+    """A generator's PCG64.state as a stream row: state and inc (high, low word), has_uint32, uinteger."""
+    state = rng.bit_generator.state
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s >> 64, s % 2**64, inc >> 64, inc % 2**64, state["has_uint32"], state["uinteger"]]
 
 
 def pairwise_auc(scores, labels):

@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, WindowViolationError, apply_read_pulse, quad_coefficient
+from memperceptron.device import DeviceParams, apply_read_pulse, quad_coefficient
 from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
-from memperceptron.mlp import Topology, glorot_init, mlp_forward, train_mlp_ensemble
+from memperceptron.mlp import Topology, mlp_forward, train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
-from memperceptron.train import train_lockstep
+from memperceptron.train import load_library, seed_streams
 
 from oracles import (
     central_diff_bias_grads,
     central_diff_weight_grads,
     euler_pulse_batch,
+    glorot_loop_init,
+    glorot_slp_loop_init,
     ideal_slp_run,
     plain_mlp_forward,
 )
@@ -135,7 +137,7 @@ def test_criterion_5_backprop_matches_finite_differences():
     worst = 0.0
     while checked < 100:
         topo = topologies[checked % len(topologies)]
-        w, b = ([a[0] for a in part] for part in glorot_init(topo, [rng]))
+        w, b = glorot_loop_init(topo.layer_sizes, rng)  # glorot_init's draws (see test_engine)
         x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
         t = float(rng.integers(0, 2))
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
@@ -149,7 +151,7 @@ def test_criterion_5_backprop_matches_finite_differences():
         # online backprop step through the trainer
         _, gammas, biases = train_mlp_ensemble(
             [wl[None] for wl in w], [bl[None] for bl in b], eta, x[None], np.array([t]), 1,
-            [np.random.default_rng(0)],
+            seed_streams(0, 1),
         )
         after_w = [g[0] for g in gammas]
         after_b = [bl[0] for bl in biases]
@@ -216,53 +218,42 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
 
 
 def test_criterion_7_window_isolation():
-    # every write goes through the trainer's own write path: a step that
-    # asks for one increment on one variable, in "single" mode at bound 2
+    # every write goes through the training runs' own write, exported as
+    # write_pulses: one increment on one variable, in "single" mode at bound 2
+    lib = load_library()
     rng = np.random.default_rng(7)
     writes = 0
     while writes < 10_000:
         n = int(rng.integers(2, 6))
-        gamma0 = rng.uniform(-1.9, 1.9, (1, n))
+        gamma = rng.uniform(-1.9, 1.9, n)
         target = rng.integers(0, n, 100)
         delta = rng.uniform(-0.99, 0.99, 100)
-        trail, order = [], []
-
-        def one_hot(params, x, t):
-            k = int(x[0, 0])  # each sample carries its own index
-            trail.append(params[0][0].copy())
-            order.append(k)
-            inc = np.zeros((1, n))
-            inc[0, target[k]] = delta[k]
-            return np.zeros(1), [inc]
-
-        _, final = train_lockstep([gamma0], one_hot, np.arange(100.0)[:, None], np.zeros(100), 1,
-                                  [np.random.default_rng(writes)], 2.0, 1.0, "single")
-        trail.append(final[0][0])
-        for j, k in enumerate(order):
-            before, after = trail[j], trail[j + 1]
-            idx = target[k]
-            new = before[idx] + delta[k]
+        for idx, step in zip(target, delta):
+            before, inc = gamma.copy(), np.zeros(n)
+            inc[idx] = step
+            assert lib.write_pulses(n, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0, 1) == -1
+            new = before[idx] + step
             if new < -2.0:
                 new = -2.0
             elif new > 2.0:
                 new = 2.0
-            assert after[idx] == new  # bit-exact, clamp included
+            assert gamma[idx] == new  # bit-exact, clamp included
             others = np.arange(n) != idx
-            assert np.array_equal(after[others], before[others])
+            assert np.array_equal(gamma[others], before[others])
             writes += 1
-    # one pulse fits only |delta| < a; the window edge itself is rejected
+    # one pulse fits only |delta| < a; the window edge itself is refused,
+    # and the refused write changes nothing
     for bad in (1.0, -1.0, 1.5, -1.5):
-        inc = np.array([[0.0, bad, 0.0]])
-        with pytest.raises(WindowViolationError, match="window width 1.0"):
-            train_lockstep([np.zeros((1, 3))], lambda params, x, t: (np.zeros(1), [inc]),
-                           np.zeros((1, 1)), np.zeros(1), 1, [np.random.default_rng(0)],
-                           2.0, 1.0, "single")
-    print(f"criterion 7: {writes} randomized writes through train_lockstep, addressed variable "
-          f"only, bit-exact; |delta| >= a raises for both signs")
+        gamma, inc = np.zeros(3), np.array([0.0, bad, 0.0])
+        assert lib.write_pulses(3, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0, 1) == 1
+        assert np.array_equal(gamma, np.zeros(3))
+    print(f"criterion 7: {writes} randomized writes through write_pulses, addressed variable "
+          f"only, bit-exact; |delta| >= a is refused for both signs")
 
 
 def test_criterion_8_slp_equals_ideal_delta_rule():
     rng_master = np.random.default_rng(88)
+    one_sample = seed_streams(0, 1)  # a permutation of one sample draws nothing
     worst = 0.0
     for run in range(100):
         seed = int(rng_master.integers(0, 1_000_000))
@@ -270,20 +261,20 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
         ds = generate_dataset(gate, 12, seed)
         xs, ts = ds.to_arrays()
 
+        w0 = glorot_slp_weights(2, seed_streams(seed, 1))[0]
         rng = np.random.default_rng(seed)
-        w0 = glorot_slp_weights(2, [rng])[0]
+        glorot_slp_loop_init(2, rng)  # the same init draw, so rng goes on as the stream would
         # the device trainer sees one sample at a time, in the order this
-        # run's own generator draws; its own generator has nothing to shuffle
+        # run's own generator draws; its own stream has nothing to shuffle
         w = w0[None]
         trail_dev = []
         for _ in range(50):
             for i in rng.permutation(len(xs)):
-                _, w = train_slp_ensemble(w, 0.1, xs[i:i + 1], ts[i:i + 1], 1,
-                                          [np.random.default_rng(0)])
+                _, w = train_slp_ensemble(w, 0.1, xs[i:i + 1], ts[i:i + 1], 1, one_sample)
                 trail_dev.append(w[0].copy())
 
         rng_ref = np.random.default_rng(seed)
-        glorot_slp_weights(2, [rng_ref])  # burn the init draw the same way
+        glorot_slp_loop_init(2, rng_ref)  # burn the init draw the same way
         _, trail_ref = ideal_slp_run(w0, 0.1, xs, ts, 50, rng_ref, record_weights=True)
 
         assert np.max(np.abs(trail_ref)) < 9.0  # no clamp ever binds

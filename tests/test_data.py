@@ -15,7 +15,7 @@ from memperceptron.data import (
     load_samples_csv,
     save_dataset_csv,
 )
-from memperceptron.train import train_lockstep
+from memperceptron.train import load_library, seed_streams
 
 TRUTH = {
     Gate.OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -77,16 +77,12 @@ def test_pattern_frequencies_are_roughly_uniform():
 
 
 def presented_order(n, epochs, seed):
-    """Sample indices the training loop presents, one row per epoch."""
-    seen = []
-
-    def record(params, x, t):
-        seen.append(int(t[0]))
-        return np.zeros(1), [np.zeros((1, 1))]
-
-    train_lockstep([np.zeros((1, 1))], record, np.zeros((n, 2)), np.arange(n, dtype=float),
-                   epochs, [np.random.default_rng(seed)], 1.0, 1.0, "burst")
-    return np.array(seen).reshape(epochs, n)
+    """Sample indices a training run presents, one row per epoch: the
+    shuffle it draws from the stream of default_rng(seed)."""
+    streams, order = seed_streams(seed, 1), np.empty((epochs, n), dtype=np.int64)
+    for row in order:
+        load_library().shuffle_rows(1, n, streams.ctypes.data, row.ctypes.data)
+    return order
 
 
 def test_shuffle_preserves_multiset_and_is_seeded():

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import DeviceParams, WindowViolationError, bias_drift_slope, quad_coefficient
 from memperceptron.mlp import Topology, glorot_init, glorot_limit, mlp_forward, train_mlp_ensemble
+from memperceptron.train import seed_streams
 
 from oracles import (
     central_diff_bias_grads,
     central_diff_weight_grads,
+    glorot_loop_init,
     ideal_mlp_run,
     ideal_mlp_step,
+    pcg64_row,
     plain_mlp_forward,
 )
 
@@ -47,8 +50,7 @@ def one_step(weights, biases, x, t, eta=0.1, **kw):
     hist, gammas, bias_out = train_mlp_ensemble(
         [np.asarray(w, dtype=float)[None] for w in weights],
         [np.asarray(b, dtype=float)[None] for b in biases],
-        eta, np.array([x], dtype=float), np.array([t], dtype=float), 1,
-        [np.random.default_rng(0)], **kw,
+        eta, np.array([x], dtype=float), np.array([t], dtype=float), 1, seed_streams(0, 1), **kw,
     )
     return hist[0, 0], [g[0] for g in gammas], [b[0] for b in bias_out]
 
@@ -58,21 +60,21 @@ def train_one(weights, biases, ds, epochs, seed, eta=0.1, **kw):
     xs, ts = ds.to_arrays()
     hist, gammas, bias_out = train_mlp_ensemble(
         [np.asarray(w)[None] for w in weights], [np.asarray(b)[None] for b in biases],
-        eta, xs, ts, epochs, [np.random.default_rng(seed)], **kw,
+        eta, xs, ts, epochs, seed_streams(seed, 1), **kw,
     )
     return hist[0], [g[0] for g in gammas], [b[0] for b in bias_out]
 
 
-def stacked_inits(seeds, topology=T221):
-    """Glorot draws for several seeds, stacked; also returns the generators."""
-    rngs = [np.random.default_rng(s) for s in seeds]
-    return *glorot_init(topology, rngs), rngs
+def stacked_inits(seed, n, topology=T221):
+    """Glorot draws on the streams of seeds seed .. seed + n - 1, stacked; also returns the streams."""
+    streams = seed_streams(seed, n)
+    return *glorot_init(topology, streams), streams
 
 
 def init_one(topology, rng):
-    """One network's Glorot draws, without the realization axis."""
-    weights, biases = glorot_init(topology, [rng])
-    return [w[0] for w in weights], [b[0] for b in biases]
+    """One network's Glorot draws, without the realization axis: those of
+    glorot_init on rng's stream (see test_engine)."""
+    return glorot_loop_init(topology.layer_sizes, rng)
 
 
 # -------------------------------------------------------------- components
@@ -90,15 +92,10 @@ def test_glorot_limits():
 
 
 def test_glorot_init_support():
-    ws = []
-    bs = []
-    for seed in range(300):
-        w, b = init_one(T221, np.random.default_rng(seed))
-        ws.append(np.abs(w[0]).max())
-        bs.append(np.abs(b[1]).max())
-    assert max(ws) < glorot_limit(2, 2)
-    assert max(ws) > 0.95 * glorot_limit(2, 2)
-    assert max(bs) < glorot_limit(2, 1)
+    weights, biases = glorot_init(T221, seed_streams(0, 300))
+    assert np.abs(weights[0]).max() < glorot_limit(2, 2)
+    assert np.abs(weights[0]).max() > 0.95 * glorot_limit(2, 2)
+    assert np.abs(biases[1]).max() < glorot_limit(2, 1)
 
 
 def test_synapse_output():
@@ -190,7 +187,7 @@ def test_forward_matches_plain_oracle():
 
 
 def test_forward_broadcasts_over_leading_axes():
-    gammas, biases, _ = stacked_inits([5, 6, 7])
+    gammas, biases, _ = stacked_inits(5, 3)
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     params = DeviceParams()
     scores = mlp_forward([g[:, None] for g in gammas], [b[:, None] for b in biases],
@@ -252,12 +249,12 @@ def test_backprop_step_matches_ideal_arithmetic():
         w, b = init_one(topo, rng)
         x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
         t = float(rng.integers(0, 2))
-        ref_w, ref_b, ref_cost = ideal_mlp_step(w, b, x, [t], 0.1, SLOPE_PARAMS, 1.0)
+        inc_w, inc_b, ref_cost = ideal_mlp_step(w, b, x, [t], 0.1, SLOPE_PARAMS, 1.0)
         err, after_w, after_b = one_step(w, b, x, t)
         assert err == ref_cost
         for l in range(len(w)):
-            assert np.array_equal(after_w[l], ref_w[l])
-            assert np.array_equal(after_b[l], ref_b[l])
+            assert np.array_equal(after_w[l], w[l] + inc_w[l])
+            assert np.array_equal(after_b[l], b[l] + inc_b[l])
 
 
 def test_update_rule_recovers_cost_gradient():
@@ -349,7 +346,7 @@ def test_weights_stay_inside_device_range():
         assert np.all(np.abs(arr) <= 2.0)
 
 
-def test_ensemble_matches_scalar_bit_for_bit(engine):
+def test_ensemble_matches_scalar_bit_for_bit():
     # at rate 0.1 both gates stage increments too large for one pulse,
     # which burst writes land in full; on OR the first epoch blows up and
     # the clamp at +/- d_prime/2 fires, in the trainer and the oracle alike
@@ -357,8 +354,8 @@ def test_ensemble_matches_scalar_bit_for_bit(engine):
     for gate in (Gate.XOR, Gate.OR):
         ds = generate_dataset(gate, 18, 6)
         xs, ts = ds.to_arrays()
-        gammas0, biases0, rngs = stacked_inits(seeds)
-        hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, rngs)
+        gammas0, biases0, streams = stacked_inits(seeds[0], len(seeds))
+        hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, streams)
 
         clamps = 0
         for r, seed in enumerate(seeds):
@@ -369,19 +366,19 @@ def test_ensemble_matches_scalar_bit_for_bit(engine):
             for l in range(2):
                 assert np.array_equal(ws[l], g_ens[l][r])
                 assert np.array_equal(bs[l], b_ens[l][r])
+            assert streams[r].tolist() == pcg64_row(rng)
             clamps += hits
         if gate is Gate.OR:
             assert clamps > 0
         with pytest.raises(WindowViolationError):
             train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10,
-                               stacked_inits(seeds)[2], write_mode="single")
+                               stacked_inits(seeds[0], len(seeds))[2], write_mode="single")
 
 
 def test_xor_is_learnable_by_the_mlp():
     ds = generate_dataset(Gate.XOR, 60, 13)
     xs, ts = ds.to_arrays()
-    rngs = [np.random.default_rng(500 + r) for r in range(5)]
-    gammas0, biases0 = glorot_init(T221, rngs)
-    hist, _, _ = train_mlp_ensemble(gammas0, biases0, 0.01, xs, ts, 500, rngs)
+    gammas0, biases0, streams = stacked_inits(500, 5)
+    hist, _, _ = train_mlp_ensemble(gammas0, biases0, 0.01, xs, ts, 500, streams)
     ratios = hist[:, -1] / hist[:, 0]
     assert np.count_nonzero(ratios < 0.1) >= 4

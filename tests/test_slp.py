@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import WindowViolationError
+from memperceptron.device import DeviceParams, WindowViolationError
+from memperceptron.mlp import train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, slp_forward, train_slp_ensemble
-from memperceptron.train import train_lockstep
+from memperceptron.train import seed_streams
 
-from oracles import ideal_slp_run
+from oracles import glorot_slp_loop_init, ideal_slp_run, pcg64_row
 
 
 def one_step(weights=(0.0, 0.0, 0.0), x=(1, 0), t=1, eta=0.1, bound=10.0):
     """Present one sample once to one machine; returns (cost, new weights)."""
     hist, w = train_slp_ensemble(
         np.array([weights], dtype=float), eta, np.array([x], dtype=float),
-        np.array([t], dtype=float), 1, [np.random.default_rng(0)], weight_bound=bound,
+        np.array([t], dtype=float), 1, seed_streams(0, 1), weight_bound=bound,
     )
     return hist[0, 0], w[0]
 
@@ -34,8 +35,7 @@ def test_net_input_values():
 
 def test_net_input_dimension_check():
     with pytest.raises(ValueError):
-        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.zeros((4, 3)), np.zeros(4), 1,
-                           [np.random.default_rng(0)])
+        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.zeros((4, 3)), np.zeros(4), 1, seed_streams(0, 1))
 
 
 def test_logistic_activation_center():
@@ -105,19 +105,16 @@ def test_delta_rule_step_rejects_window_overshoot():
 
 
 def test_window_violation_names_where_it_happened():
-    calls = []
-
-    def step(params, x, t):
-        calls.append(None)
-        late = np.zeros((3, 2))
-        if len(calls) == 3:
-            late[2, 1] = -1.5  # third sample overall: epoch 2, sample 1
-        return np.zeros(3), [np.zeros((3, 2)), late]
-
+    # the slp has one parameter array, so a linear 1-1-1 mlp names array 1:
+    # realization 2's output synapse stays still at epoch 1 (its hidden
+    # output is 0) and asks for exactly -1.5 at epoch 2; the others never move
+    gammas0 = [np.zeros((3, 1, 1)), np.zeros((3, 1, 1))]
+    gammas0[1][2] = -0.125
+    biases0 = [np.zeros((3, 1)), np.zeros((3, 1))]
     with pytest.raises(WindowViolationError, match=r"^realization 2, epoch 2, sample 1: "
                        r"increment -1\.5 to parameter array 1 does not fit in window width 1\.0$"):
-        train_lockstep([np.zeros((3, 2)), np.zeros((3, 2))], step, np.zeros((2, 1)), np.zeros(2), 3,
-                       [np.random.default_rng(r) for r in range(3)], 2.0, 1.0, "single")
+        train_mlp_ensemble(gammas0, biases0, 16.0, np.ones((1, 1)), np.array([0.25]), 3, seed_streams(0, 3),
+                           params=DeviceParams(mu_v=0.0), write_mode="single")
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +147,7 @@ def test_training_is_seed_deterministic():
     runs = []
     for _ in range(2):
         w0 = np.array([[0.2, 0.4, -0.1]])
-        runs.append(train_slp_ensemble(w0, 0.1, xs, ts, 20, [np.random.default_rng(42)]))
+        runs.append(train_slp_ensemble(w0, 0.1, xs, ts, 20, seed_streams(42, 1)))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -159,50 +156,52 @@ def test_training_validates_arguments():
     xs, ts = generate_dataset(Gate.AND, 5, 1).to_arrays()
     w0 = np.zeros((1, 3))
     with pytest.raises(ValueError):
-        train_slp_ensemble(w0, 0.1, xs, ts, 0, [np.random.default_rng(0)])
+        train_slp_ensemble(w0, 0.1, xs, ts, 0, seed_streams(0, 1))
     with pytest.raises(ValueError):
-        train_slp_ensemble(w0, 0.1, xs[:0], ts[:0], 3, [np.random.default_rng(0)])
+        train_slp_ensemble(w0, 0.1, xs[:0], ts[:0], 3, seed_streams(0, 1))
 
 
 def test_memristor_updates_equal_ideal_delta_rule():
     # away from the clamps the device route must retrace the textbook rule
-    # with the naive sigmoid; one generator per run covers init then
+    # with the naive sigmoid; one stream per run covers init then
     # shuffling, in both routes
     for seed in range(6):
-        rng = np.random.default_rng(100 + seed)
-        w0 = glorot_slp_weights(2, [rng])[0]
+        streams = seed_streams(100 + seed, 1)
+        w0 = glorot_slp_weights(2, streams)[0]
         ds = generate_dataset(Gate.XOR if seed % 2 else Gate.OR, 12, seed)
         xs, ts = ds.to_arrays()
 
-        hist, w = train_slp_ensemble(w0[None], 0.1, xs, ts, 40, [rng])
+        hist, w = train_slp_ensemble(w0[None], 0.1, xs, ts, 40, streams)
 
         rng_ref = np.random.default_rng(100 + seed)
-        glorot_slp_weights(2, [rng_ref])  # burn the init draw the same way
+        assert np.array_equal(glorot_slp_loop_init(2, rng_ref), w0)  # the init draw, made the same way
         ref_hist, trail = ideal_slp_run(w0, 0.1, xs, ts, 40, rng_ref, record_weights=True)
+        assert streams.tolist() == [pcg64_row(rng_ref)]
 
         assert np.max(np.abs(hist[0] - ref_hist)) < 1e-12
         assert np.max(np.abs(w[0] - trail[-1])) < 1e-12
 
 
-def test_ensemble_matches_scalar_bit_for_bit(engine):
+def test_ensemble_matches_scalar_bit_for_bit():
     # the oracle is a plain per-sample loop with the trainer's float
     # order; bound 0.3 makes the clamps fire
     ds = generate_dataset(Gate.OR, 20, 9)
     xs, ts = ds.to_arrays()
     seeds = [60, 61, 62, 63, 64]
     for bound in (10.0, 0.3):
-        rngs = [np.random.default_rng(s) for s in seeds]
-        weights0 = np.clip(glorot_slp_weights(2, rngs), -bound, bound)
-        hist_ens, w_ens = train_slp_ensemble(weights0, 0.1, xs, ts, 15, rngs,
+        streams = seed_streams(seeds[0], len(seeds))
+        weights0 = np.clip(glorot_slp_weights(2, streams), -bound, bound)
+        hist_ens, w_ens = train_slp_ensemble(weights0, 0.1, xs, ts, 15, streams,
                                              weight_bound=bound)
         clamped = 0
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            glorot_slp_weights(2, [rng])  # burn the init draw the same way
+            glorot_slp_loop_init(2, rng)  # burn the init draw the same way
             hist, trail = ideal_slp_run(weights0[r], 0.1, xs, ts, 15, rng, record_weights=True,
                                         bound=bound, sigmoid=expit)
             assert np.array_equal(hist, hist_ens[r])
             assert np.array_equal(trail[-1], w_ens[r])
+            assert streams[r].tolist() == pcg64_row(rng)
             clamped += np.count_nonzero(np.abs(trail) == bound)
         assert (clamped > 0) == (bound < 1.0)
 
@@ -211,14 +210,14 @@ def test_ensemble_rejects_mismatched_generators():
     xs = np.zeros((4, 2))
     ts = np.zeros(4)
     with pytest.raises(ValueError):
-        train_slp_ensemble(np.zeros((3, 3)), 0.1, xs, ts, 1, [np.random.default_rng(0)])
+        train_slp_ensemble(np.zeros((3, 3)), 0.1, xs, ts, 1, seed_streams(0, 1))
 
 
 # ------------------------------------------------------- learning behaviour
 
 def test_glorot_draws_stay_inside_limit():
     limit = np.sqrt(6.0 / 3.0)
-    draws = glorot_slp_weights(2, [np.random.default_rng(s) for s in range(400)])
+    draws = glorot_slp_weights(2, seed_streams(0, 400))
     assert np.max(np.abs(draws)) < limit
     assert np.max(np.abs(draws)) > 0.9 * limit  # actually fills the range
 
@@ -228,9 +227,9 @@ def test_or_is_learnable_and_xor_is_not():
     ds_xor = generate_dataset(Gate.XOR, 60, 21)
     for ds, learnable in [(ds_or, True), (ds_xor, False)]:
         xs, ts = ds.to_arrays()
-        rngs = [np.random.default_rng(300 + r) for r in range(5)]
-        weights0 = glorot_slp_weights(2, rngs)
-        hist, _ = train_slp_ensemble(weights0, 0.1, xs, ts, 150, rngs)
+        streams = seed_streams(300, 5)
+        weights0 = glorot_slp_weights(2, streams)
+        hist, _ = train_slp_ensemble(weights0, 0.1, xs, ts, 150, streams)
         ratios = hist[:, -1] / hist[:, 0]
         if learnable:
             assert np.count_nonzero(ratios < 0.25) >= 4
