@@ -312,6 +312,11 @@ def pcg64_row(rng):
     return [s >> 64, s % 2**64, inc >> 64, inc % 2**64, state["has_uint32"], state["uinteger"]]
 
 
+def numpy_streams(seed, n):
+    """seed_streams(seed, n) built by numpy: the rows of default_rng(seed + r) for r < n."""
+    return np.array([pcg64_row(np.random.default_rng(seed + r)) for r in range(n)], dtype=np.uint64)
+
+
 def pairwise_auc(scores, labels):
     """Probability a random positive outscores a random negative, ties at half."""
     scores = np.asarray(scores, dtype=float)

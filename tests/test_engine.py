@@ -1,4 +1,11 @@
-"""The compiled runs against the plain loops of tests/oracles.py: the same bytes, the same draws or the same error."""
+"""The compiled runs against the plain loops of tests/oracles.py: the same bytes, the same draws or the same error.
+
+The two engines of the test names are the compiled run and those numpy
+loops.  Tests parametrized by `source` take their stream rows either from
+the library's `seed_streams` ("compiled") or copied from numpy's own
+generators ("numpy"), so the runs are seen to carry on any PCG64 state,
+not only the ones the library seeded.
+"""
 
 import functools
 import hashlib
@@ -14,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from memperceptron import train
+from memperceptron import harness, train
 from memperceptron.cli import main
 from memperceptron.device import DeviceParams, WindowViolationError, quad_coefficient
 from memperceptron.harness import parse_config, trained_ensemble
@@ -28,12 +35,14 @@ from oracles import (
     glorot_slp_loop_init,
     ideal_mlp_run,
     ideal_slp_run,
+    numpy_streams,
     pcg64_row,
 )
 
 # realization counts for the kernel properties: below one lane block, one
 # partial block, and full blocks with a ragged tail
 REALIZATIONS = [1, 3, 17, 35]
+SOURCES = {"compiled": seed_streams, "numpy": numpy_streams}
 
 
 def outcome(run):
@@ -122,7 +131,9 @@ def test_without_a_compiler_train_exits_2_naming_cc(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
-def test_overflow_is_reported_once_as_a_non_finite_run():
+@pytest.mark.parametrize("source", SOURCES)
+def test_overflow_is_reported_once_as_a_non_finite_run(source, monkeypatch):
+    monkeypatch.setattr(harness, "seed_streams", SOURCES[source])
     config = parse_config(overrides={"model": "mlp", "gate": "XOR", "tau": 1e300, "epochs": 3,
                                      "n_realizations": 3, "dataset_size": 12})
     with warnings.catch_warnings():
@@ -132,7 +143,7 @@ def test_overflow_is_reported_once_as_a_non_finite_run():
             trained_ensemble(config)
 
 
-def test_nan_realization_keeps_the_window_check():
+def test_nan_realization_keeps_the_window_check_on_both_engines():
     # realization 0's increments are NaN; realization 1's is exactly the
     # window width, which must still be rejected
     weights0 = np.array([[np.nan, np.nan, np.nan], [0.0, 0.0, 0.0]])
@@ -144,7 +155,7 @@ def test_nan_realization_keeps_the_window_check():
 
 
 @pytest.mark.parametrize("model", ["slp", "mlp"])
-def test_an_overshoot_inside_the_second_lane_block_is_named(model):
+def test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines(model):
     # only realization 10 of 20 writes at least window_a; the others move
     # by almost nothing (slp) or exactly nothing (mlp)
     n_real, xs, ts = 20, np.ones((1, 2)), np.ones(1)
@@ -273,8 +284,8 @@ def test_clamp_is_np_clip_at_odd_bounds(bound):
     r_on=st.floats(0.001, 0.9),
     seed=st.integers(0, 2**16),
 )
-def test_mlp_kernel_equals_oracle(widths, n_real, n_samples, epochs, eta, b_scale, tau, d_prime,
-                                  window_a, write_mode, r_on, seed):
+def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale, tau, d_prime,
+                                 window_a, write_mode, r_on, seed):
     # widths 1-4, 1-3 hidden layers; small d_prime makes the clamp fire
     rng = np.random.default_rng(seed)
     pairs = list(zip(widths[:-1], widths[1:]))
@@ -304,7 +315,7 @@ def test_mlp_kernel_equals_oracle(widths, n_real, n_samples, epochs, eta, b_scal
     window_a=st.sampled_from([0.05, 0.5, 1.0]),
     seed=st.integers(0, 2**16),
 )
-def test_slp_kernel_equals_oracle(width, n_real, n_samples, epochs, eta, bound, window_a, seed):
+def test_slp_kernel_equals_numpy(width, n_real, n_samples, epochs, eta, bound, window_a, seed):
     rng = np.random.default_rng(seed)
     weights0 = rng.uniform(-bound, bound, (n_real, width + 1))
     xs = rng.uniform(-2.0, 2.0, (n_samples, width))
@@ -344,8 +355,9 @@ def test_seed_streams_hold_the_states_of_default_rng(seed):
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_random_rows_draw_rng_random(seed):
-    streams = train.seed_streams(seed, 5)
+@pytest.mark.parametrize("source", SOURCES)
+def test_random_rows_draw_rng_random(source, seed):
+    streams = SOURCES[source](seed, 5)
     refs = [np.random.default_rng(seed + r) for r in range(5)]
     for k in (3, 1):
         assert train.random_rows(streams, k).tobytes() == np.stack([ref.random(k) for ref in refs]).tobytes()
@@ -365,22 +377,44 @@ def test_shuffle_rows_on_seeded_streams_draw_rng_permutation(seed):
             assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
 
-def test_generator_lists_and_malformed_stream_arrays_are_refused():
-    rngs = [np.random.default_rng(0)]
-    with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
-        glorot_slp_weights(2, rngs)
-    with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
-        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.eye(2), np.ones(2), 1, rngs)
-    read_only = train.seed_streams(0, 2)
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4099])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64])  # the one a stream row holds
+def test_shuffle_rows_draws_rng_permutation(bit_generator, n):
+    # on rows copied from generators seeded by the bit generator itself
+    lib = train.load_library()
+    rngs, refs = ([np.random.Generator(bit_generator(s)) for s in range(3)] for _ in range(2))
+    streams = np.array([pcg64_row(rng) for rng in rngs], dtype=np.uint64)
+    perms = np.empty((3, n), dtype=np.int64)
+    for _ in range(3):
+        lib.shuffle_rows(3, n, streams.ctypes.data, perms.ctypes.data)
+        assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
+    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_other_bit_generators_and_malformed_stream_arrays_are_refused(source):
+    # a trainer takes stream arrays only: a list of generators is refused
+    # whatever its bit generator, PCG64 included
+    for bit_generator in (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937):
+        rngs = [np.random.Generator(bit_generator(0))]
+        state = rngs[0].bit_generator.state
+        with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
+            glorot_slp_weights(2, rngs)
+        with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
+            train_slp_ensemble(np.zeros((1, 3)), 0.1, np.eye(2), np.ones(2), 1, rngs)
+        np.testing.assert_equal(rngs[0].bit_generator.state, state)
+    read_only = SOURCES[source](0, 2)
     read_only.flags.writeable = False
-    for streams in (train.seed_streams(0, 2).astype(np.int64), train.seed_streams(0, 2)[:, :5],
-                    np.asfortranarray(train.seed_streams(0, 2)), read_only):
+    for streams in (SOURCES[source](0, 2).astype(np.int64), SOURCES[source](0, 2)[:, :5],
+                    np.asfortranarray(SOURCES[source](0, 2)), read_only):
         with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
             train.random_rows(streams, 3)
 
 
 @pytest.mark.parametrize("model", ["slp", "mlp"])
-def test_streams_end_in_the_states_of_default_rng(model):
+def test_generators_end_in_the_same_state_on_both_engines(model):
+    # the compiled run's streams against numpy's generators after the same
+    # five permutations
     xs = np.random.default_rng(1).uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
     streams = seed_streams(10, 3)

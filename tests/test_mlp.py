@@ -16,6 +16,7 @@ from oracles import (
     glorot_loop_init,
     ideal_mlp_run,
     ideal_mlp_step,
+    numpy_streams,
     pcg64_row,
     plain_mlp_forward,
 )
@@ -65,9 +66,9 @@ def train_one(weights, biases, ds, epochs, seed, eta=0.1, **kw):
     return hist[0], [g[0] for g in gammas], [b[0] for b in bias_out]
 
 
-def stacked_inits(seed, n, topology=T221):
+def stacked_inits(seed, n, topology=T221, streams_from=seed_streams):
     """Glorot draws on the streams of seeds seed .. seed + n - 1, stacked; also returns the streams."""
-    streams = seed_streams(seed, n)
+    streams = streams_from(seed, n)
     return *glorot_init(topology, streams), streams
 
 
@@ -346,15 +347,18 @@ def test_weights_stay_inside_device_range():
         assert np.all(np.abs(arr) <= 2.0)
 
 
-def test_ensemble_matches_scalar_bit_for_bit():
+@pytest.mark.parametrize("source", ["compiled", "numpy"])
+def test_ensemble_matches_scalar_bit_for_bit(source):
     # at rate 0.1 both gates stage increments too large for one pulse,
     # which burst writes land in full; on OR the first epoch blows up and
-    # the clamp at +/- d_prime/2 fires, in the trainer and the oracle alike
+    # the clamp at +/- d_prime/2 fires, in the trainer and the oracle alike;
+    # the streams are seeded by the library, or copied from numpy's generators
+    streams_from = {"compiled": seed_streams, "numpy": numpy_streams}[source]
     seeds = [70, 71, 72, 73]
     for gate in (Gate.XOR, Gate.OR):
         ds = generate_dataset(gate, 18, 6)
         xs, ts = ds.to_arrays()
-        gammas0, biases0, streams = stacked_inits(seeds[0], len(seeds))
+        gammas0, biases0, streams = stacked_inits(seeds[0], len(seeds), streams_from=streams_from)
         hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, streams)
 
         clamps = 0
@@ -372,7 +376,8 @@ def test_ensemble_matches_scalar_bit_for_bit():
             assert clamps > 0
         with pytest.raises(WindowViolationError):
             train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10,
-                               stacked_inits(seeds[0], len(seeds))[2], write_mode="single")
+                               stacked_inits(seeds[0], len(seeds), streams_from=streams_from)[2],
+                               write_mode="single")
 
 
 def test_xor_is_learnable_by_the_mlp():

@@ -12,7 +12,7 @@ from memperceptron.mlp import train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, slp_forward, train_slp_ensemble
 from memperceptron.train import seed_streams
 
-from oracles import glorot_slp_loop_init, ideal_slp_run, pcg64_row
+from oracles import glorot_slp_loop_init, ideal_slp_run, numpy_streams, pcg64_row
 
 
 def one_step(weights=(0.0, 0.0, 0.0), x=(1, 0), t=1, eta=0.1, bound=10.0):
@@ -182,14 +182,16 @@ def test_memristor_updates_equal_ideal_delta_rule():
         assert np.max(np.abs(w[0] - trail[-1])) < 1e-12
 
 
-def test_ensemble_matches_scalar_bit_for_bit():
+@pytest.mark.parametrize("source", ["compiled", "numpy"])
+def test_ensemble_matches_scalar_bit_for_bit(source):
     # the oracle is a plain per-sample loop with the trainer's float
-    # order; bound 0.3 makes the clamps fire
+    # order; bound 0.3 makes the clamps fire; the streams are seeded by the
+    # library, or copied from numpy's generators
     ds = generate_dataset(Gate.OR, 20, 9)
     xs, ts = ds.to_arrays()
     seeds = [60, 61, 62, 63, 64]
     for bound in (10.0, 0.3):
-        streams = seed_streams(seeds[0], len(seeds))
+        streams = {"compiled": seed_streams, "numpy": numpy_streams}[source](seeds[0], len(seeds))
         weights0 = np.clip(glorot_slp_weights(2, streams), -bound, bound)
         hist_ens, w_ens = train_slp_ensemble(weights0, 0.1, xs, ts, 15, streams,
                                              weight_bound=bound)
