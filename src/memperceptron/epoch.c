@@ -1,8 +1,8 @@
-/* Each model's training run, and the realizations' random streams: numpy's
- * PCG64 seeding, draws and shuffles.  `train.py` calls these through
- * ctypes, and the plain loops of `tests/oracles.py` are their spec: a run
- * repeats their float operations (same operands, same order, no
- * contraction), so it gives their bytes.
+/* The training run of both perceptrons, and the realizations' random
+ * streams: numpy's PCG64 seeding, draws and shuffles.  `train.py` calls
+ * these through ctypes, and the plain loops of `tests/oracles.py` are their
+ * spec: a run repeats their float operations (same operands, same order,
+ * no contraction), so it gives their bytes.
  *
  * A run trains R realizations online for `epochs` epochs.  Realizations run
  * in blocks of LANES, the last one ragged: each operation of a sample runs
@@ -10,7 +10,8 @@
  * independent dependency chains overlap in the core instead of one step
  * waiting on the previous one.  A block loads its streams and parameters
  * once.  Each epoch it draws every lane's permutation of the samples from
- * the lane's stream, presents the samples in that order, and writes each
+ * the lane's stream, presents the samples in that order, each through the
+ * model's per-sample step (slp_sample or mlp_sample), and writes each
  * lane's summed error to histories[r, e].  At the end it stores parameters
  * and streams back.  A parameter is written by adding its increment, then
  * clamping to [-bound, bound].
@@ -201,33 +202,50 @@ static double clamp(double x, double b)
     return x > b ? b : x;
 }
 
+/* A run's arguments (see run) and the sizes of its scratch, which holds for
+ * each lane its permutation, the sample's inputs, the parameters in the
+ * order of p (`weights` SLP weights or MLP gammas, then `nodes` MLP node
+ * biases), then the MLP's work space (see mlp_sample).  The helpers take it
+ * by value, so that no store through a pointer can alias a field. */
+typedef struct {
+    int64_t R, n, n_in, epochs, single, L, weights, nodes, widest;
+    const double *xs, *ts;
+    const int64_t *sizes;
+    uint64_t *streams;
+    double **p, *histories, *inc, *scratch;
+    int64_t *where;
+    double bound, window_a, eta, b_scale, kt, m_prime, r_off, r_on, d;
+} args;
+
 /* Helpers inlined into each block, so that a constant lane count gives lane
  * loops of a known trip count: one lane costs what the plain loop costs,
  * and a full block's loops can use the vector unit, lane by lane. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* Rows r0 .. r0 + nb - 1 of the (R, size) array a, to the lane-major copy q
- * (element e of lane b at q[e * LANES + b]) if in, else back from it. */
-INLINE void lanes(int64_t nb, int64_t r0, double *a, int64_t size, double *q, int in)
-{
-    for (int64_t e = 0; e < size; e++)
-        for (int64_t b = 0; b < nb; b++) {
-            double *row = a + (r0 + b) * size + e;
-            if (in)
-                q[e * LANES + b] = *row;
-            else
-                *row = q[e * LANES + b];
-        }
-}
-
-/* The streams of the block's nb lanes from r0, to g if in, else back. */
-INLINE void lane_streams(int64_t nb, int64_t r0, uint64_t *streams, pcg64 *g, int in)
+/* The streams of the nb lanes from r0 to g, and rows r0 .. r0 + nb - 1 of
+ * each array of p to the lane-major copy q (element e of lane b at q[e *
+ * LANES + b], one array after another), if in; else back from g and q.
+ * With L = 0 (the SLP) p holds one (R, n_in + 1) array, else L (R,
+ * sizes[l] * sizes[l + 1]) then L (R, sizes[l + 1]) arrays. */
+INLINE void lanes(int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q, int in)
 {
     for (int64_t b = 0; b < nb; b++)
         if (in)
-            g[b] = load(streams + (r0 + b) * STREAM);
+            g[b] = load(c.streams + (r0 + b) * STREAM);
         else
-            store(streams + (r0 + b) * STREAM, g + b);
+            store(c.streams + (r0 + b) * STREAM, g + b);
+    for (int64_t a = 0; a < (L ? 2 * L : 1); a++) {
+        int64_t size = !L ? c.n_in + 1 : a < L ? c.sizes[a] * c.sizes[a + 1] : c.sizes[a - L + 1];
+        for (int64_t e = 0; e < size; e++)
+            for (int64_t b = 0; b < nb; b++) {
+                double *row = c.p[a] + (r0 + b) * size + e;
+                if (in)
+                    q[e * LANES + b] = *row;
+                else
+                    *row = q[e * LANES + b];
+            }
+        q += size * LANES;
+    }
 }
 
 /* Adds inc[b] to q[b], then clamps, for each b < n: in a block, the lanes
@@ -273,122 +291,140 @@ static void note(int64_t *where, double *inc, int64_t e, int64_t k, int64_t a, i
         }
 }
 
-/* Whether the violation kept comes no later than sample k of epoch e. */
-INLINE int reached(const int64_t *where, int64_t e, int64_t k)
+/* apply to the nb lanes from r0 of element el of array a, at q, in sample k
+ * of epoch e, keeping a violation with note. */
+INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t a, int64_t el, double *q,
+                const double *inc, args c)
 {
-    return where[0] < e || (where[0] == e && where[1] <= k);
+    int64_t hit = apply(nb, q, inc, c.bound, c.window_a, c.single);
+    if (hit >= 0)
+        note(c.where, c.inc, e, k, a, r0 + hit, el, inc[hit]);
 }
 
-/* p[0] is (R, n_in + 1) weights, the bias weight last.  The block of nb
- * lanes from realization r0 works in scratch, lane-major: its weights and
- * the sample's inputs, then each lane's permutation. */
-INLINE void slp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
-                      const double *ts, int64_t epochs, uint64_t *streams, double **p,
-                      double *histories, double bound, double window_a, int64_t single,
-                      int64_t *where, double *vinc, double eta, double *scratch)
+/* The steps train the nb lanes from r0 on sample k of epoch e, the inputs x
+ * and the target t, and add each lane's error to total[b].  The SLP's is the
+ * delta rule: w is the weights, the bias weight last. */
+INLINE void slp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, const double *x,
+                       const double *t, double *total, args c)
 {
-    double *w = scratch, *x = w + (n_in + 1) * LANES;
-    int64_t *perm = (int64_t *)(x + n_in * LANES);
-    double t[LANES], out[LANES], base[LANES], inc[LANES], total[LANES];
-    pcg64 g[LANES];
-    lane_streams(nb, r0, streams, g, 1);
-    lanes(nb, r0, p[0], n_in + 1, w, 1);
-    for (int64_t e = 0; e < epochs; e++) {
-        for (int64_t b = 0; b < nb; b++) {
-            permutation(g + b, n, perm + b * n);
-            total[b] = 0.0;
-        }
-        for (int64_t k = 0; k < n; k++) {
-            for (int64_t b = 0; b < nb; b++) {
-                int64_t idx = perm[b * n + k];
-                t[b] = ts[idx];
-                for (int64_t i = 0; i < n_in; i++)
-                    x[i * LANES + b] = xs[idx * n_in + i];
-            }
-            for (int64_t b = 0; b < nb; b++)
-                out[b] = w[b] * x[b];
-            for (int64_t i = 1; i < n_in; i++)
-                for (int64_t b = 0; b < nb; b++)
-                    out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
-            for (int64_t b = 0; b < nb; b++)
-                out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
-            for (int64_t b = 0; b < nb; b++) {
-                double diff = t[b] - out[b];
-                base[b] = (eta * diff) * (out[b] * (1.0 - out[b]));
-                total[b] += (0.5 * diff) * diff;
-            }
-            for (int64_t i = 0; i < n_in; i++) {
-                for (int64_t b = 0; b < nb; b++)
-                    inc[b] = base[b] * x[i * LANES + b];
-                int64_t hit = apply(nb, w + i * LANES, inc, bound, window_a, single);
-                if (hit >= 0)
-                    note(where, vinc, e, k, 0, r0 + hit, i, inc[hit]);
-            }
-            int64_t hit = apply(nb, w + n_in * LANES, base, bound, window_a, single);
-            if (hit >= 0)
-                note(where, vinc, e, k, 0, r0 + hit, n_in, base[hit]);
-            if (reached(where, e, k))
-                goto done;
-        }
+    int64_t n_in = c.n_in;
+    double out[LANES], base[LANES], inc[LANES];
+    for (int64_t b = 0; b < nb; b++)
+        out[b] = w[b] * x[b];
+    for (int64_t i = 1; i < n_in; i++)
         for (int64_t b = 0; b < nb; b++)
-            histories[(r0 + b) * epochs + e] = total[b];
+            out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
+    for (int64_t b = 0; b < nb; b++)
+        out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
+    for (int64_t b = 0; b < nb; b++) {
+        double diff = t[b] - out[b];
+        base[b] = (c.eta * diff) * (out[b] * (1.0 - out[b]));
+        total[b] += (0.5 * diff) * diff;
     }
-done:
-    lanes(nb, r0, p[0], n_in + 1, w, 0);
-    lane_streams(nb, r0, streams, g, 0);
-}
-
-/* Allocates the blocks' scratch for the run; returns 2 if that fails, 1
- * after a window violation, else 0. */
-int slp_run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
-            int64_t epochs, uint64_t *streams, double **p, double *histories, double bound,
-            double window_a, int64_t single, int64_t *where, double *inc, double eta)
-{
-    double *scratch = malloc((size_t)((2 * n_in + 1 + n) * LANES) * sizeof *scratch);
-    if (scratch == NULL)
-        return 2;
-    where[0] = INT64_MAX;
-#define SLP(nb) slp_block(nb, r0, n, n_in, xs, ts, epochs, streams, p, histories, bound, window_a, \
-                          single, where, inc, eta, scratch)
-    for (int64_t r0 = 0; r0 < R; r0 += LANES)
-        R - r0 >= LANES ? SLP(LANES) : R - r0 == 1 ? SLP(1) : SLP(R - r0);
-    free(scratch);
-    return where[0] != INT64_MAX;
-}
-
-/* The 2L arrays of p, each (R, size) for its size below, to or from q. */
-INLINE void mlp_lanes(int64_t nb, int64_t r0, double **p, int64_t L, const int64_t *sizes,
-                      double *q, int in)
-{
-    for (int64_t a = 0; a < 2 * L; a++) {
-        int64_t size = a < L ? sizes[a] * sizes[a + 1] : sizes[a - L + 1];
-        lanes(nb, r0, p[a], size, q, in);
-        q += size * LANES;
+    for (int64_t i = 0; i < n_in; i++) {
+        for (int64_t b = 0; b < nb; b++)
+            inc[b] = base[b] * x[i * LANES + b];
+        put(nb, r0, e, k, 0, i, w + i * LANES, inc, c);
     }
+    put(nb, r0, e, k, 0, n_in, w + n_in * LANES, base, c);
 }
 
-/* p[l] is (R, sizes[l], sizes[l + 1]) synapse gammas and p[L + l] is
- * (R, sizes[l + 1]) node biases, `nodes` of them per realization.  The
- * block works in scratch, lane-major: its parameters in the order of p,
- * the sample's inputs, each layer's net input, output and activation
- * derivative, three vectors of the widest layer for the backward pass,
- * then each lane's permutation. */
-INLINE void mlp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const double *xs,
-                      const double *ts, int64_t epochs, uint64_t *streams, double **p,
-                      double *histories, double bound, double window_a, int64_t single,
-                      int64_t *where, double *vinc, double eta, int64_t L, const int64_t *sizes,
-                      double b_scale, double kt, double m_prime, double r_off, double r_on,
-                      double d, double *scratch, int64_t weights, int64_t nodes, int64_t widest)
+/* Backpropagation: gam is the L layers' synapse gammas, then their node
+ * biases; after them come each layer's net input, output and activation
+ * derivative, then three vectors of the widest layer for the backward pass. */
+INLINE void mlp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *gam, const double *x,
+                       const double *t, double *total, args c)
 {
-    double *biases = scratch + weights * LANES, *x = biases + nodes * LANES, *fwd = x + n_in * LANES;
-    double *up = fwd + 3 * nodes * LANES, *delta = up + widest * LANES, *next = delta + widest * LANES;
-    int64_t *perm = (int64_t *)(next + widest * LANES);
-    double total[LANES], t[LANES], acc[LANES], inc[LANES];
+    const int64_t L = c.L, *sizes = c.sizes;
+    const double eta = c.eta, b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
+    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES;
+    double *up = s + 3 * c.nodes * LANES, *delta = up + c.widest * LANES, *next = delta + c.widest * LANES;
+    double acc[LANES], inc[LANES];
     double err[LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
+    const double *in = x;
+    for (int64_t l = 0; l < L; l++) {
+        int64_t ni = sizes[l], no = sizes[l + 1];
+        double *v = s + no * LANES, *dv = v + no * LANES;
+        for (int64_t j = 0; j < no; j++) {
+            for (int64_t b = 0; b < nb; b++)
+                acc[b] = (b_scale * gam[j * LANES + b]) * in[b];
+            for (int64_t i = 1; i < ni; i++)
+                for (int64_t b = 0; b < nb; b++)
+                    acc[b] = acc[b] + (b_scale * gam[(i * no + j) * LANES + b]) * in[i * LANES + b];
+            for (int64_t b = 0; b < nb; b++) {
+                double bj = bias[j * LANES + b];
+                double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
+                double drive = acc[b] > 0.0 ? acc[b] : 0.0;
+                s[j * LANES + b] = acc[b];
+                v[j * LANES + b] = m * acc[b] - kt * (drive * drive);
+                dv[j * LANES + b] = m - (2.0 * kt) * drive;
+            }
+        }
+        in = v;
+        gam += ni * no * LANES;
+        bias += no * LANES;
+        s = dv + no * LANES;
+    }
+    /* in is the network output; up is the pull on a layer's outputs, delta
+     * the pull on its net inputs */
+    int64_t nout = sizes[L];
+    for (int64_t j = 0; j < nout; j++)
+        for (int64_t b = 0; b < nb; b++) {
+            double diff = t[b] - in[j * LANES + b], sq = (0.5 * diff) * diff;
+            err[b] = j ? err[b] + sq : sq;
+            up[j * LANES + b] = diff;
+            delta[j * LANES + b] = diff * in[(nout + j) * LANES + b];
+        }
+    for (int64_t b = 0; b < nb; b++)
+        total[b] += err[b];
+    for (int64_t l = L - 1; l >= 0; l--) {
+        int64_t ni = sizes[l], no = sizes[l + 1];
+        gam -= ni * no * LANES;
+        bias -= no * LANES;
+        s -= 3 * no * LANES;
+        const double *prev = l ? s - 2 * ni * LANES : x;
+        if (l) /* with the weights before this step's update */
+            for (int64_t i = 0; i < ni; i++) {
+                for (int64_t b = 0; b < nb; b++)
+                    acc[b] = delta[b] * (b_scale * gam[i * no * LANES + b]);
+                for (int64_t j = 1; j < no; j++)
+                    for (int64_t b = 0; b < nb; b++)
+                        acc[b] = acc[b] + delta[j * LANES + b] * (b_scale * gam[(i * no + j) * LANES + b]);
+                for (int64_t b = 0; b < nb; b++)
+                    next[i * LANES + b] = acc[b];
+            }
+        /* the increments of a sample do not depend on its writes */
+        for (int64_t i = 0; i < ni; i++)
+            for (int64_t j = 0; j < no; j++) {
+                for (int64_t b = 0; b < nb; b++)
+                    inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
+                put(nb, r0, e, k, l, i * no + j, gam + (i * no + j) * LANES, inc, c);
+            }
+        for (int64_t j = 0; j < no; j++) {
+            for (int64_t b = 0; b < nb; b++)
+                inc[b] = ((eta * up[j * LANES + b]) * c.m_prime) * s[j * LANES + b];
+            put(nb, r0, e, k, L + l, j, bias + j * LANES, inc, c);
+        }
+        if (l) {
+            double *spare = up;
+            up = next;
+            next = spare;
+            for (int64_t i = 0; i < ni; i++)
+                for (int64_t b = 0; b < nb; b++)
+                    delta[i * LANES + b] = s[(i - ni) * LANES + b] * up[i * LANES + b];
+        }
+    }
+}
+
+/* Trains the block of nb lanes from realization r0: the SLP if L = 0, else
+ * the MLP of c.L layers. */
+INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
+{
+    int64_t n = c.n, n_in = c.n_in, *perm = (int64_t *)c.scratch;
+    double *x = c.scratch + n * LANES, *q = x + n_in * LANES, t[LANES], total[LANES];
     pcg64 g[LANES];
-    lane_streams(nb, r0, streams, g, 1);
-    mlp_lanes(nb, r0, p, L, sizes, scratch, 1);
-    for (int64_t e = 0; e < epochs; e++) {
+    lanes(nb, r0, L, c, g, q, 1);
+    for (int64_t e = 0; e < c.epochs; e++) {
         for (int64_t b = 0; b < nb; b++) {
             permutation(g + b, n, perm + b * n);
             total[b] = 0.0;
@@ -396,124 +432,67 @@ INLINE void mlp_block(int64_t nb, int64_t r0, int64_t n, int64_t n_in, const dou
         for (int64_t k = 0; k < n; k++) {
             for (int64_t b = 0; b < nb; b++) {
                 int64_t idx = perm[b * n + k];
-                t[b] = ts[idx];
+                t[b] = c.ts[idx];
                 for (int64_t i = 0; i < n_in; i++)
-                    x[i * LANES + b] = xs[idx * n_in + i];
+                    x[i * LANES + b] = c.xs[idx * n_in + i];
             }
-            const double *in = x;
-            double *gam = scratch, *bias = biases, *s = fwd;
-            for (int64_t l = 0; l < L; l++) {
-                int64_t ni = sizes[l], no = sizes[l + 1];
-                double *v = s + no * LANES, *dv = v + no * LANES;
-                for (int64_t j = 0; j < no; j++) {
-                    for (int64_t b = 0; b < nb; b++)
-                        acc[b] = (b_scale * gam[j * LANES + b]) * in[b];
-                    for (int64_t i = 1; i < ni; i++)
-                        for (int64_t b = 0; b < nb; b++)
-                            acc[b] = acc[b] + (b_scale * gam[(i * no + j) * LANES + b]) * in[i * LANES + b];
-                    for (int64_t b = 0; b < nb; b++) {
-                        double bj = bias[j * LANES + b];
-                        double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
-                        double drive = acc[b] > 0.0 ? acc[b] : 0.0;
-                        s[j * LANES + b] = acc[b];
-                        v[j * LANES + b] = m * acc[b] - kt * (drive * drive);
-                        dv[j * LANES + b] = m - (2.0 * kt) * drive;
-                    }
-                }
-                in = v;
-                gam += ni * no * LANES;
-                bias += no * LANES;
-                s = dv + no * LANES;
-            }
-            /* in is the network output; up is the pull on a layer's outputs,
-             * delta the pull on its net inputs */
-            int64_t nout = sizes[L];
-            for (int64_t j = 0; j < nout; j++)
-                for (int64_t b = 0; b < nb; b++) {
-                    double diff = t[b] - in[j * LANES + b], sq = (0.5 * diff) * diff;
-                    err[b] = j ? err[b] + sq : sq;
-                    up[j * LANES + b] = diff;
-                    delta[j * LANES + b] = diff * in[(nout + j) * LANES + b];
-                }
-            for (int64_t b = 0; b < nb; b++)
-                total[b] += err[b];
-            for (int64_t l = L - 1; l >= 0; l--) {
-                int64_t ni = sizes[l], no = sizes[l + 1];
-                gam -= ni * no * LANES;
-                bias -= no * LANES;
-                s -= 3 * no * LANES;
-                const double *prev = l ? s - 2 * ni * LANES : x;
-                if (l) /* with the weights before this step's update */
-                    for (int64_t i = 0; i < ni; i++) {
-                        for (int64_t b = 0; b < nb; b++)
-                            acc[b] = delta[b] * (b_scale * gam[i * no * LANES + b]);
-                        for (int64_t j = 1; j < no; j++)
-                            for (int64_t b = 0; b < nb; b++)
-                                acc[b] = acc[b] + delta[j * LANES + b] * (b_scale * gam[(i * no + j) * LANES + b]);
-                        for (int64_t b = 0; b < nb; b++)
-                            next[i * LANES + b] = acc[b];
-                    }
-                /* the increments of a sample do not depend on its writes */
-                for (int64_t i = 0; i < ni; i++)
-                    for (int64_t j = 0; j < no; j++) {
-                        for (int64_t b = 0; b < nb; b++)
-                            inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
-                        int64_t hit = apply(nb, gam + (i * no + j) * LANES, inc, bound, window_a, single);
-                        if (hit >= 0)
-                            note(where, vinc, e, k, l, r0 + hit, i * no + j, inc[hit]);
-                    }
-                for (int64_t j = 0; j < no; j++) {
-                    for (int64_t b = 0; b < nb; b++)
-                        inc[b] = ((eta * up[j * LANES + b]) * m_prime) * s[j * LANES + b];
-                    int64_t hit = apply(nb, bias + j * LANES, inc, bound, window_a, single);
-                    if (hit >= 0)
-                        note(where, vinc, e, k, L + l, r0 + hit, j, inc[hit]);
-                }
-                if (l) {
-                    double *spare = up;
-                    up = next;
-                    next = spare;
-                    for (int64_t i = 0; i < ni; i++)
-                        for (int64_t b = 0; b < nb; b++)
-                            delta[i * LANES + b] = s[(i - ni) * LANES + b] * up[i * LANES + b];
-                }
-            }
-            if (reached(where, e, k))
-                goto done;
+            if (L)
+                mlp_sample(nb, r0, e, k, q, x, t, total, c);
+            else
+                slp_sample(nb, r0, e, k, q, x, t, total, c);
+            if (c.where[0] < e || (c.where[0] == e && c.where[1] <= k))
+                goto done; /* no later violation can come first */
         }
         for (int64_t b = 0; b < nb; b++)
-            histories[(r0 + b) * epochs + e] = total[b];
+            c.histories[(r0 + b) * c.epochs + e] = total[b];
     }
 done:
-    mlp_lanes(nb, r0, p, L, sizes, scratch, 0);
-    lane_streams(nb, r0, streams, g, 0);
+    lanes(nb, r0, L, c, g, q, 0);
 }
 
-/* Allocates the blocks' scratch for the run; returns 2 if that fails, 1
- * after a window violation, else 0. */
-int mlp_run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts,
-            int64_t epochs, uint64_t *streams, double **p, double *histories, double bound,
-            double window_a, int64_t single, int64_t *where, double *inc, double eta, int64_t L,
-            const int64_t *sizes, double b_scale, double kt, double m_prime, double r_off,
-            double r_on, double d)
+/* The run's blocks: full ones of LANES lanes, then the rest, a single
+ * realization apart so that R = 1 pays for no idle lanes. */
+INLINE void blocks(int64_t L, args c)
 {
-    int64_t weights = 0, nodes = 0, widest = 0;
+    for (int64_t r0 = 0; r0 < c.R; r0 += LANES)
+        c.R - r0 >= LANES ? block(LANES, r0, L, c)
+                          : c.R - r0 == 1 ? block(1, r0, L, c) : block(c.R - r0, r0, L, c);
+}
+
+/* The MLP's blocks, in a function apart from the SLP's: sharing one, gcc 12
+ * at -O2 kept more values of the SLP's in registers, saved and restored
+ * around every exp call, and its blocks of eight lanes ran 6-8% slower. */
+__attribute__((noinline)) static void mlp_blocks(args c)
+{
+    blocks(c.L, c);
+}
+
+/* Trains the SLP if L = 0, else the MLP of L layers of sizes[0..L], which
+ * alone uses b_scale to d (see mlp_sample).  Allocates the blocks' scratch
+ * for the run; returns 2 if that fails, 1 after a window violation, else 0. */
+int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, int64_t epochs,
+        uint64_t *streams, double **p, double *histories, double bound, double window_a,
+        int64_t single, int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes,
+        double b_scale, double kt, double m_prime, double r_off, double r_on, double d)
+{
+    args c = {R, n, n_in, epochs, single, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
+              histories, inc, NULL, where, bound, window_a, eta, b_scale, kt, m_prime, r_off,
+              r_on, d};
     for (int64_t l = 0; l < L; l++) {
-        weights += sizes[l] * sizes[l + 1];
-        nodes += sizes[l + 1];
-        widest = sizes[l + 1] > widest ? sizes[l + 1] : widest;
+        c.weights += sizes[l] * sizes[l + 1];
+        c.nodes += sizes[l + 1];
+        c.widest = sizes[l + 1] > c.widest ? sizes[l + 1] : c.widest;
     }
     /* doubles per lane, the permutation's int64s included */
-    int64_t width = weights + nodes + n_in + 3 * nodes + 3 * widest + n;
-    double *scratch = malloc((size_t)(width * LANES) * sizeof *scratch);
-    if (scratch == NULL)
+    int64_t width = n + n_in + c.weights + 4 * c.nodes + 3 * c.widest;
+    c.scratch = malloc((size_t)(width * LANES) * sizeof *c.scratch);
+    if (c.scratch == NULL)
         return 2;
     where[0] = INT64_MAX;
-#define MLP(nb) mlp_block(nb, r0, n, n_in, xs, ts, epochs, streams, p, histories, bound, window_a, \
-                          single, where, inc, eta, L, sizes, b_scale, kt, m_prime, r_off, r_on, d, \
-                          scratch, weights, nodes, widest)
-    for (int64_t r0 = 0; r0 < R; r0 += LANES)
-        R - r0 >= LANES ? MLP(LANES) : R - r0 == 1 ? MLP(1) : MLP(R - r0);
-    free(scratch);
+    if (L)
+        mlp_blocks(c);
+    else
+        blocks(0, c);
+    free(c.scratch);
     return where[0] != INT64_MAX;
 }

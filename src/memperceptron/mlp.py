@@ -25,8 +25,8 @@ slope-bias semantics carries the device's slope response m' = dm/dgamma_b
 instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware; changes too large for one pulse go out
 as a burst of pulses by default, or raise in "single" write mode.
-`train_mlp_ensemble` runs many seeded networks through the shared run in
-`train`, compiled as `mlp_run`.
+`train_mlp_ensemble` runs many seeded networks through the run shared
+with the SLP in `train`, with backpropagation as its per-sample step.
 """
 
 from __future__ import annotations
@@ -56,26 +56,27 @@ def glorot_limit(n_in: int, n_out: int) -> float:
     return float(np.sqrt(6.0 / (n_in + n_out)))
 
 
+def glorot_layer(n_in: int, n_out: int, streams: np.ndarray) -> np.ndarray:
+    """Each stream's rng.uniform(-limit, limit, (n_in + 1) * n_out), limit = glorot_limit."""
+    limit = glorot_limit(n_in, n_out)
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
+    return -limit + (limit - -limit) * random_rows(streams, (n_in + 1) * n_out)
+
+
 def glorot_init(topology: Topology, streams: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per stream.
 
     streams is a stream array (see `train.seed_streams`).  Bias weights
     are drawn from the same interval as their layer.  Each stream makes
-    one rng.random draw, split in the order W1, b1, W2, b2, ... and
-    scaled as rng.uniform scales it: the values and the final state of
-    one rng.uniform call per array.
-    Returns per-layer weights (realizations, n_in, n_out) and biases
-    (realizations, n_out).
+    one `glorot_layer` draw per layer, split in the order W1, b1, W2, b2,
+    ...: the values and the final state of one rng.uniform call per
+    array.  Returns per-layer weights (realizations, n_in, n_out) and
+    biases (realizations, n_out).
     """
-    pairs = list(zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]))
-    draws = random_rows(streams, sum((n_in + 1) * n_out for n_in, n_out in pairs))
-    weights, biases, start = [], [], 0
-    for n_in, n_out in pairs:
-        limit = glorot_limit(n_in, n_out)
-        # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
-        layer = -limit + (limit - -limit) * draws[:, start:start + (n_in + 1) * n_out]
-        start += (n_in + 1) * n_out
-        weights.append(layer[:, :n_in * n_out].reshape(len(draws), n_in, n_out))
+    weights, biases = [], []
+    for n_in, n_out in zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]):
+        layer = glorot_layer(n_in, n_out, streams)
+        weights.append(layer[:, :n_in * n_out].reshape(len(layer), n_in, n_out))
         biases.append(layer[:, n_in * n_out:])
     return weights, biases
 
@@ -122,9 +123,8 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
     shapes = [np.shape(a) for a in (*gammas0, *biases0)]
     if 0 in sizes or shapes != want + [(r, n_out) for r, _, n_out in want]:
         raise ValueError(f"gammas0 must be {want} (no width 0) for {xs.shape[1]} inputs, biases0 to match")
-    kernel = ("mlp_run", (eta, n_layers, np.array(sizes, dtype=np.int64), b_scale,
-                          quad_coefficient(params) * tau, bias_drift_slope(params),
-                          params.r_off, params.r_on, params.d))
+    device = (b_scale, quad_coefficient(params) * tau, bias_drift_slope(params), params.r_off,
+              params.r_on, params.d)
     histories, final = train_lockstep(list(gammas0) + list(biases0), xs, ts, epochs, streams,
-                                      d_prime / 2.0, window_a, write_mode, kernel)
+                                      d_prime / 2.0, window_a, write_mode, eta, sizes, device)
     return histories, final[:n_layers], final[n_layers:]

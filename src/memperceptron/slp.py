@@ -9,7 +9,7 @@ the requested amount (then clamps at the variable bounds).  Every update
 must fit a single pulse.
 
 `train_slp_ensemble` runs many independently seeded machines through
-the shared run in `train`, compiled as `slp_run`.
+the run shared with the MLP in `train`, with the delta rule as its step.
 """
 
 from __future__ import annotations
@@ -17,21 +17,18 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .train import random_rows, train_lockstep
+from .mlp import glorot_layer
+from .train import train_lockstep
 
 
 def glorot_slp_weights(input_dim: int, streams: np.ndarray) -> np.ndarray:
     """Uniform draws in +/- sqrt(6 / (fan_in + 1)) for weights and bias, a row per stream.
 
-    streams is a stream array (see `train.seed_streams`).  Each stream
-    makes one rng.random draw, scaled as rng.uniform scales it: the
-    values and the final state of rng.uniform(-limit, limit, input_dim +
-    1).  Returns (realizations, input_dim + 1).
+    The one-output case of `mlp.glorot_layer`: the values and the final
+    state of rng.uniform(-limit, limit, input_dim + 1) on each stream.
+    Returns (realizations, input_dim + 1).
     """
-    limit = np.sqrt(6.0 / (input_dim + 1))
-    draws = random_rows(streams, input_dim + 1)
-    # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
-    return -limit + (limit - -limit) * draws
+    return glorot_layer(input_dim, 1, streams)
 
 
 def slp_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -61,5 +58,5 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
     if np.ndim(weights0) != 2 or xs.shape[1] != np.shape(weights0)[1] - 1:
         raise ValueError(f"weights0 of shape {np.shape(weights0)} does not fit {xs.shape[1]} inputs")
     histories, (w,) = train_lockstep([weights0], xs, ts, epochs, streams, weight_bound, window_a,
-                                     "single", ("slp_run", (eta,)))
+                                     "single", eta)
     return histories, w
