@@ -16,11 +16,12 @@
  * and streams back.  A parameter is written by adding its increment, then
  * clamping to [-bound, bound].
  *
- * In single write mode an increment with |inc| >= window_a is a window
- * violation.  The run reports the first one in the order (epoch, sample,
- * parameter array in the order of p, realization, element) in where[0..4],
- * with its increment in *inc.  A block stops after the sample of the first
- * violation found so far, since no later one can come first.
+ * The SLP writes each weight with one pulse, so an increment with |inc| >=
+ * window_a is a window violation: the weight is not written, and the run
+ * reports the first violation in the order (epoch, sample, realization,
+ * weight) in where[0..3], with its increment in *inc.  A block stops after
+ * the sample of the first violation found so far, since no later one can
+ * come first.  The MLP writes bursts of pulses, which land in full.
  */
 #include <math.h>
 #include <stdint.h>
@@ -208,7 +209,7 @@ static double clamp(double x, double b)
  * biases), then the MLP's work space (see mlp_sample).  The helpers take it
  * by value, so that no store through a pointer can alias a field. */
 typedef struct {
-    int64_t R, n, n_in, epochs, single, L, weights, nodes, widest;
+    int64_t R, n, n_in, epochs, L, weights, nodes, widest;
     const double *xs, *ts;
     const int64_t *sizes;
     uint64_t *streams;
@@ -249,56 +250,49 @@ INLINE void lanes(int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q
 }
 
 /* Adds inc[b] to q[b], then clamps, for each b < n: in a block, the lanes
- * of one parameter.  In single mode an increment with |inc| >= window_a
- * writes nothing and the call returns the first such b; else it returns -1. */
-INLINE int64_t apply(int64_t n, double *q, const double *inc, double bound, double window_a,
-                     int64_t single)
+ * of one parameter.  This is a burst write, which lands in full. */
+INLINE void burst(int64_t n, double *q, const double *inc, double bound)
 {
-    if (single) {
-        int over = 0;
-        for (int64_t b = 0; b < n; b++)
-            over |= fabs(inc[b]) >= window_a;
-        if (over) {
-            int64_t b = 0;
-            while (!(fabs(inc[b]) >= window_a))
-                b++;
-            return b;
-        }
-    }
     for (int64_t b = 0; b < n; b++)
         q[b] = clamp(q[b] + inc[b], bound);
+}
+
+/* burst, as single pulses: if an increment has |inc| >= window_a, nothing
+ * is written and the call returns the first such b; else it returns -1. */
+INLINE int64_t apply(int64_t n, double *q, const double *inc, double bound, double window_a)
+{
+    int over = 0;
+    for (int64_t b = 0; b < n; b++)
+        over |= fabs(inc[b]) >= window_a;
+    if (over) {
+        int64_t b = 0;
+        while (!(fabs(inc[b]) >= window_a))
+            b++;
+        return b;
+    }
+    burst(n, q, inc, bound);
     return -1;
 }
 
-/* apply, on n variables at once: the runs' write, exported for its tests. */
-int64_t write_pulses(int64_t n, double *q, const double *inc, double bound, double window_a,
-                     int64_t single)
+/* apply, on n variables at once: the SLP's write, exported for its tests. */
+int64_t write_pulses(int64_t n, double *q, const double *inc, double bound, double window_a)
 {
-    return apply(n, q, inc, bound, window_a, single);
+    return apply(n, q, inc, bound, window_a);
 }
 
-/* Keeps the violation (epoch e, sample k, array a, realization r, element
- * el) and its increment in where and *inc if it comes before the one kept. */
-static void note(int64_t *where, double *inc, int64_t e, int64_t k, int64_t a, int64_t r,
-                 int64_t el, double value)
-{
-    int64_t key[5] = {e, k, a, r, el};
-    for (int i = 0; i < 5 && key[i] <= where[i]; i++)
-        if (key[i] < where[i]) {
-            memcpy(where, key, sizeof key);
-            *inc = value;
-            return;
-        }
-}
-
-/* apply to the nb lanes from r0 of element el of array a, at q, in sample k
- * of epoch e, keeping a violation with note. */
-INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t a, int64_t el, double *q,
+/* apply to the nb lanes from r0 of weight i, at q, in sample k of epoch e.
+ * A violation's key (e, k, realization, i) goes to c.where and its
+ * increment to *c.inc if it comes before the one kept. */
+INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t i, double *q,
                 const double *inc, args c)
 {
-    int64_t hit = apply(nb, q, inc, c.bound, c.window_a, c.single);
-    if (hit >= 0)
-        note(c.where, c.inc, e, k, a, r0 + hit, el, inc[hit]);
+    int64_t hit = apply(nb, q, inc, c.bound, c.window_a), key[4] = {e, k, r0 + hit, i};
+    for (int j = 0; hit >= 0 && j < 4 && key[j] <= c.where[j]; j++)
+        if (key[j] < c.where[j]) {
+            memcpy(c.where, key, sizeof key);
+            *c.inc = inc[hit];
+            return;
+        }
 }
 
 /* The steps train the nb lanes from r0 on sample k of epoch e, the inputs x
@@ -324,16 +318,16 @@ INLINE void slp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, 
     for (int64_t i = 0; i < n_in; i++) {
         for (int64_t b = 0; b < nb; b++)
             inc[b] = base[b] * x[i * LANES + b];
-        put(nb, r0, e, k, 0, i, w + i * LANES, inc, c);
+        put(nb, r0, e, k, i, w + i * LANES, inc, c);
     }
-    put(nb, r0, e, k, 0, n_in, w + n_in * LANES, base, c);
+    put(nb, r0, e, k, n_in, w + n_in * LANES, base, c);
 }
 
 /* Backpropagation: gam is the L layers' synapse gammas, then their node
  * biases; after them come each layer's net input, output and activation
  * derivative, then three vectors of the widest layer for the backward pass. */
-INLINE void mlp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *gam, const double *x,
-                       const double *t, double *total, args c)
+INLINE void mlp_sample(int64_t nb, double *gam, const double *x, const double *t, double *total,
+                       args c)
 {
     const int64_t L = c.L, *sizes = c.sizes;
     const double eta = c.eta, b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
@@ -398,12 +392,12 @@ INLINE void mlp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *gam
             for (int64_t j = 0; j < no; j++) {
                 for (int64_t b = 0; b < nb; b++)
                     inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
-                put(nb, r0, e, k, l, i * no + j, gam + (i * no + j) * LANES, inc, c);
+                burst(nb, gam + (i * no + j) * LANES, inc, c.bound);
             }
         for (int64_t j = 0; j < no; j++) {
             for (int64_t b = 0; b < nb; b++)
                 inc[b] = ((eta * up[j * LANES + b]) * c.m_prime) * s[j * LANES + b];
-            put(nb, r0, e, k, L + l, j, bias + j * LANES, inc, c);
+            burst(nb, bias + j * LANES, inc, c.bound);
         }
         if (l) {
             double *spare = up;
@@ -437,7 +431,7 @@ INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
                     x[i * LANES + b] = c.xs[idx * n_in + i];
             }
             if (L)
-                mlp_sample(nb, r0, e, k, q, x, t, total, c);
+                mlp_sample(nb, q, x, t, total, c);
             else
                 slp_sample(nb, r0, e, k, q, x, t, total, c);
             if (c.where[0] < e || (c.where[0] == e && c.where[1] <= k))
@@ -467,15 +461,16 @@ __attribute__((noinline)) static void mlp_blocks(args c)
     blocks(c.L, c);
 }
 
-/* Trains the SLP if L = 0, else the MLP of L layers of sizes[0..L], which
- * alone uses b_scale to d (see mlp_sample).  Allocates the blocks' scratch
- * for the run; returns 2 if that fails, 1 after a window violation, else 0. */
+/* Trains the SLP if L = 0, which alone uses window_a, where and inc, else
+ * the MLP of L layers of sizes[0..L], which alone uses b_scale to d (see
+ * mlp_sample).  Allocates the blocks' scratch for the run; returns 2 if that
+ * fails, 1 after a window violation, else 0. */
 int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, int64_t epochs,
         uint64_t *streams, double **p, double *histories, double bound, double window_a,
-        int64_t single, int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes,
-        double b_scale, double kt, double m_prime, double r_off, double r_on, double d)
+        int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes, double b_scale,
+        double kt, double m_prime, double r_off, double r_on, double d)
 {
-    args c = {R, n, n_in, epochs, single, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
+    args c = {R, n, n_in, epochs, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
               histories, inc, NULL, where, bound, window_a, eta, b_scale, kt, m_prime, r_off,
               r_on, d};
     for (int64_t l = 0; l < L; l++) {

@@ -53,7 +53,8 @@ class ExperimentConfig:
     key accepts (a tuple's first element types its elements), and
     construction rejects any value out of range, so every instance can
     be run.  learning_rate=None means the per-model protocol default:
-    0.1 everywhere except the mlp on XOR, which uses 0.01.
+    0.1 everywhere except the mlp on XOR, which uses 0.01.  window_a is
+    slp only; d_prime to topology are mlp only.
     """
 
     model: str = "slp"
@@ -230,9 +231,8 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
 
         def train(params, epochs):
             histories, gammas, biases = train_mlp_ensemble(
-                *params, eta, xs, ts, epochs, streams,
-                params=device_params(config), tau=config.tau, d_prime=config.d_prime,
-                b_scale=config.b_scale, window_a=config.window_a,
+                *params, eta, xs, ts, epochs, streams, params=device_params(config),
+                tau=config.tau, d_prime=config.d_prime, b_scale=config.b_scale,
             )
             return histories, (gammas, biases)
 
@@ -268,16 +268,20 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
 
 
 def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarray:
-    """Scores of every trained realization on a batch, (realizations, samples)."""
+    """Scores of every trained realization on a batch, (realizations, samples);
+    a score that is not finite raises FloatingPointError."""
     if config.model == "slp":
-        return slp_forward(final[:, None, :], xs)
-    gammas, biases = final
-    params = device_params(config)
-    layers = mlp_forward(
-        [g[:, None] for g in gammas], [b[:, None] for b in biases], xs,
-        params, quad_coefficient(params) * config.tau, config.b_scale,
-    )
-    return layers[-1][2][:, :, 0]
+        scores = slp_forward(final[:, None, :], xs)
+    else:
+        params = device_params(config)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            scores = mlp_forward([g[:, None] for g in final[0]], [b[:, None] for b in final[1]], xs, params,
+                                 quad_coefficient(params) * config.tau, config.b_scale)[-1][2][:, :, 0]
+    bad = ~np.isfinite(scores).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(f"{config.model} {config.gate}: realization {int(bad.argmax())} "
+                                 f"is not finite on the evaluation set")
+    return scores
 
 
 def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
@@ -369,4 +373,5 @@ def run_protocol(config: ExperimentConfig):
         yield _emit_curve(pair, aggregate_curve(histories))
         if (pair.model, pair.gate) in evals:
             xs, ts = evals[(pair.model, pair.gate)]
-            yield _emit_roc(pair, ensemble_scores(pair, taken, xs)[0], ts)[0]
+            first = taken[:1] if pair.model == "slp" else tuple([a[:1] for a in part] for part in taken)
+            yield _emit_roc(pair, ensemble_scores(pair, first, xs)[0], ts)[0]

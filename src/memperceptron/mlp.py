@@ -23,8 +23,8 @@ the frozen pre-update weights, connections move by eta * delta_j * v_i,
 and each node's bias variable follows its own cost gradient, which under
 slope-bias semantics carries the device's slope response m' = dm/dgamma_b
 instead of the activation derivative.  Every change is delivered through
-its device's addressing hardware; changes too large for one pulse go out
-as a burst of pulses by default, or raise in "single" write mode.
+its device's addressing hardware as a burst of pulses, which lands in
+full however large the change, then clamps to the device range.
 `train_mlp_ensemble` runs many seeded networks through the run shared
 with the SLP in `train`, with backpropagation as its per-sample step.
 """
@@ -105,8 +105,7 @@ def mlp_forward(gammas, biases, x, params: DeviceParams, kt: float, b_scale: flo
 
 def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
                        epochs: int, streams: np.ndarray, params: DeviceParams | None = None,
-                       tau: float = 1.0, d_prime: float = 4.0, b_scale: float = 1.0,
-                       window_a: float = 1.0, write_mode: str = "burst"):
+                       tau: float = 1.0, d_prime: float = 4.0, b_scale: float = 1.0):
     """Backprop many seeded networks, one stream row each.
 
     gammas0[l] is (realizations, n_in, n_out) of synapse internal
@@ -126,5 +125,5 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
     device = (b_scale, quad_coefficient(params) * tau, bias_drift_slope(params), params.r_off,
               params.r_on, params.d)
     histories, final = train_lockstep(list(gammas0) + list(biases0), xs, ts, epochs, streams,
-                                      d_prime / 2.0, window_a, write_mode, eta, sizes, device)
+                                      d_prime / 2.0, np.inf, eta, sizes, device)
     return histories, final[:n_layers], final[n_layers:]

@@ -57,6 +57,5 @@ def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.
     """
     if np.ndim(weights0) != 2 or xs.shape[1] != np.shape(weights0)[1] - 1:
         raise ValueError(f"weights0 of shape {np.shape(weights0)} does not fit {xs.shape[1]} inputs")
-    histories, (w,) = train_lockstep([weights0], xs, ts, epochs, streams, weight_bound, window_a,
-                                     "single", eta)
+    histories, (w,) = train_lockstep([weights0], xs, ts, epochs, streams, weight_bound, window_a, eta)
     return histories, w

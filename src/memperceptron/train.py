@@ -6,10 +6,10 @@ hardware, clamp to the device range.  Only the increments differ by
 model.  A whole run, every epoch's shuffles included, is one call of
 `run` in `epoch.c`, which this module builds and loads.
 
-A stored variable is written by one pulse through its addressing window,
-which adds exactly the increment and touches no other variable.  One
-pulse fits only |increment| < window_a; larger increments go out as a
-burst of pulses, or raise in "single" write mode.
+A stored variable is written through its addressing window, which adds
+exactly the increment and touches no other variable.  The SLP writes one
+pulse per weight, which fits only |increment| < window_a, or raises
+WindowViolationError; the MLP writes bursts of pulses, which land in full.
 
 Each realization draws its starting weights and its shuffles from its
 own PCG64 stream, a row of a stream array (`seed_streams`) that the
@@ -35,9 +35,9 @@ _SOURCE = Path(__file__).with_name("epoch.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # R, samples, inputs, xs, ts, epochs, streams, parameter pointers, histories,
-# bound, window_a, single, violation key, violation increment, eta, layers,
-# sizes, then the MLP's b_scale, kappa * tau, m', r_off, r_on, d
-_RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _I, _P, _P, _F, _I, _P] + [_F] * 6
+# bound, window_a, violation key, violation increment, eta, layers, sizes,
+# then the MLP's b_scale, kappa * tau, m', r_off, r_on, d
+_RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] * 6
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
 
 
@@ -68,7 +68,7 @@ def load_library():
     lib.run.argtypes, lib.run.restype = _RUN, ctypes.c_int
     for name in ("seed_streams", "random_rows", "shuffle_rows"):  # R, a count, two arrays
         getattr(lib, name).argtypes, getattr(lib, name).restype = [_I, _I, _P, _P], None
-    lib.write_pulses.argtypes, lib.write_pulses.restype = [_I, _P, _P, _F, _F, _I], _I
+    lib.write_pulses.argtypes, lib.write_pulses.restype = [_I, _P, _P, _F, _F], _I
     return lib
 
 
@@ -106,8 +106,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
 
 
 def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams: np.ndarray,
-                   bound: float, window_a: float, write_mode: str, eta: float, sizes=None,
-                   device=(0.0,) * 6):
+                   bound: float, window_a: float, eta: float, sizes=None, device=(0.0,) * 6):
     """Train every realization online, the whole run in one compiled call.
 
     params is a list of arrays with realizations on the leading axis
@@ -115,20 +114,17 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     `seed_streams`, a row per realization, advanced in place; each
     stream is consumed by one permutation per epoch, the draws of
     rng.permutation(samples), and by nothing else.  Increments are
-    added, then clamped to [-bound, bound].  In "single" mode an
-    increment reaching window_a raises WindowViolationError for the
-    first one by epoch, sample, array (in the order of params),
-    realization and element, and leaves each stream where its lane block
-    stopped; in "burst" mode it lands in full as a pulse train.  Without
-    sizes the run trains the SLP on its weights; the MLP passes its
-    gammas, then biases, sizes as its layer widths, input first, and
-    device as (b_scale, kappa * tau, m', r_off, r_on, d).  A run that
-    cannot allocate its scratch raises MemoryError.  Returns (histories,
-    params), histories being (realizations, epochs) of the summed
-    pre-update error.
+    added, then clamped to [-bound, bound].  Without sizes the run
+    trains the SLP on its weights, in single pulses: an increment
+    reaching window_a raises WindowViolationError for the first one by
+    epoch, sample, realization and weight, and leaves each stream where
+    its lane block stopped.  The MLP passes its gammas, then biases,
+    sizes as its layer widths, input first, and device as (b_scale,
+    kappa * tau, m', r_off, r_on, d); it writes bursts, and ignores
+    window_a.  A run that cannot allocate its scratch raises
+    MemoryError.  Returns (histories, params), histories being
+    (realizations, epochs) of the summed pre-update error.
     """
-    if write_mode not in ("burst", "single"):
-        raise ValueError(f"write_mode must be 'burst' or 'single', got {write_mode!r}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     n_samples = xs.shape[0]
@@ -141,20 +137,19 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
     histories = np.empty((n_real, epochs))
-    where, increment = (_I * 5)(), _F()
+    where, increment = (_I * 4)(), _F()
     # the layer count and widths; 0 layers runs the SLP
     layers = (0, None) if sizes is None else (len(sizes) - 1, (_I * len(sizes))(*sizes))
     status = load_library().run(
         n_real, n_samples, xs.shape[1], xs.ctypes.data, ts.ctypes.data, epochs, streams.ctypes.data,
         (ctypes.c_void_p * len(params))(*[p.ctypes.data for p in params]), histories.ctypes.data,
-        bound, window_a, write_mode == "single", where, ctypes.byref(increment), eta,
-        *layers, *device)
+        bound, window_a, where, ctypes.byref(increment), eta, *layers, *device)
     if status == 2:
         raise MemoryError("run: cannot allocate its scratch")
     if status == 1:
-        epoch, sample, array, r, _ = where
+        epoch, sample, r, weight = where
         raise WindowViolationError(
             f"realization {r}, epoch {epoch + 1}, sample {sample + 1}: increment "
-            f"{increment.value!r} to parameter array {array} does not fit in window width {window_a}"
+            f"{increment.value!r} to weight {weight} does not fit in window width {window_a}"
         )
     return histories, params

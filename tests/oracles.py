@@ -44,20 +44,20 @@ def clamp(value, bound):
 
 class Overshoot(Exception):
     """A single-pulse increment reaching the window: key is (epoch, sample,
-    parameter array, element), each counted from 0."""
+    weight), each counted from 0."""
 
     def __init__(self, key, increment):
         super().__init__(key, increment)
         self.key, self.increment = key, increment
 
 
-def check_window(increments, window_a, epoch, sample, array):
-    """Raise Overshoot at the first of the flat increments with |inc| >=
-    window_a; window_a None (burst writes) checks nothing."""
+def check_window(increments, window_a, epoch, sample):
+    """Raise Overshoot at the first of the increments with |inc| >=
+    window_a; window_a None checks nothing."""
     if window_a is not None:
-        for element, inc in enumerate(increments):
+        for weight, inc in enumerate(increments):
             if abs(inc) >= window_a:
-                raise Overshoot((epoch, sample, array, element), float(inc))
+                raise Overshoot((epoch, sample, weight), float(inc))
 
 
 def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
@@ -90,7 +90,7 @@ def ideal_slp_run(w0, eta, xs, ts, epochs, rng, record_weights=False,
             total += 0.5 * diff * diff
             grad = eta * diff * (out * (1.0 - out))
             increments = [grad * xs[i, j] for j in range(n)] + [grad]
-            check_window(increments, window_a, e, k, 0)
+            check_window(increments, window_a, e, k)
             for j in range(n + 1):
                 w[j] = clamp(w[j] + increments[j], bound)
             if record_weights:
@@ -239,14 +239,11 @@ def clamp_all(arrays, bound):
 
 
 def ideal_mlp_run(gammas0, biases0, eta, xs, ts, epochs, rng, slope_params, kt, bound,
-                  b_scale=1.0, window_a=None):
+                  b_scale=1.0):
     """Online backprop over epochs of rng.permutation order, plain arrays.
 
     Loops ideal_mlp_step and clamps every gamma and bias to +/- bound
     after each step, as a burst write followed by the device clamp would.
-    Given window_a, every write is a single pulse: the first increment
-    with |inc| >= window_a, arrays in the order gammas by layer, then
-    biases by layer, raises Overshoot before the sample writes anything.
     Returns the per-epoch summed cost, the final gammas and biases, and
     how many writes the clamp cut short.
     """
@@ -255,13 +252,11 @@ def ideal_mlp_run(gammas0, biases0, eta, xs, ts, epochs, rng, slope_params, kt, 
     history = []
     clamps = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is compared as it is
-        for e in range(epochs):
+        for _ in range(epochs):
             total = 0.0
-            for k, i in enumerate(rng.permutation(len(xs))):
+            for i in rng.permutation(len(xs)):
                 inc_g, inc_b, cost = ideal_mlp_step(gammas, biases, xs[i], ts[i], eta,
                                                     slope_params, kt, b_scale)
-                for a, inc in enumerate(inc_g + inc_b):
-                    check_window(inc.ravel(), window_a, e, k, a)
                 gammas, hits_g = clamp_all([g + inc for g, inc in zip(gammas, inc_g)], bound)
                 biases, hits_b = clamp_all([b + inc for b, inc in zip(biases, inc_b)], bound)
                 clamps += hits_g + hits_b

@@ -218,8 +218,8 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
 
 
 def test_criterion_7_window_isolation():
-    # every write goes through the training runs' own write, exported as
-    # write_pulses: one increment on one variable, in "single" mode at bound 2
+    # every write goes through the slp's own write, exported as write_pulses:
+    # one increment on one variable, a single pulse at bound 2
     lib = load_library()
     rng = np.random.default_rng(7)
     writes = 0
@@ -231,7 +231,7 @@ def test_criterion_7_window_isolation():
         for idx, step in zip(target, delta):
             before, inc = gamma.copy(), np.zeros(n)
             inc[idx] = step
-            assert lib.write_pulses(n, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0, 1) == -1
+            assert lib.write_pulses(n, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0) == -1
             new = before[idx] + step
             if new < -2.0:
                 new = -2.0
@@ -245,7 +245,7 @@ def test_criterion_7_window_isolation():
     # and the refused write changes nothing
     for bad in (1.0, -1.0, 1.5, -1.5):
         gamma, inc = np.zeros(3), np.array([0.0, bad, 0.0])
-        assert lib.write_pulses(3, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0, 1) == 1
+        assert lib.write_pulses(3, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0) == 1
         assert np.array_equal(gamma, np.zeros(3))
     print(f"criterion 7: {writes} randomized writes through write_pulses, addressed variable "
           f"only, bit-exact; |delta| >= a is refused for both signs")

@@ -10,6 +10,7 @@ not only the ones the library seeded.
 import functools
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import types
@@ -53,22 +54,22 @@ def outcome(run):
         return str(exc)
 
 
-def oracle_outcome(run_one, n_real, seed, window_a):
+def oracle_outcome(run_one, n_real, seed, window_a=None):
     """run_one(r, rng) for each realization r, rng being the generator of its
-    stream, stacked as a trainer returns its result; or, if any overshoots,
-    the trainer's error text for the first by (epoch, sample, array,
-    realization, element)."""
+    stream, stacked as a trainer returns its result; or, if any overshoots
+    window_a (the SLP's runs only), the trainer's error text for the first
+    by (epoch, sample, realization, weight)."""
     runs, overshoots = [], []
     for r in range(n_real):
         try:
             runs.append(run_one(r, np.random.default_rng(seed + r)))
         except Overshoot as exc:
-            epoch, sample, array, element = exc.key
-            overshoots.append((epoch, sample, array, r, element, exc.increment))
+            epoch, sample, weight = exc.key
+            overshoots.append((epoch, sample, r, weight, exc.increment))
     if overshoots:
-        epoch, sample, array, r, _, increment = min(overshoots)
+        epoch, sample, r, weight, increment = min(overshoots)
         return (f"realization {r}, epoch {epoch + 1}, sample {sample + 1}: increment {increment!r} "
-                f"to parameter array {array} does not fit in window width {window_a}")
+                f"to weight {weight} does not fit in window width {window_a}")
     return [[np.stack(layer) for layer in zip(*part)] if isinstance(part[0], list) else np.stack(part)
             for part in zip(*runs)]
 
@@ -154,50 +155,27 @@ def test_nan_realization_keeps_the_window_check_on_both_engines():
     assert got.startswith("realization 1, epoch 1, sample 1: increment 1.0 ")
 
 
-@pytest.mark.parametrize("model", ["slp", "mlp"])
-def test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines(model):
+def test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines():
     # only realization 10 of 20 writes at least window_a; the others move
-    # by almost nothing (slp) or exactly nothing (mlp)
+    # by almost nothing
     n_real, xs, ts = 20, np.ones((1, 2)), np.ones(1)
     weights0 = np.full((n_real, 3), 5.0)
     weights0[10] = 0.0
-    gammas0 = [np.zeros((n_real, 2, 2)), np.zeros((n_real, 2, 1))]
-    gammas0[0][10], gammas0[1][10] = 1.0, 1.0
-    biases0 = [np.zeros((n_real, 2)), np.zeros((n_real, 1))]
-    if model == "slp":
-        got = outcome(lambda: train_slp_ensemble(weights0, 8.0, xs, ts, 2, seed_streams(0, n_real)))
-        want = oracle_outcome(lambda r, rng: slp_oracle(weights0[r], 8.0, xs, ts, 2, rng, 10.0, 1.0),
-                              n_real, 0, 1.0)
-    else:
-        got = outcome(lambda: train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 2, seed_streams(0, n_real),
-                                                 write_mode="single"))
-        want = oracle_outcome(lambda r, rng: ideal_mlp_run(
-            [g[r] for g in gammas0], [b[r] for b in biases0], 0.1, xs, ts, 2, rng, (0.01, 1.0, 1.0),
-            1.0, 2.0, window_a=1.0)[:3], n_real, 0, 1.0)
-    assert got == want
+    got = outcome(lambda: train_slp_ensemble(weights0, 8.0, xs, ts, 2, seed_streams(0, n_real)))
+    assert got == oracle_outcome(lambda r, rng: slp_oracle(weights0[r], 8.0, xs, ts, 2, rng, 10.0, 1.0),
+                                 n_real, 0, 1.0)
     assert got.startswith("realization 10, epoch 1, sample 1: increment ")
 
 
-def test_the_first_violation_is_named_by_epoch_sample_array_realization_element():
+def test_the_first_violation_is_named_by_epoch_sample_realization_weight():
     # two equal samples, so the order of each epoch changes nothing: each
     # realization's increments grow step by step from a low output
     weights0 = np.full((10, 2), 5.0)  # saturated: almost no increment
     weights0[9] = -1.25  # lane block 2: 0.65, then 1.37 at epoch 1, sample 2
     weights0[0] = -1.5  # lane block 1: 0.43, 0.84, then 1.45 at epoch 2, sample 1
     with pytest.raises(WindowViolationError, match=r"^realization 9, epoch 1, sample 2: increment 1\.36\d* "
-                       r"to parameter array 0 "):
+                       r"to weight 0 "):
         train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 3, seed_streams(0, 10))
-    # one sample of a linear 1-1-1 network: realization 0 overshoots on both
-    # node biases (arrays 2 and 3) and realization 5 on the first synapse
-    # (array 0), which the backward pass writes after the output layer
-    gammas0 = [np.zeros((6, 1, 1)), np.zeros((6, 1, 1))]
-    gammas0[0][0], gammas0[1][0], gammas0[1][5] = 0.5, 0.5, 1.5
-    biases0 = [np.zeros((6, 1)), np.zeros((6, 1))]
-    params = DeviceParams(d=0.1, mu_v=0.0)  # dm/dgamma_b = -9.9, linear nodes
-    with pytest.raises(WindowViolationError, match=r"^realization 5, epoch 1, sample 1: increment 1\.5 "
-                       r"to parameter array 0 "):
-        train_mlp_ensemble(gammas0, biases0, 1.0, np.ones((1, 1)), np.ones(1), 1, seed_streams(0, 6),
-                           params=params, d_prime=10.0, write_mode="single")
 
 
 def test_signed_zeros_follow_the_oracles():
@@ -209,7 +187,7 @@ def test_signed_zeros_follow_the_oracles():
     got = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 3, seed_streams(0, 3))
     want = oracle_outcome(lambda r, rng: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], 0.1, xs, ts, 3, rng, (0.01, 1.0, 1.0),
-        1.0, 2.0)[:3], 3, 0, 1.0)
+        1.0, 2.0)[:3], 3, 0)
     assert np.signbit(np.concatenate([b.ravel() for b in got[2]])).any()
     assert_same(got, want)
 
@@ -225,7 +203,7 @@ def test_a_wide_hidden_layer_fits_the_kernel_scratch():
     got = train_mlp_ensemble(gammas0, biases0, 0.05, xs, ts, 2, seed_streams(0, n_real))
     want = oracle_outcome(lambda r, stream: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], 0.05, xs, ts, 2, stream, (0.01, 1.0, 1.0),
-        1.0, 2.0)[:3], n_real, 0, 1.0)
+        1.0, 2.0)[:3], n_real, 0)
     assert np.isfinite(got[0]).all()
     assert_same(got, want)
 
@@ -279,13 +257,11 @@ def test_clamp_is_np_clip_at_odd_bounds(bound):
     b_scale=st.floats(0.1, 3.0),
     tau=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
     d_prime=st.floats(0.05, 4.0),
-    window_a=st.sampled_from([0.05, 0.5, 1.0]),
-    write_mode=st.sampled_from(["burst", "single"]),
     r_on=st.floats(0.001, 0.9),
     seed=st.integers(0, 2**16),
 )
-def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale, tau, d_prime,
-                                 window_a, write_mode, r_on, seed):
+def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale, tau, d_prime, r_on,
+                                 seed):
     # widths 1-4, 1-3 hidden layers; small d_prime makes the clamp fire
     rng = np.random.default_rng(seed)
     pairs = list(zip(widths[:-1], widths[1:]))
@@ -294,13 +270,12 @@ def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale
     xs = rng.integers(0, 2, (n_samples, widths[0])).astype(float)
     ts = rng.integers(0, 2, n_samples).astype(float)
     params = DeviceParams(r_on=r_on)
-    got = outcome(lambda: train_mlp_ensemble(
-        gammas0, biases0, eta, xs, ts, epochs, seed_streams(seed, n_real), params=params, tau=tau,
-        d_prime=d_prime, b_scale=b_scale, window_a=window_a, write_mode=write_mode))
+    got = train_mlp_ensemble(gammas0, biases0, eta, xs, ts, epochs, seed_streams(seed, n_real),
+                             params=params, tau=tau, d_prime=d_prime, b_scale=b_scale)
     want = oracle_outcome(lambda r, stream: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], eta, xs, ts, epochs, stream,
-        (r_on, params.r_off, params.d), quad_coefficient(params) * tau, d_prime / 2.0, b_scale,
-        window_a if write_mode == "single" else None)[:3], n_real, seed, window_a)
+        (r_on, params.r_off, params.d), quad_coefficient(params) * tau, d_prime / 2.0, b_scale)[:3],
+        n_real, seed)
     assert_same(got, want)
 
 
@@ -452,6 +427,15 @@ def test_glorot_slp_weights_equal_one_uniform_call_per_generator(input_dim):
     want = np.stack([glorot_slp_loop_init(input_dim, ref) for ref in refs])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
+def test_run_argtypes_follow_the_definition_of_run():
+    # ctypes does not check an argument list against the C function: a
+    # mismatch is undefined behaviour, not an error
+    params = re.search(r"^int run\(([^)]*)\)", train._SOURCE.read_text(), re.M).group(1).split(",")
+    assert len(train._RUN) == len(params)
+    assert train._RUN == [train._P if "*" in p else train._F if p.split()[0] == "double" else train._I
+                          for p in params]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -19,8 +20,10 @@ from memperceptron.harness import (
     MODELS,
     ConfigError,
     ExperimentConfig,
+    _evaluation_set,
     aggregate_curve,
     effective_learning_rate,
+    ensemble_scores,
     key_type,
     parse_config,
     run_learning_experiment,
@@ -357,6 +360,29 @@ def test_slp_window_overshoot_is_a_keyed_config_error():
         trained_ensemble(late, snapshot=1)
 
 
+def test_window_a_changes_nothing_in_an_mlp_run():
+    # mlp writes are bursts, which no window limits; the same small window
+    # stops an slp run
+    (h_wide, (g_wide, b_wide)), (h_narrow, (g_narrow, b_narrow)) = (
+        trained_ensemble(tiny(model="mlp", gate="XOR", learning_rate=0.5, window_a=a)) for a in (1.0, 1e-3))
+    assert h_wide.tobytes() == h_narrow.tobytes()
+    for wide, narrow in zip(g_wide + b_wide, g_narrow + b_narrow, strict=True):
+        assert wide.tobytes() == narrow.tobytes()
+    with pytest.raises(ConfigError, match="'window_a'"):
+        trained_ensemble(tiny(window_a=1e-3))
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning must not reach stderr either
+def test_cli_roc_non_finite_scores_exit_2(tmp_path, capsys):
+    # training stays finite, but the model's output overflows on the
+    # evaluation set
+    rc = main(["roc", "--model", "mlp", "--gate", "xor", "--dataset-size", "2", "--seed", "23",
+               "--tau", "1e150", "--epochs", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: mlp XOR: realization 0 is not finite on the evaluation set\n"
+    assert not (tmp_path / "roc_mlp_xor.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "roc"])
 def test_cli_slp_window_overshoot_exits_1(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -559,7 +585,8 @@ def small_configs(draw):
 @given(overrides=small_configs(), split=st.booleans())
 def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrides, split):
     # the three outcomes allowed: finite histories with every parameter inside
-    # its clamp; a ConfigError naming a key (exit 1); a FloatingPointError (exit 2)
+    # its clamp, and finite scores on a two-class ROC evaluation set; a
+    # ConfigError naming a key (exit 1); a FloatingPointError (exit 2)
     config = parse_config(overrides=overrides)
     snapshot = (config.epochs + 1) // 2 if split else None
     try:
@@ -574,7 +601,19 @@ def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrid
     # the slp trains with train_slp_ensemble's default weight_bound; the
     # mlp clamps gammas and node biases to +/- d_prime / 2
     bound = 10.0 if config.model == "slp" else config.d_prime / 2.0
+    try:
+        xs = _evaluation_set(config)[0]
+    except ConfigError:  # one class: roc and protocol stop before training
+        xs = None
     for params in [final, *taken]:
         for p in [params] if config.model == "slp" else [*params[0], *params[1]]:
             assert p.shape[0] == config.n_realizations
             assert np.isfinite(p).all() and (np.abs(p) <= bound).all()
+        if xs is not None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # scoring warns nothing, overflow included
+                try:
+                    scores = ensemble_scores(config, params, xs)
+                except FloatingPointError:
+                    continue
+            assert np.isfinite(scores).all()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, WindowViolationError, bias_drift_slope, quad_coefficient
+from memperceptron.device import DeviceParams, bias_drift_slope, quad_coefficient
 from memperceptron.mlp import Topology, glorot_init, glorot_limit, mlp_forward, train_mlp_ensemble
 from memperceptron.train import seed_streams
 
@@ -291,41 +291,15 @@ def test_update_rule_recovers_cost_gradient():
     assert worst < 1e-4
 
 
-def test_single_write_mode_rejects_window_overshoot():
+def test_burst_writes_deliver_oversized_updates():
     weights, biases = constant_net(w=1.5, b=-1.5)
     before = [a.copy() for a in weights + biases]
-    with pytest.raises(WindowViolationError, match=r"realization 0, epoch 1, sample 1: increment "
-                       r"-\d+\.\d+ to parameter array 0 does not fit in window width 1\.0"):
-        one_step(weights, biases, (1, 1), 1, eta=50.0, write_mode="single")
-    for arr, orig in zip(weights + biases, before):
-        assert np.array_equal(arr, orig)  # the caller's arrays are never written
-
-
-def test_burst_write_mode_delivers_oversized_updates():
-    weights, biases = constant_net(w=1.5, b=-1.5)
     _, after_w, after_b = one_step(weights, biases, (1, 1), 1, eta=50.0)
     assert not np.array_equal(weights[0], after_w[0])
     for arr in after_w + after_b:
         assert np.all(np.abs(arr) <= 2.0)
-
-
-def test_write_modes_agree_when_updates_fit():
-    ds = generate_dataset(Gate.AND, 20, 11)
-    runs = []
-    for mode in ("burst", "single"):
-        w, b = init_one(T221, np.random.default_rng(40))
-        b = [np.zeros_like(layer) for layer in b]
-        runs.append(train_one(w, b, ds, 5, 40, eta=0.001, write_mode=mode))
-    assert np.array_equal(runs[0][0], runs[1][0])
-    for l in range(2):
-        assert np.array_equal(runs[0][1][l], runs[1][1][l])
-        assert np.array_equal(runs[0][2][l], runs[1][2][l])
-
-
-def test_backprop_rejects_bad_write_mode():
-    weights, biases = constant_net()
-    with pytest.raises(ValueError):
-        one_step(weights, biases, (1, 1), 1, write_mode="double")
+    for arr, orig in zip(weights + biases, before):
+        assert np.array_equal(arr, orig)  # the caller's arrays are never written
 
 
 # ---------------------------------------------------------------- training
@@ -374,10 +348,6 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
             clamps += hits
         if gate is Gate.OR:
             assert clamps > 0
-        with pytest.raises(WindowViolationError):
-            train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10,
-                               stacked_inits(seeds[0], len(seeds), streams_from=streams_from)[2],
-                               write_mode="single")
 
 
 def test_xor_is_learnable_by_the_mlp():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, WindowViolationError
-from memperceptron.mlp import train_mlp_ensemble
+from memperceptron.device import WindowViolationError
 from memperceptron.slp import glorot_slp_weights, slp_forward, train_slp_ensemble
 from memperceptron.train import seed_streams
 
@@ -100,21 +99,16 @@ def test_delta_rule_step_zero_residual_changes_nothing():
 def test_delta_rule_step_rejects_window_overshoot():
     # eta * residual * slope = 8 * 0.5 * 0.25 lands exactly on the width
     with pytest.raises(WindowViolationError, match=r"realization 0, epoch 1, sample 1: "
-                       r"increment 1\.0 to parameter array 0 does not fit in window width 1\.0"):
+                       r"increment 1\.0 to weight 0 does not fit in window width 1\.0"):
         one_step(x=(1, 1), t=1, eta=8.0)
 
 
 def test_window_violation_names_where_it_happened():
-    # the slp has one parameter array, so a linear 1-1-1 mlp names array 1:
-    # realization 2's output synapse stays still at epoch 1 (its hidden
-    # output is 0) and asks for exactly -1.5 at epoch 2; the others never move
-    gammas0 = [np.zeros((3, 1, 1)), np.zeros((3, 1, 1))]
-    gammas0[1][2] = -0.125
-    biases0 = [np.zeros((3, 1)), np.zeros((3, 1))]
-    with pytest.raises(WindowViolationError, match=r"^realization 2, epoch 2, sample 1: "
-                       r"increment -1\.5 to parameter array 1 does not fit in window width 1\.0$"):
-        train_mlp_ensemble(gammas0, biases0, 16.0, np.ones((1, 1)), np.array([0.25]), 3, seed_streams(0, 3),
-                           params=DeviceParams(mu_v=0.0), write_mode="single")
+    # the zero input's weight 0 gets no increment, so weight 1 is the first
+    # to reach the width; weight 2, the bias weight, reaches it too
+    with pytest.raises(WindowViolationError, match=r"^realization 0, epoch 1, sample 1: "
+                       r"increment 1\.0 to weight 1 does not fit in window width 1\.0$"):
+        one_step(x=(0, 1), t=1, eta=8.0)
 
 
 @settings(max_examples=150, deadline=None)
