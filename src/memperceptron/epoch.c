@@ -1,8 +1,8 @@
-/* The training run of both perceptrons, and the realizations' random
- * streams: numpy's PCG64 seeding, draws and shuffles.  `train.py` calls
- * these through ctypes, and the plain loops of `tests/oracles.py` are their
- * spec: a run repeats their float operations (same operands, same order,
- * no contraction), so it gives their bytes.
+/* The training run of both perceptrons, their scoring, and the
+ * realizations' random streams: numpy's PCG64 seeding, draws and shuffles.
+ * `train.py` calls these through ctypes, and the plain loops of
+ * `tests/oracles.py` are their spec: a run repeats their float operations
+ * (same operands, same order, no contraction), so it gives their bytes.
  *
  * A run trains R realizations online for `epochs` epochs.  Realizations run
  * in blocks of LANES, the last one ragged: each operation of a sample runs
@@ -11,10 +11,12 @@
  * waiting on the previous one.  A block loads its streams and parameters
  * once.  Each epoch it draws every lane's permutation of the samples from
  * the lane's stream, presents the samples in that order, each through the
- * model's per-sample step (slp_sample or mlp_sample), and writes each
- * lane's summed error to histories[r, e].  At the end it stores parameters
- * and streams back.  A parameter is written by adding its increment, then
- * clamping to [-bound, bound].
+ * model's forward half (slp_forward or mlp_forward) and then its backward
+ * half (slp_backward or mlp_backward), and writes each lane's summed error
+ * to histories[r, e].  At the end it stores parameters and streams back.
+ * A parameter is written by adding its increment, then clamping to
+ * [-bound, bound].  `score` runs the forward halves alone, in blocks of the
+ * same lanes, on a batch of samples: the outputs a trained model gives.
  *
  * The SLP writes each weight with one pulse, so an increment with |inc| >=
  * window_a is a window violation: the weight is not written, and the run
@@ -203,11 +205,12 @@ static double clamp(double x, double b)
     return x > b ? b : x;
 }
 
-/* A run's arguments (see run) and the sizes of its scratch, which holds for
- * each lane its permutation, the sample's inputs, the parameters in the
- * order of p (`weights` SLP weights or MLP gammas, then `nodes` MLP node
- * biases), then the MLP's work space (see mlp_sample).  The helpers take it
- * by value, so that no store through a pointer can alias a field. */
+/* A run's arguments (see run; a score's outputs go to histories) and the
+ * sizes of its scratch, which holds for each lane its permutation (a run
+ * only), the sample's inputs, the parameters in the order of p (`weights`
+ * SLP weights or MLP gammas, then `nodes` MLP node biases), then the MLP's
+ * work space (see mlp_forward and mlp_backward).  The helpers take it by
+ * value, so that no store through a pointer can alias a field. */
 typedef struct {
     int64_t R, n, n_in, epochs, L, weights, nodes, widest;
     const double *xs, *ts;
@@ -223,14 +226,15 @@ typedef struct {
  * and a full block's loops can use the vector unit, lane by lane. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* The streams of the nb lanes from r0 to g, and rows r0 .. r0 + nb - 1 of
- * each array of p to the lane-major copy q (element e of lane b at q[e *
- * LANES + b], one array after another), if in; else back from g and q.
+/* The streams of the nb lanes from r0 to g, unless g is NULL, and rows r0
+ * .. r0 + nb - 1 of each array of p to the lane-major copy q (element e of
+ * lane b at q[e * LANES + b], one array after another), if in; else back
+ * from g and q.
  * With L = 0 (the SLP) p holds one (R, n_in + 1) array, else L (R,
  * sizes[l] * sizes[l + 1]) then L (R, sizes[l + 1]) arrays. */
 INLINE void lanes(int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q, int in)
 {
-    for (int64_t b = 0; b < nb; b++)
+    for (int64_t b = 0; g && b < nb; b++)
         if (in)
             g[b] = load(c.streams + (r0 + b) * STREAM);
         else
@@ -295,14 +299,12 @@ INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t i, double 
         }
 }
 
-/* The steps train the nb lanes from r0 on sample k of epoch e, the inputs x
- * and the target t, and add each lane's error to total[b].  The SLP's is the
- * delta rule: w is the weights, the bias weight last. */
-INLINE void slp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, const double *x,
-                       const double *t, double *total, args c)
+/* The forward halves compute the outputs of the nb lanes on the inputs x.
+ * The SLP's is logistic in the weighted input sum shifted by the bias
+ * weight, w being the weights, the bias weight last; it writes out[b]. */
+INLINE void slp_forward(int64_t nb, const double *w, const double *x, double *out, args c)
 {
     int64_t n_in = c.n_in;
-    double out[LANES], base[LANES], inc[LANES];
     for (int64_t b = 0; b < nb; b++)
         out[b] = w[b] * x[b];
     for (int64_t i = 1; i < n_in; i++)
@@ -310,31 +312,17 @@ INLINE void slp_sample(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, 
             out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
     for (int64_t b = 0; b < nb; b++)
         out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
-    for (int64_t b = 0; b < nb; b++) {
-        double diff = t[b] - out[b];
-        base[b] = (c.eta * diff) * (out[b] * (1.0 - out[b]));
-        total[b] += (0.5 * diff) * diff;
-    }
-    for (int64_t i = 0; i < n_in; i++) {
-        for (int64_t b = 0; b < nb; b++)
-            inc[b] = base[b] * x[i * LANES + b];
-        put(nb, r0, e, k, i, w + i * LANES, inc, c);
-    }
-    put(nb, r0, e, k, n_in, w + n_in * LANES, base, c);
 }
 
-/* Backpropagation: gam is the L layers' synapse gammas, then their node
- * biases; after them come each layer's net input, output and activation
- * derivative, then three vectors of the widest layer for the backward pass. */
-INLINE void mlp_sample(int64_t nb, double *gam, const double *x, const double *t, double *total,
-                       args c)
+/* The MLP's: gam is the L layers' synapse gammas, then their node biases.
+ * After them it writes each layer's net input, output and activation
+ * derivative, and it returns the network's output, which its activation
+ * derivative follows. */
+INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args c)
 {
     const int64_t L = c.L, *sizes = c.sizes;
-    const double eta = c.eta, b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
-    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES;
-    double *up = s + 3 * c.nodes * LANES, *delta = up + c.widest * LANES, *next = delta + c.widest * LANES;
-    double acc[LANES], inc[LANES];
-    double err[LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
+    const double b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
+    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES, acc[LANES];
     const double *in = x;
     for (int64_t l = 0; l < L; l++) {
         int64_t ni = sizes[l], no = sizes[l + 1];
@@ -359,8 +347,44 @@ INLINE void mlp_sample(int64_t nb, double *gam, const double *x, const double *t
         bias += no * LANES;
         s = dv + no * LANES;
     }
-    /* in is the network output; up is the pull on a layer's outputs, delta
-     * the pull on its net inputs */
+    return in;
+}
+
+/* The backward halves train the nb lanes from r0 on sample k of epoch e,
+ * given the inputs x, the forward's outputs out and the target t, and add
+ * each lane's error to total[b].  The SLP's is the delta rule. */
+INLINE void slp_backward(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, const double *x,
+                         const double *out, const double *t, double *total, args c)
+{
+    int64_t n_in = c.n_in;
+    double base[LANES], inc[LANES];
+    for (int64_t b = 0; b < nb; b++) {
+        double diff = t[b] - out[b];
+        base[b] = (c.eta * diff) * (out[b] * (1.0 - out[b]));
+        total[b] += (0.5 * diff) * diff;
+    }
+    for (int64_t i = 0; i < n_in; i++) {
+        for (int64_t b = 0; b < nb; b++)
+            inc[b] = base[b] * x[i * LANES + b];
+        put(nb, r0, e, k, i, w + i * LANES, inc, c);
+    }
+    put(nb, r0, e, k, n_in, w + n_in * LANES, base, c);
+}
+
+/* Backpropagation, on mlp_forward's work space; after it come three vectors
+ * of the widest layer. */
+INLINE void mlp_backward(int64_t nb, double *gam, const double *x, const double *in, const double *t,
+                         double *total, args c)
+{
+    const int64_t L = c.L, *sizes = c.sizes;
+    const double eta = c.eta, b_scale = c.b_scale;
+    /* the ends of the gammas, the node biases and the work space */
+    double *bias = gam + (c.weights + c.nodes) * LANES, *s = bias + 3 * c.nodes * LANES;
+    double *up = s, *delta = up + c.widest * LANES, *next = delta + c.widest * LANES;
+    double acc[LANES], inc[LANES];
+    double err[LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
+    gam += c.weights * LANES;
+    /* up is the pull on a layer's outputs, delta the pull on its net inputs */
     int64_t nout = sizes[L];
     for (int64_t j = 0; j < nout; j++)
         for (int64_t b = 0; b < nb; b++) {
@@ -415,7 +439,7 @@ INLINE void mlp_sample(int64_t nb, double *gam, const double *x, const double *t
 INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
 {
     int64_t n = c.n, n_in = c.n_in, *perm = (int64_t *)c.scratch;
-    double *x = c.scratch + n * LANES, *q = x + n_in * LANES, t[LANES], total[LANES];
+    double *x = c.scratch + n * LANES, *q = x + n_in * LANES, t[LANES], total[LANES], out[LANES];
     pcg64 g[LANES];
     lanes(nb, r0, L, c, g, q, 1);
     for (int64_t e = 0; e < c.epochs; e++) {
@@ -430,10 +454,12 @@ INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
                 for (int64_t i = 0; i < n_in; i++)
                     x[i * LANES + b] = c.xs[idx * n_in + i];
             }
-            if (L)
-                mlp_sample(nb, q, x, t, total, c);
-            else
-                slp_sample(nb, r0, e, k, q, x, t, total, c);
+            if (L) {
+                mlp_backward(nb, q, x, mlp_forward(nb, q, x, c), t, total, c);
+            } else {
+                slp_forward(nb, q, x, out, c);
+                slp_backward(nb, r0, e, k, q, x, out, t, total, c);
+            }
             if (c.where[0] < e || (c.where[0] == e && c.where[1] <= k))
                 goto done; /* no later violation can come first */
         }
@@ -461,10 +487,25 @@ __attribute__((noinline)) static void mlp_blocks(args c)
     blocks(c.L, c);
 }
 
+/* Sets c's layer totals from its sizes and allocates its scratch; NULL if
+ * that fails.  A lane holds the inputs, the parameters and mlp_forward's
+ * work space, and in training also the permutation (as many int64s as
+ * samples) and mlp_backward's three vectors. */
+INLINE double *prepare(args *c, int training)
+{
+    for (int64_t l = 0; l < c->L; l++) {
+        c->weights += c->sizes[l] * c->sizes[l + 1];
+        c->nodes += c->sizes[l + 1];
+        c->widest = c->sizes[l + 1] > c->widest ? c->sizes[l + 1] : c->widest;
+    }
+    int64_t width = c->n_in + c->weights + 4 * c->nodes + (training ? c->n + 3 * c->widest : 0);
+    return c->scratch = malloc((size_t)(width * LANES) * sizeof *c->scratch);
+}
+
 /* Trains the SLP if L = 0, which alone uses window_a, where and inc, else
  * the MLP of L layers of sizes[0..L], which alone uses b_scale to d (see
- * mlp_sample).  Allocates the blocks' scratch for the run; returns 2 if that
- * fails, 1 after a window violation, else 0. */
+ * mlp_forward and mlp_backward).  Allocates the blocks' scratch for the run;
+ * returns 2 if that fails, 1 after a window violation, else 0. */
 int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, int64_t epochs,
         uint64_t *streams, double **p, double *histories, double bound, double window_a,
         int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes, double b_scale,
@@ -473,15 +514,7 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
     args c = {R, n, n_in, epochs, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
               histories, inc, NULL, where, bound, window_a, eta, b_scale, kt, m_prime, r_off,
               r_on, d};
-    for (int64_t l = 0; l < L; l++) {
-        c.weights += sizes[l] * sizes[l + 1];
-        c.nodes += sizes[l + 1];
-        c.widest = sizes[l + 1] > c.widest ? sizes[l + 1] : c.widest;
-    }
-    /* doubles per lane, the permutation's int64s included */
-    int64_t width = n + n_in + c.weights + 4 * c.nodes + 3 * c.widest;
-    c.scratch = malloc((size_t)(width * LANES) * sizeof *c.scratch);
-    if (c.scratch == NULL)
+    if (prepare(&c, 1) == NULL)
         return 2;
     where[0] = INT64_MAX;
     if (L)
@@ -490,4 +523,52 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
         blocks(0, c);
     free(c.scratch);
     return where[0] != INT64_MAX;
+}
+
+/* Scores the block of nb lanes from r0 on each of the c.n samples of c.xs
+ * in turn: the forward half of a training step alone.  Lane b's outputs on
+ * sample k go to row (r0 + b) * c.n + k of c.histories. */
+INLINE void score_block(int64_t nb, int64_t r0, int64_t L, args c)
+{
+    int64_t n_in = c.n_in, outputs = L ? c.sizes[L] : 1;
+    double *x = c.scratch, *q = x + n_in * LANES, out[LANES];
+    lanes(nb, r0, L, c, NULL, q, 1);
+    for (int64_t k = 0; k < c.n; k++) {
+        for (int64_t i = 0; i < n_in; i++)
+            for (int64_t b = 0; b < nb; b++)
+                x[i * LANES + b] = c.xs[k * n_in + i];
+        const double *y = out;
+        if (L)
+            y = mlp_forward(nb, q, x, c);
+        else
+            slp_forward(nb, q, x, out, c);
+        for (int64_t j = 0; j < outputs; j++)
+            for (int64_t b = 0; b < nb; b++)
+                c.histories[((r0 + b) * c.n + k) * outputs + j] = y[j * LANES + b];
+    }
+}
+
+/* The score's blocks, cut as run's are, in a function apart from run. */
+__attribute__((noinline)) static void score_blocks(args c)
+{
+    for (int64_t r0 = 0; r0 < c.R; r0 += LANES)
+        c.R - r0 >= LANES ? score_block(LANES, r0, c.L, c)
+                          : c.R - r0 == 1 ? score_block(1, r0, c.L, c) : score_block(c.R - r0, r0, c.L, c);
+}
+
+/* Writes each realization's outputs on each of the n samples of xs to
+ * scores, an (R, n, outputs) array: the forward of run's steps alone, on
+ * run's arguments of the same names.  Returns 2 if the scratch cannot be
+ * allocated, else 0. */
+int score(int64_t R, int64_t n, int64_t n_in, const double *xs, double **p, double *scores,
+          int64_t L, const int64_t *sizes, double b_scale, double kt, double m_prime, double r_off,
+          double r_on, double d)
+{
+    args c = {R, n, n_in, 0, L, L ? 0 : n_in + 1, 0, 0, xs, NULL, sizes, NULL, p, scores, NULL,
+              NULL, NULL, 0.0, 0.0, 0.0, b_scale, kt, m_prime, r_off, r_on, d};
+    if (prepare(&c, 0) == NULL)
+        return 2;
+    score_blocks(c);
+    free(c.scratch);
+    return 0;
 }

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams, WindowViolationError, quad_coefficient
+from .device import DeviceParams, WindowViolationError
 from .metrics import (
     EpochRecord,
     auc,
@@ -29,10 +29,10 @@ from .metrics import (
     write_curve_csv,
     write_roc_csv,
 )
-from .mlp import Topology, glorot_init, mlp_forward, train_mlp_ensemble
-from .slp import glorot_slp_weights, slp_forward, train_slp_ensemble
+from .mlp import Topology, device_constants, glorot_init, train_mlp_ensemble
+from .slp import glorot_slp_weights, train_slp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
-from .train import seed_streams
+from .train import score, seed_streams
 
 
 class ConfigError(ValueError):
@@ -271,12 +271,10 @@ def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarr
     """Scores of every trained realization on a batch, (realizations, samples);
     a score that is not finite raises FloatingPointError."""
     if config.model == "slp":
-        scores = slp_forward(final[:, None, :], xs)
+        scores = score([final], xs)[:, :, 0]
     else:
-        params = device_params(config)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            scores = mlp_forward([g[:, None] for g in final[0]], [b[:, None] for b in final[1]], xs, params,
-                                 quad_coefficient(params) * config.tau, config.b_scale)[-1][2][:, :, 0]
+        device = device_constants(device_params(config), config.tau, config.b_scale)
+        scores = score([*final[0], *final[1]], xs, config.topology, device)[:, :, 0]
     bad = ~np.isfinite(scores).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"{config.model} {config.gate}: realization {int(bad.argmax())} "

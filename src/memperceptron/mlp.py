@@ -26,7 +26,8 @@ instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware as a burst of pulses, which lands in
 full however large the change, then clamps to the device range.
 `train_mlp_ensemble` runs many seeded networks through the run shared
-with the SLP in `train`, with backpropagation as its per-sample step.
+with the SLP in `train`, with backpropagation as its per-sample step;
+`train.score` reads trained networks out through the same forward pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, bias_drift_slope, bias_slope, quad_coefficient
+from .device import DeviceParams, bias_drift_slope, quad_coefficient
 from .train import random_rows, train_lockstep
 
 
@@ -81,26 +82,11 @@ def glorot_init(topology: Topology, streams: np.ndarray) -> tuple[list[np.ndarra
     return weights, biases
 
 
-def mlp_forward(gammas, biases, x, params: DeviceParams, kt: float, b_scale: float):
-    """Forward pass of memristor networks, broadcasting over any leading axes.
-
-    gammas[l] is (..., n_in, n_out) of synapse internal variables
-    (weight / b_scale), biases[l] is (..., n_out) and x is (..., n_inputs);
-    kt is kappa * tau.  Returns one (effective weights, net input, output,
-    activation derivative) tuple per layer, the network output last.
-    """
-    layers = []
-    v = x
-    for g, b in zip(gammas, biases):
-        w = b_scale * g
-        s = w[..., 0, :] * v[..., 0, None]
-        for i in range(1, w.shape[-2]):
-            s = s + w[..., i, :] * v[..., i, None]
-        m = bias_slope(params, b)
-        drive = np.where(s > 0.0, s, 0.0)
-        v = m * s - kt * (drive * drive)
-        layers.append((w, s, v, m - 2.0 * kt * drive))
-    return layers
+def device_constants(params: DeviceParams, tau: float, b_scale: float) -> tuple[float, ...]:
+    """The device constants `train.train_lockstep` and `train.score` take for
+    the MLP: (b_scale, kappa * tau, m', r_off, r_on, d)."""
+    return (b_scale, quad_coefficient(params) * tau, bias_drift_slope(params), params.r_off, params.r_on,
+            params.d)
 
 
 def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
@@ -122,8 +108,7 @@ def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndar
     shapes = [np.shape(a) for a in (*gammas0, *biases0)]
     if 0 in sizes or shapes != want + [(r, n_out) for r, _, n_out in want]:
         raise ValueError(f"gammas0 must be {want} (no width 0) for {xs.shape[1]} inputs, biases0 to match")
-    device = (b_scale, quad_coefficient(params) * tau, bias_drift_slope(params), params.r_off,
-              params.r_on, params.d)
+    device = device_constants(params, tau, b_scale)
     histories, final = train_lockstep(list(gammas0) + list(biases0), xs, ts, epochs, streams,
                                       d_prime / 2.0, np.inf, eta, sizes, device)
     return histories, final[:n_layers], final[n_layers:]

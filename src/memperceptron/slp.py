@@ -10,12 +10,14 @@ must fit a single pulse.
 
 `train_slp_ensemble` runs many independently seeded machines through
 the run shared with the MLP in `train`, with the delta rule as its step.
+The forward pass lives only there, in `epoch.c`: the logistic is computed
+as 1 / (1 + exp(-z)), which is scipy.special.expit bit for bit, and
+`train.score` runs that forward pass alone to score trained machines.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .mlp import glorot_layer
 from .train import train_lockstep
@@ -29,19 +31,6 @@ def glorot_slp_weights(input_dim: int, streams: np.ndarray) -> np.ndarray:
     Returns (realizations, input_dim + 1).
     """
     return glorot_layer(input_dim, 1, streams)
-
-
-def slp_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Logistic output, broadcasting over any leading axes.
-
-    weights is (..., n + 1) with the bias weight last and x is (..., n);
-    the inputs are summed in order, then the bias weight is added.
-    """
-    n = x.shape[-1]
-    v = weights[..., 0] * x[..., 0]
-    for i in range(1, n):
-        v = v + weights[..., i] * x[..., i]
-    return expit(v + weights[..., n])
 
 
 def train_slp_ensemble(weights0: np.ndarray, eta: float, xs: np.ndarray, ts: np.ndarray,

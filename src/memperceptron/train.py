@@ -10,6 +10,8 @@ A stored variable is written through its addressing window, which adds
 exactly the increment and touches no other variable.  The SLP writes one
 pulse per weight, which fits only |increment| < window_a, or raises
 WindowViolationError; the MLP writes bursts of pulses, which land in full.
+A trained model is scored by `score`, the forward half of the same
+compiled steps.
 
 Each realization draws its starting weights and its shuffles from its
 own PCG64 stream, a row of a stream array (`seed_streams`) that the
@@ -38,6 +40,8 @@ _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # bound, window_a, violation key, violation increment, eta, layers, sizes,
 # then the MLP's b_scale, kappa * tau, m', r_off, r_on, d
 _RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] * 6
+# R, samples, inputs, xs, parameter pointers, scores, layers, sizes, then run's six device constants
+_SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
 
 
@@ -66,10 +70,30 @@ def load_library():
         raise RuntimeError(f"cannot build the training kernel {_SOURCE.name} with cc: "
                            f"{getattr(exc, 'stderr', None) or exc}") from exc
     lib.run.argtypes, lib.run.restype = _RUN, ctypes.c_int
+    lib.score.argtypes, lib.score.restype = _SCORE, ctypes.c_int
     for name in ("seed_streams", "random_rows", "shuffle_rows"):  # R, a count, two arrays
         getattr(lib, name).argtypes, getattr(lib, name).restype = [_I, _I, _P, _P], None
     lib.write_pulses.argtypes, lib.write_pulses.restype = [_I, _P, _P, _F, _F], _I
     return lib
+
+
+def _address(a: np.ndarray):
+    """The address of a's data as a pointer argument, NULL if a is empty.
+
+    Cheaper than a.ctypes.data; a must be writeable and C-contiguous,
+    and must outlive the call.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.nbytes else None
+
+
+def _pointers(params):
+    """A C array of the addresses of params' arrays."""
+    return (ctypes.c_void_p * len(params))(*[_address(p) for p in params])
+
+
+def _layers(sizes):
+    """The layer count and widths that run and score take: 0 layers is the SLP."""
+    return (0, None) if sizes is None else (len(sizes) - 1, (_I * len(sizes))(*sizes))
 
 
 def seed_streams(seed: int, n: int) -> np.ndarray:
@@ -85,7 +109,7 @@ def seed_streams(seed: int, n: int) -> np.ndarray:
     streams = np.empty((n, STREAM), dtype=np.uint64)
     n_words = (seed + n).bit_length() // 32 + 1
     words = np.frombuffer(seed.to_bytes(4 * n_words, "little"), dtype="<u4").astype(np.uint32)
-    load_library().seed_streams(n, n_words, words.ctypes.data, streams.ctypes.data)
+    load_library().seed_streams(n, n_words, _address(words), _address(streams))
     return streams
 
 
@@ -101,7 +125,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
     """(R, k): row r is stream r's rng.random(k), the stream advanced to match."""
     _check_streams(streams)
     out = np.empty((len(streams), k))
-    load_library().random_rows(len(streams), k, streams.ctypes.data, out.ctypes.data)
+    load_library().random_rows(len(streams), k, _address(streams), _address(out))
     return out
 
 
@@ -130,7 +154,8 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     n_samples = xs.shape[0]
     if xs.ndim != 2 or 0 in xs.shape or np.shape(ts) != (n_samples,):
         raise ValueError(f"xs {xs.shape}, ts {np.shape(ts)}: need (samples, inputs), (samples,), none 0")
-    xs, ts = np.ascontiguousarray(xs, dtype=float), np.ascontiguousarray(ts, dtype=float)
+    # copies, so that a read-only caller's array can be passed by _address
+    xs, ts = np.array(xs, dtype=float, order="C"), np.array(ts, dtype=float, order="C")
     params = [np.array(p, dtype=float, order="C") for p in params]
     n_real = params[0].shape[0]
     _check_streams(streams)
@@ -138,12 +163,10 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
     histories = np.empty((n_real, epochs))
     where, increment = (_I * 4)(), _F()
-    # the layer count and widths; 0 layers runs the SLP
-    layers = (0, None) if sizes is None else (len(sizes) - 1, (_I * len(sizes))(*sizes))
     status = load_library().run(
-        n_real, n_samples, xs.shape[1], xs.ctypes.data, ts.ctypes.data, epochs, streams.ctypes.data,
-        (ctypes.c_void_p * len(params))(*[p.ctypes.data for p in params]), histories.ctypes.data,
-        bound, window_a, where, ctypes.byref(increment), eta, *layers, *device)
+        n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
+        _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
+        *_layers(sizes), *device)
     if status == 2:
         raise MemoryError("run: cannot allocate its scratch")
     if status == 1:
@@ -153,3 +176,30 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
             f"{increment.value!r} to weight {weight} does not fit in window width {window_a}"
         )
     return histories, params
+
+
+def score(params, xs: np.ndarray, sizes=None, device=(0.0,) * 6) -> np.ndarray:
+    """Every realization's outputs on every sample of xs, in one compiled call.
+
+    The forward half of `train_lockstep`'s steps alone, the same float
+    operations: params, sizes and device are as there (the SLP's weights
+    without sizes), and none is written.  xs is (samples, inputs).  A
+    score that cannot allocate its scratch raises MemoryError.  Returns
+    (realizations, samples, outputs).
+    """
+    xs = np.array(xs, dtype=float, order="C")
+    params = [np.array(p, dtype=float, order="C") for p in params]
+    if xs.ndim != 2 or 0 in xs.shape:
+        raise ValueError(f"xs {xs.shape}: need (samples, inputs), none 0")
+    n_real, n_in = len(params[0]), xs.shape[1]
+    # the element count of each array of a realization, as epoch.c's lanes reads them
+    counts = [n_in + 1] if sizes is None else [a * b for a, b in zip(sizes, sizes[1:])] + list(sizes[1:])
+    if (sizes is not None and sizes[0] != n_in) or [(len(p), p.size) for p in params] != [
+            (n_real, n_real * count) for count in counts]:
+        raise ValueError(f"params of shapes {[p.shape for p in params]} do not fit sizes {sizes} "
+                         f"and {n_in} inputs")
+    scores = np.empty((n_real, len(xs), 1 if sizes is None else sizes[-1]))
+    if load_library().score(n_real, len(xs), n_in, _address(xs), _pointers(params), _address(scores),
+                            *_layers(sizes), *device) == 2:
+        raise MemoryError("score: cannot allocate its scratch")
+    return scores

@@ -7,6 +7,7 @@ no reuse of package internals beyond parameter containers.  Slow is fine.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 
 def euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps, dt=1e-5):
@@ -298,6 +299,44 @@ def central_diff_bias_grads(weights, biases, x, t, slope_params, kt, h=1e-5):
             g[j] = (e_plus - e_minus) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def slp_forward(weights, x):
+    """Logistic output, broadcasting over any leading axes.
+
+    weights is (..., n + 1) with the bias weight last and x is (..., n);
+    the inputs are summed in order, then the bias weight is added, and
+    the logistic is scipy.special.expit.
+    """
+    n = x.shape[-1]
+    v = weights[..., 0] * x[..., 0]
+    for i in range(1, n):
+        v = v + weights[..., i] * x[..., i]
+    return expit(v + weights[..., n])
+
+
+def mlp_forward(gammas, biases, x, params, kt, b_scale):
+    """Forward pass of memristor networks, broadcasting over any leading axes.
+
+    gammas[l] is (..., n_in, n_out) of synapse internal variables
+    (weight / b_scale), biases[l] is (..., n_out) and x is (..., n_inputs);
+    params is a DeviceParams and kt is kappa * tau.  Returns one
+    (effective weights, net input, output, activation derivative) tuple
+    per layer, the network output last.
+    """
+    layers = []
+    v = x
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pass is compared as it is
+        for g, b in zip(gammas, biases):
+            w = b_scale * g
+            s = w[..., 0, :] * v[..., 0, None]
+            for i in range(1, w.shape[-2]):
+                s = s + w[..., i, :] * v[..., i, None]
+            m = params.r_off * (1.0 - b / params.d) + params.r_on * (b / params.d)
+            drive = np.where(s > 0.0, s, 0.0)
+            v = m * s - kt * (drive * drive)
+            layers.append((w, s, v, m - 2.0 * kt * drive))
+    return layers
 
 
 def pcg64_row(rng):

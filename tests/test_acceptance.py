@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, apply_read_pulse, quad_coefficient
+from memperceptron.device import DeviceParams, apply_read_pulse
 from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
-from memperceptron.mlp import Topology, mlp_forward, train_mlp_ensemble
+from memperceptron.mlp import Topology, device_constants, train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
-from memperceptron.train import load_library, seed_streams
+from memperceptron.train import load_library, score, seed_streams
 
 from oracles import (
     central_diff_bias_grads,
@@ -197,8 +197,9 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
     assert worst_g < 1e-6
     assert worst_v < 1e-6
 
-    # a fresh device read under a zero-threshold drive gives the MLP node's
-    # quadratic activation: unit weight, zero bias, kt = kappa * duration
+    # a fresh device read under a zero-threshold drive gives the quadratic
+    # activation of the MLP node that trains, the kernel's: unit weight,
+    # zero bias, kt = kappa * duration
     worst_q = 0.0
     for _ in range(100):
         r_off_k = rng.uniform(0.5, 10.0)
@@ -210,8 +211,8 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
         duration = rng.uniform(0.05, 0.9) * d_k / rate
         p = DeviceParams(r_on=r_on_k, r_off=r_off_k, d=d_k, mu_v=mu_v_k)
         _, voltage = apply_read_pulse(p, 0.0, current_k, duration)
-        node = mlp_forward([np.ones((1, 1))], [np.zeros(1)], np.array([current_k]), p,
-                           quad_coefficient(p) * duration, 1.0)[-1][2][0]
+        node = score([np.ones((1, 1)), np.zeros((1, 1))], np.array([[current_k]]), (1, 1),
+                     device_constants(p, duration, 1.0))[0, 0, 0]
         worst_q = max(worst_q, abs(voltage - node))
     print(f"criterion 6: worst |read pulse - MLP node output| = {worst_q:.3g} (< 1e-9)")
     assert worst_q < 1e-9

@@ -10,9 +10,9 @@ from memperceptron.device import (
     apply_read_pulse,
     bias_slope,
     drift_rate,
-    quad_coefficient,
 )
-from memperceptron.mlp import mlp_forward
+from memperceptron.mlp import device_constants
+from memperceptron.train import score
 
 from oracles import euler_pulse_batch
 
@@ -99,13 +99,14 @@ def test_read_pulse_rejects_bad_inputs():
 )
 def test_quadratic_response_of_fresh_device(r_off, d, mu_v, current, duration):
     # With zero threshold and gamma0 = 0 the end-of-pulse voltage is the
-    # MLP node's activation: a unit-weight 1->1 net with a zero bias and
-    # kt = kappa * duration reads out the same quadratic response.
+    # MLP node's activation in the trainer's kernel: a unit-weight 1->1 net
+    # with a zero bias and kt = kappa * duration reads out the same
+    # quadratic response.
     p = DeviceParams(r_on=r_off / 100.0, r_off=r_off, d=d, mu_v=mu_v, i_gamma=0.0)
     assume(drift_rate(p, current) * duration < d)
     _, voltage = apply_read_pulse(p, 0.0, current, duration)
-    node = mlp_forward([np.ones((1, 1))], [np.zeros(1)], np.array([current]), p,
-                       quad_coefficient(p) * duration, 1.0)[-1][2][0]
+    node = score([np.ones((1, 1)), np.zeros((1, 1))], np.array([[current]]), (1, 1),
+                 device_constants(p, duration, 1.0))[0, 0, 0]
     assert voltage == pytest.approx(node, abs=1e-9)
 
 

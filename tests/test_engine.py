@@ -13,8 +13,10 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,9 @@ from memperceptron import harness, train
 from memperceptron.cli import main
 from memperceptron.device import DeviceParams, WindowViolationError, quad_coefficient
 from memperceptron.harness import parse_config, trained_ensemble
-from memperceptron.mlp import Topology, glorot_init, train_mlp_ensemble
+from memperceptron.mlp import Topology, device_constants, glorot_init, train_mlp_ensemble
 from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
-from memperceptron.train import seed_streams
+from memperceptron.train import score, seed_streams
 
 from oracles import (
     Overshoot,
@@ -36,13 +38,18 @@ from oracles import (
     glorot_slp_loop_init,
     ideal_mlp_run,
     ideal_slp_run,
+    mlp_forward,
     numpy_streams,
     pcg64_row,
+    slp_forward,
 )
 
 # realization counts for the kernel properties: below one lane block, one
 # partial block, and full blocks with a ragged tail
 REALIZATIONS = [1, 3, 17, 35]
+# and for score: one lane, a ragged block, one full block, a full block and
+# one lane, two full blocks and one lane
+SCORED = [1, 3, 8, 9, 17]
 SOURCES = {"compiled": seed_streams, "numpy": numpy_streams}
 
 
@@ -178,6 +185,25 @@ def test_the_first_violation_is_named_by_epoch_sample_realization_weight():
         train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 3, seed_streams(0, 10))
 
 
+def test_a_violation_leaves_each_stream_where_its_lane_block_stopped():
+    # realization 0 overshoots at epoch 2, sample 1, so its block stops
+    # there, and the second block stops at the same sample: every stream has
+    # drawn its init, then the permutations of epochs 1 and 2 and no more
+    n_real, violating_epoch = 10, 1
+    streams = seed_streams(0, n_real)
+    glorot_slp_weights(1, streams)
+    weights0 = np.full((n_real, 2), 5.0)  # saturated: almost no increment
+    weights0[0] = -1.5  # 0.43, 0.84, then 1.45 at epoch 2, sample 1
+    with pytest.raises(WindowViolationError, match=r"^realization 0, epoch 2, sample 1: "):
+        train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
+    refs = [np.random.default_rng(r) for r in range(n_real)]
+    for ref in refs:
+        glorot_slp_loop_init(1, ref)
+        for _ in range(violating_epoch + 1):
+            ref.permutation(2)
+    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
 def test_signed_zeros_follow_the_oracles():
     # parameters of -0.0 and zero inputs make every sum a signed zero, which
     # a node bias keeps only if each sum starts from its first term
@@ -229,10 +255,12 @@ def test_a_trainer_call_is_one_compiled_call(model, monkeypatch):
 
 def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch):
     streams = seed_streams(0, 2)
-    failing = types.SimpleNamespace(run=lambda *args: 2)
+    failing = types.SimpleNamespace(run=lambda *args: 2, score=lambda *args: 2)
     monkeypatch.setattr(train, "load_library", lambda: failing)
     with pytest.raises(MemoryError, match="run: cannot allocate its scratch"):
         train_slp_ensemble(np.zeros((2, 3)), 0.1, np.eye(2), np.ones(2), 1, streams)
+    with pytest.raises(MemoryError, match="score: cannot allocate its scratch"):
+        score([np.zeros((2, 3))], np.eye(2))
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
@@ -300,6 +328,98 @@ def test_slp_kernel_equals_numpy(width, n_real, n_samples, epochs, eta, bound, w
     want = oracle_outcome(lambda r, stream: slp_oracle(weights0[r], eta, xs, ts, epochs, stream, bound,
                                                        window_a), n_real, seed, window_a)
     assert_same(got, want)
+
+
+def with_specials(rng, a, specials):
+    """a with each of specials (NaN, signed zeros) at a random entry."""
+    a = a.copy()
+    for value in specials:
+        a.flat[rng.integers(a.size)] = value
+    return a
+
+
+SPECIALS = st.lists(st.sampled_from([np.nan, 0.0, -0.0]), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    n_real=st.sampled_from(SCORED),
+    n_samples=st.integers(1, 5),
+    specials=SPECIALS,
+    seed=st.integers(0, 2**16),
+)
+def test_slp_score_equals_the_oracle_and_expit(width, n_real, n_samples, specials, seed):
+    rng = np.random.default_rng(seed)
+    weights = with_specials(rng, rng.uniform(-3.0, 3.0, (n_real, width + 1)), specials)
+    xs = with_specials(rng, rng.uniform(-2.0, 2.0, (n_samples, width)), specials[::2])
+    got = score([weights], xs)
+    assert got.shape == (n_real, n_samples, 1)
+    nets = np.empty((n_real, n_samples))
+    for r in range(n_real):
+        for k in range(n_samples):
+            net = weights[r, 0] * xs[k, 0]
+            for i in range(1, width):
+                net = net + weights[r, i] * xs[k, i]
+            nets[r, k] = net + weights[r, width]
+    assert_same([got[:, :, 0]], [slp_forward(weights[:, None, :], xs)])
+    assert_same([got[:, :, 0]], [expit(nets)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=3, max_size=5),
+    n_real=st.sampled_from(SCORED),
+    n_samples=st.integers(1, 5),
+    b_scale=st.floats(0.1, 3.0),
+    tau=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+    r_on=st.floats(0.001, 0.9),
+    specials=SPECIALS,
+    seed=st.integers(0, 2**16),
+)
+def test_mlp_score_equals_the_oracle(widths, n_real, n_samples, b_scale, tau, r_on, specials, seed):
+    # widths 1-4, 1-3 hidden layers, every output compared; a huge tau
+    # overflows to inf and NaN in both
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(widths[:-1], widths[1:]))
+    gammas = [with_specials(rng, rng.uniform(-1.0, 1.0, (n_real, a, b)), specials) for a, b in pairs]
+    biases = [with_specials(rng, rng.uniform(-1.0, 1.0, (n_real, b)), specials[1::2]) for _, b in pairs]
+    xs = with_specials(rng, rng.integers(0, 2, (n_samples, widths[0])).astype(float), [-0.0] * len(specials))
+    params = DeviceParams(r_on=r_on)
+    got = score(gammas + biases, xs, widths, device_constants(params, tau, b_scale))
+    want = mlp_forward([g[:, None] for g in gammas], [b[:, None] for b in biases], xs, params,
+                       quad_coefficient(params) * tau, b_scale)[-1][2]
+    assert got.shape == want.shape == (n_real, n_samples, widths[-1])
+    assert_same([got], [want])
+
+
+def test_score_rejects_what_the_kernel_cannot_take():
+    with pytest.raises(ValueError, match=r"need \(samples, inputs\), none 0"):
+        score([np.zeros((1, 3))], np.ones((0, 2)))
+    with pytest.raises(ValueError, match=r"do not fit sizes None and 2 inputs"):
+        score([np.zeros((1, 4))], np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"do not fit sizes \(3, 2, 1\) and 2 inputs"):
+        score([np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 2)), np.zeros((1, 1))], np.ones((3, 2)),
+              (3, 2, 1))
+    with pytest.raises(ValueError, match=r"do not fit sizes \(2, 2, 1\) and 2 inputs"):
+        score([np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((2, 2)), np.zeros((1, 1))], np.ones((3, 2)),
+              (2, 2, 1))
+
+
+def test_read_only_arrays_are_taken_as_writeable_copies():
+    # the kernel's arguments are taken by address from writeable arrays, so
+    # the caller's read-only ones are copied first and never written
+    rng = np.random.default_rng(5)
+    weights0, xs = rng.uniform(-1.0, 1.0, (3, 3)), rng.integers(0, 2, (6, 2)).astype(float)
+    ts = rng.integers(0, 2, 6).astype(float)
+    frozen = [a.copy() for a in (weights0, xs, ts)]
+    for a in frozen:
+        a.flags.writeable = False
+    weights0_ro, xs_ro, ts_ro = frozen
+    got = train_slp_ensemble(weights0_ro, 0.5, xs_ro, ts_ro, 3, seed_streams(0, 3))
+    assert_same(got, train_slp_ensemble(weights0, 0.5, xs, ts, 3, seed_streams(0, 3)))
+    assert_same([score([weights0_ro], xs_ro)], [score([weights0], xs)])
+    assert all(np.array_equal(a, b) for a, b in zip(frozen, (weights0, xs, ts)))
 
 
 def test_shapes_the_kernel_cannot_take_are_rejected():
@@ -431,11 +551,21 @@ def test_glorot_slp_weights_equal_one_uniform_call_per_generator(input_dim):
 
 def test_run_argtypes_follow_the_definition_of_run():
     # ctypes does not check an argument list against the C function: a
-    # mismatch is undefined behaviour, not an error
-    params = re.search(r"^int run\(([^)]*)\)", train._SOURCE.read_text(), re.M).group(1).split(",")
-    assert len(train._RUN) == len(params)
-    assert train._RUN == [train._P if "*" in p else train._F if p.split()[0] == "double" else train._I
-                          for p in params]
+    # mismatch is undefined behaviour, not an error; score's too
+    for name, argtypes in (("run", train._RUN), ("score", train._SCORE)):
+        params = re.search(rf"^int {name}\(([^)]*)\)", train._SOURCE.read_text(), re.M).group(1).split(",")
+        assert len(argtypes) == len(params)
+        assert argtypes == [train._P if "*" in p else train._F if p.split()[0] == "double" else train._I
+                            for p in params]
+
+
+def test_the_package_imports_without_scipy():
+    # scipy is a test dependency only: importing it would double start-up
+    probe = ("import sys, memperceptron, memperceptron.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(train.__file__).parents[1])})
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import DeviceParams, bias_drift_slope, quad_coefficient
-from memperceptron.mlp import Topology, glorot_init, glorot_limit, mlp_forward, train_mlp_ensemble
-from memperceptron.train import seed_streams
+from memperceptron.mlp import Topology, device_constants, glorot_init, glorot_limit, train_mlp_ensemble
+from memperceptron.train import score, seed_streams
 
 from oracles import (
     central_diff_bias_grads,
@@ -16,6 +16,7 @@ from oracles import (
     glorot_loop_init,
     ideal_mlp_run,
     ideal_mlp_step,
+    mlp_forward,
     numpy_streams,
     pcg64_row,
     plain_mlp_forward,
@@ -29,11 +30,18 @@ LINEAR_HALF = DeviceParams(r_on=0.5, r_off=1.0, mu_v=0.0)
 
 
 def forward(weights, biases, x, params=None, b_scale=1.0):
-    """mlp_forward of one network given its effective weights."""
+    """The oracle's mlp_forward of one network given its effective weights."""
     params = params or DeviceParams()
     gammas = [np.asarray(w, dtype=float) / b_scale for w in weights]
     return mlp_forward(gammas, [np.asarray(b, dtype=float) for b in biases],
                        np.asarray(x, dtype=float), params, quad_coefficient(params), b_scale)
+
+
+def kernel_output(weights, biases, x):
+    """The kernel's outputs of one default-device network, given its weights, on one sample."""
+    arrays = [np.asarray(a, dtype=float)[None] for a in (*weights, *biases)]
+    sizes = [len(x)] + [np.shape(w)[-1] for w in weights]
+    return score(arrays, np.array([x], dtype=float), sizes, device_constants(DeviceParams(), 1.0, 1.0))[0, 0]
 
 
 def node(s, b=0.0, params=None):
@@ -157,7 +165,7 @@ def test_bias_drift_slope_value():
 def test_forward_zero_input_gives_zero_output():
     for seed in range(5):
         w, b = init_one(T221, np.random.default_rng(seed))
-        assert forward(w, b, (0, 0))[-1][2][0] == 0.0
+        assert kernel_output(w, b, (0, 0))[0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,15 +173,14 @@ def test_forward_zero_input_gives_zero_output():
 def test_forward_zero_input_invariant_any_weights(vals):
     w = [np.array(vals[:4]).reshape(2, 2), np.array(vals[4:6]).reshape(2, 1)]
     b = [np.array(vals[6:8]), np.array(vals[8:9])]
-    assert forward(w, b, (0, 0))[-1][2][0] == 0.0
+    assert kernel_output(w, b, (0, 0))[0] == 0.0
 
 
 def test_forward_zero_weights_gives_zero_output():
     weights, biases = constant_net(w=0.0, b=0.3)
-    layers = forward(weights, biases, (1, 1))
-    assert layers[-1][2][0] == 0.0
+    assert kernel_output(weights, biases, (1, 1))[0] == 0.0
     # derivative at zero drive is the slope itself
-    assert layers[0][3][0] == pytest.approx(1.0 - 0.99 * 0.3)
+    assert forward(weights, biases, (1, 1))[0][3][0] == pytest.approx(1.0 - 0.99 * 0.3)
 
 
 def test_forward_matches_plain_oracle():
@@ -188,11 +195,11 @@ def test_forward_matches_plain_oracle():
 
 
 def test_forward_broadcasts_over_leading_axes():
+    # the kernel scores every network on every sample, each score the
+    # oracle's for that network and sample alone
     gammas, biases, _ = stacked_inits(5, 3)
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    params = DeviceParams()
-    scores = mlp_forward([g[:, None] for g in gammas], [b[:, None] for b in biases],
-                         xs, params, 1.0, 1.0)[-1][2]
+    scores = score(gammas + biases, xs, T221.layer_sizes, device_constants(DeviceParams(), 1.0, 1.0))
     assert scores.shape == (3, 4, 1)
     for r in range(3):
         for i in range(4):

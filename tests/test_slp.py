@@ -8,10 +8,15 @@ from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import WindowViolationError
-from memperceptron.slp import glorot_slp_weights, slp_forward, train_slp_ensemble
-from memperceptron.train import seed_streams
+from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
+from memperceptron.train import score, seed_streams
 
-from oracles import glorot_slp_loop_init, ideal_slp_run, numpy_streams, pcg64_row
+from oracles import glorot_slp_loop_init, ideal_slp_run, numpy_streams, pcg64_row, slp_forward
+
+
+def forward(weights, x):
+    """The kernel's output of one machine on one sample."""
+    return score([np.array([weights], dtype=float)], np.array([x], dtype=float))[0, 0, 0]
 
 
 def one_step(weights=(0.0, 0.0, 0.0), x=(1, 0), t=1, eta=0.1, bound=10.0):
@@ -27,9 +32,9 @@ def one_step(weights=(0.0, 0.0, 0.0), x=(1, 0), t=1, eta=0.1, bound=10.0):
 
 def test_net_input_values():
     # the bias weight cancels the input sum exactly, leaving the centre
-    assert slp_forward(np.array([0.5, -0.25, -0.25]), np.array([1.0, 1.0])) == 0.5
-    assert slp_forward(np.array([0.5, -0.25, 0.0]), np.array([0.0, 0.0])) == 0.5
-    assert slp_forward(np.zeros(3), np.array([1.0, 1.0])) == 0.5
+    assert forward([0.5, -0.25, -0.25], [1.0, 1.0]) == 0.5
+    assert forward([0.5, -0.25, 0.0], [0.0, 0.0]) == 0.5
+    assert forward(np.zeros(3), [1.0, 1.0]) == 0.5
 
 
 def test_net_input_dimension_check():
@@ -38,8 +43,8 @@ def test_net_input_dimension_check():
 
 
 def test_logistic_activation_center():
-    assert slp_forward(np.zeros(3), np.zeros(2)) == 0.5
-    assert slp_forward(np.array([1.0, 0.0, -1.0]), np.array([1.0, 0.0])) == 0.5
+    assert forward(np.zeros(3), np.zeros(2)) == 0.5
+    assert forward([1.0, 0.0, -1.0], [1.0, 0.0]) == 0.5
     # out * (1 - out) = 0.25 at the centre: the hand example's factor
     cost, w = one_step(eta=4.0, x=(0, 0), t=1)
     assert cost == 0.125
@@ -47,8 +52,8 @@ def test_logistic_activation_center():
 
 
 def test_logistic_activation_saturates():
-    assert slp_forward(np.array([40.0, 0.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-    low = slp_forward(np.array([-40.0, 0.0, 0.0]), np.array([1.0, 0.0]))
+    assert forward([40.0, 0.0, 0.0], [1.0, 0.0]) == 1.0
+    low = forward([-40.0, 0.0, 0.0], [1.0, 0.0])
     assert low == pytest.approx(0.0, abs=1e-17)
     # the derivative vanishes in the saturated tail, so even a full
     # residual moves nothing
@@ -58,11 +63,15 @@ def test_logistic_activation_saturates():
 
 
 def test_forward_broadcasts_over_leading_axes():
+    # the kernel scores every machine on every sample, each score the
+    # oracle's and expit's for that machine and sample alone
     rng = np.random.default_rng(4)
     weights = rng.uniform(-1.0, 1.0, (5, 3))
     xs = rng.integers(0, 2, (7, 2)).astype(float)
-    scores = slp_forward(weights[:, None, :], xs)
-    assert scores.shape == (5, 7)
+    scores = score([weights], xs)
+    assert scores.shape == (5, 7, 1)
+    scores = scores[:, :, 0]
+    assert np.array_equal(scores, slp_forward(weights[:, None, :], xs))
     for r in range(5):
         for i in range(7):
             assert scores[r, i] == slp_forward(weights[r], xs[i])
@@ -122,7 +131,7 @@ def test_window_violation_names_where_it_happened():
 )
 def test_update_moves_with_the_residual(w1, w2, wb, x1, x2, t):
     before = np.array([w1, w2, wb])
-    out = slp_forward(before, np.array([x1, x2], dtype=float))
+    out = forward(before, [x1, x2])
     _, after = one_step(weights=before, x=(x1, x2), t=t)
     moved = after - before
     residual = t - out
