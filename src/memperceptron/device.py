@@ -90,11 +90,6 @@ def quad_coefficient(params: DeviceParams) -> float:
     return params.r_off * params.mu_v * params.r_on / (params.d * params.d)
 
 
-def bias_slope(params: DeviceParams, gamma_b):
-    """Linear slope m(gamma_b); accepts scalars or arrays."""
-    return params.r_off * (1.0 - gamma_b / params.d) + params.r_on * (gamma_b / params.d)
-
-
 def bias_drift_slope(params: DeviceParams) -> float:
     """Sensitivity dm/dgamma_b of the slope to the stored bias (negative)."""
     return (params.r_on - params.r_off) / params.d

@@ -24,6 +24,14 @@
  * weight) in where[0..3], with its increment in *inc.  A block stops after
  * the sample of the first violation found so far, since no later one can
  * come first.  The MLP writes bursts of pulses, which land in full.
+ *
+ * A run keeps no state outside its arguments and its own scratch, so
+ * calls on disjoint realizations can run at once.  `train.py` cuts a run of
+ * 2 * LANES realizations or more into two calls on contiguous row ranges,
+ * cut at a multiple of LANES, and runs the second in one more thread where
+ * the process may use two CPUs, else after the first.  Each call stops its
+ * blocks at its own first violation, so after a violation a stream ends
+ * where its half's block stopped; the caller names the smaller key.
  */
 #include <math.h>
 #include <stdint.h>

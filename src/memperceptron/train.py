@@ -27,6 +27,7 @@ import hashlib
 import operator
 import os
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ _RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] *
 # R, samples, inputs, xs, parameter pointers, scores, layers, sizes, then run's six device constants
 _SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
+LANES = 8  # realizations per lane block, as in epoch.c
 
 
 @functools.cache
@@ -131,7 +133,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
 
 def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams: np.ndarray,
                    bound: float, window_a: float, eta: float, sizes=None, device=(0.0,) * 6):
-    """Train every realization online, the whole run in one compiled call.
+    """Train every realization online, in one compiled call, or in one per half of a wide ensemble.
 
     params is a list of arrays with realizations on the leading axis
     (copied, never mutated).  streams is a stream array from
@@ -141,13 +143,20 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     added, then clamped to [-bound, bound].  Without sizes the run
     trains the SLP on its weights, in single pulses: an increment
     reaching window_a raises WindowViolationError for the first one by
-    epoch, sample, realization and weight, and leaves each stream where
-    its lane block stopped.  The MLP passes its gammas, then biases,
-    sizes as its layer widths, input first, and device as (b_scale,
-    kappa * tau, m', r_off, r_on, d); it writes bursts, and ignores
-    window_a.  A run that cannot allocate its scratch raises
+    epoch, sample, realization and weight.  The MLP passes its gammas,
+    then biases, sizes as its layer widths, input first, and device as
+    (b_scale, kappa * tau, m', r_off, r_on, d); it writes bursts, and
+    ignores window_a.  A run that cannot allocate its scratch raises
     MemoryError.  Returns (histories, params), histories being
     (realizations, epochs) of the summed pre-update error.
+
+    From 2 * LANES realizations on, the run is cut once into two
+    contiguous halves (see `_run_halves`), a second thread running one
+    while the caller runs the other when the process may use two CPUs,
+    and one after the other when it may use one; the bytes are the same
+    either way.  After a violation each stream is left where its lane
+    block stopped, a block stopping after the sample of the first
+    violation its own half had found so far.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -162,11 +171,16 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
     histories = np.empty((n_real, epochs))
-    where, increment = (_I * 4)(), _F()
-    status = load_library().run(
-        n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
-        _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
-        *_layers(sizes), *device)
+    if n_real < 2 * LANES:
+        where, increment = (_I * 4)(), _F()
+        status = load_library().run(
+            n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
+            _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
+            *_layers(sizes), *device)
+    else:
+        status, where, increment = _run_halves(
+            (n_samples, xs.shape[1], _address(xs), _address(ts), epochs), streams, params, histories,
+            (bound, window_a), (eta, *_layers(sizes), *device))
     if status == 2:
         raise MemoryError("run: cannot allocate its scratch")
     if status == 1:
@@ -176,6 +190,51 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
             f"{increment.value!r} to weight {weight} does not fit in window width {window_a}"
         )
     return histories, params
+
+
+def _run_halves(head, streams, params, histories, limits, tail):
+    """`run` on realizations [0, m) and [m, R) apart, m a multiple of LANES
+    that leaves any ragged block in the second half and the halves at most
+    LANES apart, in two threads if the process may use two CPUs.
+
+    head, limits and tail are run's arguments before the streams, between
+    the histories and where, and after inc.  Returns run's status over
+    both halves (2 if either failed to allocate), the smaller of their
+    violation keys, realizations counted from 0, and its increment.
+    """
+    n_real, lib = len(streams), load_library()
+    cut = LANES * ((n_real + LANES) // (2 * LANES))
+    calls, hits = [], []
+    for lo, hi in ((0, cut), (cut, n_real)):
+        where, increment = (_I * 4)(), _F()
+        args = (hi - lo, *head, _address(streams[lo:hi]), _pointers([p[lo:hi] for p in params]),
+                _address(histories[lo:hi]), *limits, where, ctypes.byref(increment), *tail)
+        # converted here, so that the thread's call raises no Python error
+        calls.append([t(a) if t is not _P else a for t, a in zip(_RUN, args)])
+        hits.append((lo, where, increment))
+    statuses = [0, 0]
+
+    def second():
+        statuses[1] = lib.run(*calls[1])
+
+    # at most two threads, and one where the process may use one CPU
+    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1:
+        thread = threading.Thread(target=second)
+        thread.start()
+        try:
+            statuses[0] = lib.run(*calls[0])
+        finally:
+            thread.join()
+    else:
+        statuses = [lib.run(*args) for args in calls]
+    if 2 in statuses:
+        return 2, None, None
+    keys = [((where[0], where[1], lo + where[2], where[3]), increment)
+            for status, (lo, where, increment) in zip(statuses, hits) if status == 1]
+    if not keys:
+        return 0, None, None
+    key, increment = min(keys, key=lambda hit: hit[0])
+    return 1, key, increment
 
 
 def score(params, xs: np.ndarray, sizes=None, device=(0.0,) * 6) -> np.ndarray:

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from memperceptron.device import (
-    DeviceParams,
-    apply_read_pulse,
-    bias_slope,
-    drift_rate,
-)
+from memperceptron.device import DeviceParams, apply_read_pulse, drift_rate
 from memperceptron.mlp import device_constants
 from memperceptron.train import score
 
@@ -21,13 +16,21 @@ HP = DeviceParams(r_on=1.0, r_off=100.0, d=1.0, mu_v=1.0, i_gamma=0.0)
 
 # ---------------------------------------------------------------- memristance
 
+def node_slope(p, gamma_b):
+    """The memristance r_off * (1 - g/d) + r_on * (g/d) of a node storing
+    gamma_b, read from the trained network: a 1-1 net with a unit gamma,
+    b_scale 1 and tau 0 outputs its node's slope times the input 1."""
+    return score([np.ones((1, 1)), np.full((1, 1), gamma_b)], np.ones((1, 1)), (1, 1),
+                 device_constants(p, 0.0, 1.0))[0, 0, 0]
+
+
 def test_memristance_endpoints():
-    assert bias_slope(HP, 0.0) == 100.0
-    assert bias_slope(HP, 1.0) == 1.0
+    assert node_slope(HP, 0.0) == 100.0
+    assert node_slope(HP, 1.0) == 1.0
 
 
 def test_memristance_midpoint():
-    assert bias_slope(HP, 0.5) == pytest.approx(50.5)
+    assert node_slope(HP, 0.5) == pytest.approx(50.5)
 
 
 @given(
@@ -37,7 +40,7 @@ def test_memristance_midpoint():
 )
 def test_memristance_between_extremes(gamma, r_on, ratio):
     p = DeviceParams(r_on=r_on, r_off=r_on * ratio, d=1.0)
-    r = bias_slope(p, gamma)
+    r = node_slope(p, gamma)
     assert p.r_on <= r <= p.r_off
 
 

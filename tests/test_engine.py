@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -45,8 +46,9 @@ from oracles import (
 )
 
 # realization counts for the kernel properties: below one lane block, one
-# partial block, and full blocks with a ragged tail
-REALIZATIONS = [1, 3, 17, 35]
+# partial block, two full blocks (the smallest run cut into halves), and full
+# blocks with a ragged tail
+REALIZATIONS = [1, 3, 16, 17, 35]
 # and for score: one lane, a ragged block, one full block, a full block and
 # one lane, two full blocks and one lane
 SCORED = [1, 3, 8, 9, 17]
@@ -202,6 +204,70 @@ def test_a_violation_leaves_each_stream_where_its_lane_block_stopped():
         for _ in range(violating_epoch + 1):
             ref.permutation(2)
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
+@pytest.mark.parametrize("earlier", [0, 30])
+def test_a_violation_leaves_each_stream_where_its_half_stopped(earlier):
+    # 40 realizations are cut 24 | 16.  Realization `earlier` overshoots at
+    # epoch 1, sample 2, and the other of 0 and 30 at epoch 2, sample 1, a
+    # later key.  Each half stops at its own first violation, so the streams
+    # of the half holding the later one draw one more permutation
+    n_real, cut, later = 40, 24, 30 - earlier
+    streams = seed_streams(0, n_real)
+    glorot_slp_weights(1, streams)
+    weights0 = np.full((n_real, 2), 5.0)  # saturated: almost no increment
+    weights0[earlier] = -1.25  # 0.65, then 1.37 at epoch 1, sample 2
+    weights0[later] = -1.5  # 0.43, 0.84, then 1.45 at epoch 2, sample 1
+    with pytest.raises(WindowViolationError, match=rf"^realization {earlier}, epoch 1, sample 2: "):
+        train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
+    refs = [np.random.default_rng(r) for r in range(n_real)]
+    for r, ref in enumerate(refs):
+        glorot_slp_loop_init(1, ref)
+        for _ in range(1 if (r < cut) == (earlier < cut) else 2):
+            ref.permutation(2)
+    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
+def on_cpus(cpus, monkeypatch, run):
+    """run()'s outcome when the process may use cpus CPUs, and the number of
+    threads it started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return outcome(run), len(started)
+
+
+@pytest.mark.parametrize("model, n_real", [(model, n_real) for model in ("slp", "mlp")
+                                           for n_real in (16, 17, 35, 100)] + [("slp overshooting", 40)])
+def test_the_halves_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, monkeypatch):
+    # one CPU runs the two halves one after the other in the caller; more
+    # run the second in one more thread, never more
+    rng = np.random.default_rng(n_real)
+    xs = rng.uniform(-1.0, 1.0, (7, 2))
+    ts = (xs[:, 0] > xs[:, 1]).astype(float)
+
+    def trained(cpus):
+        streams = seed_streams(3, n_real)
+        if model == "mlp":
+            gammas0, biases0 = glorot_init(Topology((2, 2, 1)), streams)
+            got = on_cpus(cpus, monkeypatch,
+                          lambda: train_mlp_ensemble(gammas0, biases0, 0.5, xs, ts, 4, streams))
+        else:
+            weights0, eta = glorot_slp_weights(2, streams), 7.0 if model == "slp overshooting" else 0.5
+            got = on_cpus(cpus, monkeypatch, lambda: train_slp_ensemble(weights0, eta, xs, ts, 4, streams))
+        return *got, streams.tolist()
+
+    (one, one_threads, one_streams), (two, two_threads, two_streams) = trained(1), trained(4)
+    assert (one_threads, two_threads) == (0, 1)
+    assert isinstance(one, str) == (model == "slp overshooting")
+    assert_same(one, two)
+    assert one_streams == two_streams
 
 
 def test_signed_zeros_follow_the_oracles():

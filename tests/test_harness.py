@@ -558,6 +558,16 @@ def test_cli_non_finite_training_exits_2(tmp_path, capsys, command, flag):
                         "roc_slp_or.csv", "roc_slp_xor.csv"] if command == "protocol" else [])
 
 
+def test_a_parameter_gone_bad_in_the_last_write_is_a_non_finite_run():
+    # one sample and one epoch: the error is taken before the write and is
+    # finite, and the write's inf * 0 leaves a gamma NaN, which only the
+    # check of the final parameters sees
+    config = tiny(model="mlp", gate="XOR", epochs=1, n_realizations=1, dataset_size=1,
+                  learning_rate=1e308, seed=1)
+    with pytest.raises(FloatingPointError, match=r"^mlp XOR: realization 0 is not finite from epoch 1 on$"):
+        trained_ensemble(config)
+
+
 # each float key is drawn half the time from a working range, half the time
 # from anywhere in its valid range, subnormals and the largest floats included
 POSITIVE = st.floats(0.01, 10.0) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
