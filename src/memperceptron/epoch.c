@@ -27,11 +27,12 @@
  *
  * A run keeps no state outside its arguments and its own scratch, so
  * calls on disjoint realizations can run at once.  `train.py` cuts a run of
- * 2 * LANES realizations or more into two calls on contiguous row ranges,
- * cut at a multiple of LANES, and runs the second in one more thread where
- * the process may use two CPUs, else after the first.  Each call stops its
- * blocks at its own first violation, so after a violation a stream ends
- * where its half's block stopped; the caller names the smaller key.
+ * 2 * LANES realizations or more into at most 16 calls on contiguous row
+ * ranges of whole lane blocks, which the caller and one more thread take in
+ * turn where the process may use two CPUs, else the caller alone.  Each call
+ * stops its blocks at its own first violation, so after a violation a
+ * stream ends where its piece's block stopped; the caller names the
+ * smallest key.
  */
 #include <math.h>
 #include <stdint.h>

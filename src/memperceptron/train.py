@@ -20,6 +20,7 @@ compiled library seeds and advances exactly as numpy would.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -45,6 +46,7 @@ _RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] *
 _SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
 LANES = 8  # realizations per lane block, as in epoch.c
+PIECES = 16  # most run calls a run of 2 * LANES realizations or more is cut into
 
 
 @functools.cache
@@ -133,7 +135,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
 
 def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams: np.ndarray,
                    bound: float, window_a: float, eta: float, sizes=None, device=(0.0,) * 6):
-    """Train every realization online, in one compiled call, or in one per half of a wide ensemble.
+    """Train every realization online, in one compiled call, or in one per piece of a wide ensemble.
 
     params is a list of arrays with realizations on the leading axis
     (copied, never mutated).  streams is a stream array from
@@ -150,13 +152,13 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     MemoryError.  Returns (histories, params), histories being
     (realizations, epochs) of the summed pre-update error.
 
-    From 2 * LANES realizations on, the run is cut once into two
-    contiguous halves (see `_run_halves`), a second thread running one
-    while the caller runs the other when the process may use two CPUs,
-    and one after the other when it may use one; the bytes are the same
-    either way.  After a violation each stream is left where its lane
-    block stopped, a block stopping after the sample of the first
-    violation its own half had found so far.
+    From 2 * LANES realizations on, the run is cut into at most PIECES
+    contiguous pieces of whole lane blocks (see `_run_pieces`), which a
+    second thread and the caller take in turn when the process may use
+    two CPUs, and the caller alone when it may use one; the bytes are the
+    same either way.  After a violation each stream is left where its
+    lane block stopped, a block stopping after the sample of the first
+    violation its own piece had found so far.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -178,7 +180,7 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
             _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
             *_layers(sizes), *device)
     else:
-        status, where, increment = _run_halves(
+        status, where, increment = _run_pieces(
             (n_samples, xs.shape[1], _address(xs), _address(ts), epochs), streams, params, histories,
             (bound, window_a), (eta, *_layers(sizes), *device))
     if status == 2:
@@ -192,41 +194,52 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     return histories, params
 
 
-def _run_halves(head, streams, params, histories, limits, tail):
-    """`run` on realizations [0, m) and [m, R) apart, m a multiple of LANES
-    that leaves any ragged block in the second half and the halves at most
-    LANES apart, in two threads if the process may use two CPUs.
+def _run_pieces(head, streams, params, histories, limits, tail):
+    """`run` on contiguous pieces of the realizations, which the caller and
+    one more thread take in turn, or the caller alone where the process may
+    use one CPU.
 
-    head, limits and tail are run's arguments before the streams, between
-    the histories and where, and after inc.  Returns run's status over
-    both halves (2 if either failed to allocate), the smaller of their
-    violation keys, realizations counted from 0, and its increment.
+    Each piece but the last holds the fewest whole lane blocks that cut the
+    run into at most PIECES pieces, so the cut depends on R alone and any
+    ragged block is in the last piece.  A thread takes the next piece as
+    soon as it is done with its last, so a core that runs slower for a
+    while trains fewer pieces instead of holding up the run.  head, limits and
+    tail are run's arguments before the streams, between the histories and
+    where, and after inc.  Returns run's status over the pieces (2 if one
+    failed to allocate), the smallest of their violation keys, realizations
+    counted from 0, and its increment.
     """
     n_real, lib = len(streams), load_library()
-    cut = LANES * ((n_real + LANES) // (2 * LANES))
+    size = LANES * -(-n_real // (LANES * PIECES))
     calls, hits = [], []
-    for lo, hi in ((0, cut), (cut, n_real)):
+    for lo in range(0, n_real, size):
+        hi = min(lo + size, n_real)
         where, increment = (_I * 4)(), _F()
         args = (hi - lo, *head, _address(streams[lo:hi]), _pointers([p[lo:hi] for p in params]),
                 _address(histories[lo:hi]), *limits, where, ctypes.byref(increment), *tail)
-        # converted here, so that the thread's call raises no Python error
+        # converted here, so that the thread's calls raise no Python error
         calls.append([t(a) if t is not _P else a for t, a in zip(_RUN, args)])
         hits.append((lo, where, increment))
-    statuses = [0, 0]
+    statuses, todo = [0] * len(calls), collections.deque(range(len(calls)))
 
-    def second():
-        statuses[1] = lib.run(*calls[1])
+    def work():
+        while True:
+            try:
+                i = todo.popleft()  # thread-safe, so each piece is taken once
+            except IndexError:
+                return
+            statuses[i] = lib.run(*calls[i])
 
     # at most two threads, and one where the process may use one CPU
     if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1:
-        thread = threading.Thread(target=second)
+        thread = threading.Thread(target=work)
         thread.start()
         try:
-            statuses[0] = lib.run(*calls[0])
+            work()
         finally:
             thread.join()
     else:
-        statuses = [lib.run(*args) for args in calls]
+        work()
     if 2 in statuses:
         return 2, None, None
     keys = [((where[0], where[1], lo + where[2], where[3]), increment)

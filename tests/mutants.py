@@ -41,7 +41,9 @@ MUTANTS = [
     (TRAIN, "lo + where[2]", "where[2]",
      ENGINE_TESTS + "test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines"),
     (TRAIN, "min(keys, key=lambda hit: hit[0])", "keys[0]",
-     ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_half_stopped"),
+     ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
+    (TRAIN, "-(-n_real // (LANES * PIECES))", "-(-n_real // (LANES * 2))",
+     ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
 ]
 
 

@@ -46,7 +46,7 @@ from oracles import (
 )
 
 # realization counts for the kernel properties: below one lane block, one
-# partial block, two full blocks (the smallest run cut into halves), and full
+# partial block, two full blocks (the smallest run cut into pieces), and full
 # blocks with a ragged tail
 REALIZATIONS = [1, 3, 16, 17, 35]
 # and for score: one lane, a ragged block, one full block, a full block and
@@ -206,13 +206,15 @@ def test_a_violation_leaves_each_stream_where_its_lane_block_stopped():
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
 
-@pytest.mark.parametrize("earlier", [0, 30])
-def test_a_violation_leaves_each_stream_where_its_half_stopped(earlier):
-    # 40 realizations are cut 24 | 16.  Realization `earlier` overshoots at
-    # epoch 1, sample 2, and the other of 0 and 30 at epoch 2, sample 1, a
-    # later key.  Each half stops at its own first violation, so the streams
-    # of the half holding the later one draw one more permutation
-    n_real, cut, later = 40, 24, 30 - earlier
+@pytest.mark.parametrize("earlier", [0, 150])
+def test_a_violation_leaves_each_stream_where_its_piece_stopped(earlier):
+    # 160 realizations are cut into ten pieces of two lane blocks.
+    # Realization `earlier` overshoots at epoch 1, sample 2, and the other of
+    # 0 and 150 at epoch 2, sample 1, a later key.  Each piece stops its
+    # blocks at its own first violation, so the streams of the piece holding
+    # the earlier one draw one permutation, those of the piece holding the
+    # later one two, and those of the other pieces all four
+    n_real, piece, later = 160, 16, 150 - earlier
     streams = seed_streams(0, n_real)
     glorot_slp_weights(1, streams)
     weights0 = np.full((n_real, 2), 5.0)  # saturated: almost no increment
@@ -220,10 +222,11 @@ def test_a_violation_leaves_each_stream_where_its_half_stopped(earlier):
     weights0[later] = -1.5  # 0.43, 0.84, then 1.45 at epoch 2, sample 1
     with pytest.raises(WindowViolationError, match=rf"^realization {earlier}, epoch 1, sample 2: "):
         train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
+    drawn = {earlier // piece: 1, later // piece: 2}
     refs = [np.random.default_rng(r) for r in range(n_real)]
     for r, ref in enumerate(refs):
         glorot_slp_loop_init(1, ref)
-        for _ in range(1 if (r < cut) == (earlier < cut) else 2):
+        for _ in range(drawn.get(r // piece, 4)):
             ref.permutation(2)
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
@@ -244,10 +247,12 @@ def on_cpus(cpus, monkeypatch, run):
 
 
 @pytest.mark.parametrize("model, n_real", [(model, n_real) for model in ("slp", "mlp")
-                                           for n_real in (16, 17, 35, 100)] + [("slp overshooting", 40)])
-def test_the_halves_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, monkeypatch):
-    # one CPU runs the two halves one after the other in the caller; more
-    # run the second in one more thread, never more
+                                           for n_real in (16, 17, 35, 100, 300)]
+                         + [("slp overshooting", 160)])
+def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, monkeypatch):
+    # one CPU runs the pieces one after the other in the caller; more share
+    # them with one more thread, never more.  At 300 a piece holds three
+    # lane blocks and the last one a full block and a ragged one
     rng = np.random.default_rng(n_real)
     xs = rng.uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
@@ -268,6 +273,37 @@ def test_the_halves_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, mon
     assert isinstance(one, str) == (model == "slp overshooting")
     assert_same(one, two)
     assert one_streams == two_streams
+
+
+def test_concurrent_trainer_calls_each_run_every_piece_once(monkeypatch):
+    # six callers at once, each with its own extra thread, so more threads
+    # than cores, and a switch interval short enough to interleave the taking
+    # of pieces: a piece run twice would advance its streams twice, and a
+    # piece skipped would leave them where they were
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.0, 1.0, (7, 2))
+    ts = (xs[:, 0] > xs[:, 1]).astype(float)
+
+    def trained():
+        streams = seed_streams(3, 300)
+        return *train_slp_ensemble(glorot_slp_weights(2, streams), 0.5, xs, ts, 3, streams), streams
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = trained()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    got = [None] * 6
+    callers = [threading.Thread(target=lambda i=i: got.__setitem__(i, trained())) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert [[a.tobytes() for a in g] for g in got] == [[a.tobytes() for a in want]] * 6
 
 
 def test_signed_zeros_follow_the_oracles():
