@@ -25,21 +25,27 @@
  * the sample of the first violation found so far, since no later one can
  * come first.  The MLP writes bursts of pulses, which land in full.
  *
- * A run keeps no state outside its arguments and its own scratch, so
- * calls on disjoint realizations can run at once.  `train.py` cuts a run of
- * 2 * LANES realizations or more into at most 16 calls on contiguous row
- * ranges of whole lane blocks, which the caller and one more thread take in
- * turn where the process may use two CPUs, else the caller alone.  Each call
- * stops its blocks at its own first violation, so after a violation a
- * stream ends where its piece's block stopped; the caller names the
- * smallest key.
+ * A run cuts its realizations into pieces: one below 2 * LANES, else at
+ * most PIECES of whole lane blocks, the fewest blocks per piece that make
+ * PIECES enough, so the cut depends on R alone and any ragged block is in
+ * the last piece.  The caller and, where the process may use two CPUs, one
+ * more thread take the pieces in turn, each the next one as soon as it is
+ * done with its last, so a core that runs slower for a while trains fewer
+ * pieces instead of holding up the run; the bytes are the same on one CPU
+ * and on two.  Each piece stops its blocks at its own first violation, so
+ * after a violation a stream ends where its piece's block stopped; the run
+ * names the smallest key of all pieces.  A run keeps no state outside its
+ * arguments and its own scratch, so calls on disjoint arrays can run at once.
  */
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 #define LANES 8
+#define PIECES 16 /* the most pieces a run is cut into */
 
 /* A realization's PCG64 stream is a row of STREAM words holding the fields
  * of numpy's PCG64.state: the 128-bit state and increment, each as its high
@@ -293,19 +299,26 @@ int64_t write_pulses(int64_t n, double *q, const double *inc, double bound, doub
     return apply(n, q, inc, bound, window_a);
 }
 
-/* apply to the nb lanes from r0 of weight i, at q, in sample k of epoch e.
- * A violation's key (e, k, realization, i) goes to c.where and its
- * increment to *c.inc if it comes before the one kept. */
+/* A violation's key (epoch, sample, realization, weight) goes to where and
+ * its increment to *inc if it comes before the one kept there. */
+INLINE void keep(int64_t *where, double *inc, const int64_t *key, double increment)
+{
+    for (int j = 0; j < 4 && key[j] <= where[j]; j++)
+        if (key[j] < where[j]) {
+            memcpy(where, key, 4 * sizeof *key);
+            *inc = increment;
+            return;
+        }
+}
+
+/* apply to the nb lanes from r0 of weight i, at q, in sample k of epoch e,
+ * keeping a violation in c.where and *c.inc. */
 INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t i, double *q,
                 const double *inc, args c)
 {
     int64_t hit = apply(nb, q, inc, c.bound, c.window_a), key[4] = {e, k, r0 + hit, i};
-    for (int j = 0; hit >= 0 && j < 4 && key[j] <= c.where[j]; j++)
-        if (key[j] < c.where[j]) {
-            memcpy(c.where, key, sizeof key);
-            *c.inc = inc[hit];
-            return;
-        }
+    if (hit >= 0)
+        keep(c.where, c.inc, key, inc[hit]);
 }
 
 /* The forward halves compute the outputs of the nb lanes on the inputs x.
@@ -479,58 +492,100 @@ done:
     lanes(nb, r0, L, c, g, q, 0);
 }
 
-/* The run's blocks: full ones of LANES lanes, then the rest, a single
- * realization apart so that R = 1 pays for no idle lanes. */
-INLINE void blocks(int64_t L, args c)
+/* The blocks of realizations lo to hi - 1: full ones of LANES lanes, then
+ * the rest, a single realization apart so that R = 1 pays for no idle lanes. */
+INLINE void blocks(int64_t L, args c, int64_t lo, int64_t hi)
 {
-    for (int64_t r0 = 0; r0 < c.R; r0 += LANES)
-        c.R - r0 >= LANES ? block(LANES, r0, L, c)
-                          : c.R - r0 == 1 ? block(1, r0, L, c) : block(c.R - r0, r0, L, c);
+    for (int64_t r0 = lo; r0 < hi; r0 += LANES)
+        hi - r0 >= LANES ? block(LANES, r0, L, c)
+                         : hi - r0 == 1 ? block(1, r0, L, c) : block(hi - r0, r0, L, c);
 }
 
 /* The MLP's blocks, in a function apart from the SLP's: sharing one, gcc 12
  * at -O2 kept more values of the SLP's in registers, saved and restored
  * around every exp call, and its blocks of eight lanes ran 6-8% slower. */
-__attribute__((noinline)) static void mlp_blocks(args c)
+__attribute__((noinline)) static void mlp_blocks(args c, int64_t lo, int64_t hi)
 {
-    blocks(c.L, c);
+    blocks(c.L, c, lo, hi);
 }
 
-/* Sets c's layer totals from its sizes and allocates its scratch; NULL if
- * that fails.  A lane holds the inputs, the parameters and mlp_forward's
- * work space, and in training also the permutation (as many int64s as
- * samples) and mlp_backward's three vectors. */
-INLINE double *prepare(args *c, int training)
+/* Sets c's layer totals from its sizes and returns the width of a lane's
+ * scratch: the inputs, the parameters and mlp_forward's work space, and in
+ * training also the permutation (as many int64s as samples) and
+ * mlp_backward's three vectors. */
+INLINE int64_t prepare(args *c, int training)
 {
     for (int64_t l = 0; l < c->L; l++) {
         c->weights += c->sizes[l] * c->sizes[l + 1];
         c->nodes += c->sizes[l + 1];
         c->widest = c->sizes[l + 1] > c->widest ? c->sizes[l + 1] : c->widest;
     }
-    int64_t width = c->n_in + c->weights + 4 * c->nodes + (training ? c->n + 3 * c->widest : 0);
-    return c->scratch = malloc((size_t)(width * LANES) * sizeof *c->scratch);
+    return c->n_in + c->weights + 4 * c->nodes + (training ? c->n + 3 * c->widest : 0);
+}
+
+/* A run's pieces, size realizations each but the last, and what its threads
+ * share: the next piece to take, and each piece's first violation. */
+typedef struct {
+    args c; /* c.scratch holds one thread's scratch of `width` per lane, then the other's */
+    int64_t size, count, width, where[PIECES][4];
+    double inc[PIECES];
+    atomic_int_fast64_t next;
+} cut;
+
+/* Trains the pieces no thread has taken yet, one at a time, on the scratch
+ * of thread t, 0 being the caller. */
+static void take(cut *u, int64_t t)
+{
+    args c = u->c;
+    c.scratch += t * u->width * LANES;
+    for (int64_t i; (i = atomic_fetch_add(&u->next, 1)) < u->count;) {
+        int64_t lo = i * u->size, hi = lo + u->size < c.R ? lo + u->size : c.R;
+        c.where = u->where[i];
+        c.inc = u->inc + i;
+        for (int j = 0; j < 4; j++) /* no violation: after every key */
+            c.where[j] = INT64_MAX;
+        if (c.L)
+            mlp_blocks(c, lo, hi);
+        else
+            blocks(0, c, lo, hi);
+    }
+}
+
+static void *second(void *u)
+{
+    take(u, 1);
+    return NULL;
 }
 
 /* Trains the SLP if L = 0, which alone uses window_a, where and inc, else
  * the MLP of L layers of sizes[0..L], which alone uses b_scale to d (see
- * mlp_forward and mlp_backward).  Allocates the blocks' scratch for the run;
+ * mlp_forward and mlp_backward), in one thread beside the caller if cpus >
+ * 1 and there are two pieces or more.  Allocates the threads' scratch;
  * returns 2 if that fails, 1 after a window violation, else 0. */
 int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, int64_t epochs,
         uint64_t *streams, double **p, double *histories, double bound, double window_a,
         int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes, double b_scale,
-        double kt, double m_prime, double r_off, double r_on, double d)
+        double kt, double m_prime, double r_off, double r_on, double d, int64_t cpus)
 {
     args c = {R, n, n_in, epochs, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
-              histories, inc, NULL, where, bound, window_a, eta, b_scale, kt, m_prime, r_off,
+              histories, NULL, NULL, NULL, bound, window_a, eta, b_scale, kt, m_prime, r_off,
               r_on, d};
-    if (prepare(&c, 1) == NULL)
+    int64_t width = prepare(&c, 1), size = R < 2 * LANES ? R : LANES * ((R - 1) / (LANES * PIECES) + 1);
+    cut u = {.c = c, .size = size, .count = size ? (R - 1) / size + 1 : 0, .width = width};
+    int64_t threads = cpus > 1 && u.count > 1 ? 2 : 1;
+    if ((u.c.scratch = malloc((size_t)(threads * width * LANES) * sizeof *u.c.scratch)) == NULL)
         return 2;
-    where[0] = INT64_MAX;
-    if (L)
-        mlp_blocks(c);
-    else
-        blocks(0, c);
-    free(c.scratch);
+    pthread_t thread;
+    if (threads == 2 && pthread_create(&thread, NULL, second, &u) != 0)
+        threads = 1; /* the caller takes every piece */
+    take(&u, 0);
+    if (threads == 2)
+        pthread_join(thread, NULL);
+    free(u.c.scratch);
+    for (int j = 0; j < 4; j++)
+        where[j] = INT64_MAX;
+    for (int64_t i = 0; i < u.count; i++)
+        keep(where, inc, u.where[i], u.inc[i]);
     return where[0] != INT64_MAX;
 }
 
@@ -557,7 +612,7 @@ INLINE void score_block(int64_t nb, int64_t r0, int64_t L, args c)
     }
 }
 
-/* The score's blocks, cut as run's are, in a function apart from run. */
+/* The score's blocks, full and ragged as run's are, in a function apart from run. */
 __attribute__((noinline)) static void score_blocks(args c)
 {
     for (int64_t r0 = 0; r0 < c.R; r0 += LANES)
@@ -575,7 +630,7 @@ int score(int64_t R, int64_t n, int64_t n_in, const double *xs, double **p, doub
 {
     args c = {R, n, n_in, 0, L, L ? 0 : n_in + 1, 0, 0, xs, NULL, sizes, NULL, p, scores, NULL,
               NULL, NULL, 0.0, 0.0, 0.0, b_scale, kt, m_prime, r_off, r_on, d};
-    if (prepare(&c, 0) == NULL)
+    if ((c.scratch = malloc((size_t)(prepare(&c, 0) * LANES) * sizeof *c.scratch)) == NULL)
         return 2;
     score_blocks(c);
     free(c.scratch);

@@ -208,11 +208,11 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     """Train all realizations; returns (histories, final parameters).
 
     histories is (n_realizations, epochs) of per-epoch E_total.  The
-    parameters are the weight rows for the slp and the (gammas, biases)
-    arrays for the mlp, as needed for scoring.  Given `snapshot`, the
-    parameters after that many epochs come third: the epochs then run in
-    two trainer calls on the same streams, and the second call resumes
-    exactly where the first stopped.  A realization whose error or
+    parameters are the list of arrays `train.score` takes: [weights] for
+    the slp, the gammas then the node biases for the mlp.  Given
+    `snapshot`, the parameters after that many epochs come third: the
+    epochs then run in two trainer calls on the same streams, and the
+    second call resumes exactly where the first stopped.  A realization whose error or
     parameters are not finite raises FloatingPointError.
     """
     dataset = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
@@ -221,20 +221,22 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     # weight draws come first, then one permutation per epoch
     streams = seed_streams(config.seed, config.n_realizations)
     if config.model == "slp":
-        start = glorot_slp_weights(xs.shape[1], streams)
+        start = [glorot_slp_weights(xs.shape[1], streams)]
 
         def train(params, epochs):
-            return train_slp_ensemble(params, eta, xs, ts, epochs, streams, window_a=config.window_a)
+            histories, w = train_slp_ensemble(*params, eta, xs, ts, epochs, streams, window_a=config.window_a)
+            return histories, [w]
     else:
         gammas0, biases0 = glorot_init(Topology(tuple(config.topology)), streams)
-        start = [w / config.b_scale for w in gammas0], biases0
+        start, layers = [w / config.b_scale for w in gammas0] + biases0, len(gammas0)
 
         def train(params, epochs):
             histories, gammas, biases = train_mlp_ensemble(
-                *params, eta, xs, ts, epochs, streams, params=device_params(config),
-                tau=config.tau, d_prime=config.d_prime, b_scale=config.b_scale,
+                params[:layers], params[layers:], eta, xs, ts, epochs, streams,
+                params=device_params(config), tau=config.tau, d_prime=config.d_prime,
+                b_scale=config.b_scale,
             )
-            return histories, (gammas, biases)
+            return histories, gammas + biases
 
     done = 0
     try:
@@ -256,7 +258,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     # makes every later error NaN: the histories and the final parameters
     # cover every epoch, a snapshot included
     bad = ~np.isfinite(histories)
-    for p in [final] if config.model == "slp" else [*final[0], *final[1]]:
+    for p in final:
         bad[:, -1] |= ~np.isfinite(p.reshape(len(p), -1)).all(axis=1)
     if bad.any():
         r = int(bad.any(axis=1).argmax())
@@ -271,10 +273,10 @@ def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarr
     """Scores of every trained realization on a batch, (realizations, samples);
     a score that is not finite raises FloatingPointError."""
     if config.model == "slp":
-        scores = score([final], xs)[:, :, 0]
+        sizes, device = None, (0.0,) * 6
     else:
-        device = device_constants(device_params(config), config.tau, config.b_scale)
-        scores = score([*final[0], *final[1]], xs, config.topology, device)[:, :, 0]
+        sizes, device = config.topology, device_constants(device_params(config), config.tau, config.b_scale)
+    scores = score(final, xs, sizes, device)[:, :, 0]
     bad = ~np.isfinite(scores).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"{config.model} {config.gate}: realization {int(bad.argmax())} "
@@ -371,5 +373,4 @@ def run_protocol(config: ExperimentConfig):
         yield _emit_curve(pair, aggregate_curve(histories))
         if (pair.model, pair.gate) in evals:
             xs, ts = evals[(pair.model, pair.gate)]
-            first = taken[:1] if pair.model == "slp" else tuple([a[:1] for a in part] for part in taken)
-            yield _emit_roc(pair, ensemble_scores(pair, first, xs)[0], ts)[0]
+            yield _emit_roc(pair, ensemble_scores(pair, [p[:1] for p in taken], xs)[0], ts)[0]

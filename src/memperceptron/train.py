@@ -20,7 +20,6 @@ compiled library seeds and advances exactly as numpy would.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -28,7 +27,6 @@ import hashlib
 import operator
 import os
 import subprocess
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +34,15 @@ import numpy as np
 from .device import WindowViolationError
 
 _SOURCE = Path(__file__).with_name("epoch.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC", "-pthread")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # R, samples, inputs, xs, ts, epochs, streams, parameter pointers, histories,
 # bound, window_a, violation key, violation increment, eta, layers, sizes,
-# then the MLP's b_scale, kappa * tau, m', r_off, r_on, d
-_RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] * 6
+# then the MLP's b_scale, kappa * tau, m', r_off, r_on, d, then the CPUs the process may use
+_RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] * 6 + [_I]
 # R, samples, inputs, xs, parameter pointers, scores, layers, sizes, then run's six device constants
 _SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
-LANES = 8  # realizations per lane block, as in epoch.c
-PIECES = 16  # most run calls a run of 2 * LANES realizations or more is cut into
 
 
 @functools.cache
@@ -135,7 +131,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
 
 def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams: np.ndarray,
                    bound: float, window_a: float, eta: float, sizes=None, device=(0.0,) * 6):
-    """Train every realization online, in one compiled call, or in one per piece of a wide ensemble.
+    """Train every realization online, in one compiled call.
 
     params is a list of arrays with realizations on the leading axis
     (copied, never mutated).  streams is a stream array from
@@ -152,13 +148,12 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     MemoryError.  Returns (histories, params), histories being
     (realizations, epochs) of the summed pre-update error.
 
-    From 2 * LANES realizations on, the run is cut into at most PIECES
-    contiguous pieces of whole lane blocks (see `_run_pieces`), which a
-    second thread and the caller take in turn when the process may use
-    two CPUs, and the caller alone when it may use one; the bytes are the
-    same either way.  After a violation each stream is left where its
-    lane block stopped, a block stopping after the sample of the first
-    violation its own piece had found so far.
+    The run cuts a wide ensemble into pieces of whole lane blocks, which
+    one more thread and the caller take in turn when the process may use
+    two CPUs, and the caller alone when it may use one (see epoch.c); the
+    bytes are the same either way.  After a violation each stream is left
+    where its lane block stopped, a block stopping after the sample of
+    the first violation its own piece had found so far.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -172,17 +167,12 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     _check_streams(streams)
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
-    histories = np.empty((n_real, epochs))
-    if n_real < 2 * LANES:
-        where, increment = (_I * 4)(), _F()
-        status = load_library().run(
-            n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
-            _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
-            *_layers(sizes), *device)
-    else:
-        status, where, increment = _run_pieces(
-            (n_samples, xs.shape[1], _address(xs), _address(ts), epochs), streams, params, histories,
-            (bound, window_a), (eta, *_layers(sizes), *device))
+    histories, where, increment = np.empty((n_real, epochs)), (_I * 4)(), _F()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    status = load_library().run(
+        n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
+        _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
+        *_layers(sizes), *device, cpus)
     if status == 2:
         raise MemoryError("run: cannot allocate its scratch")
     if status == 1:
@@ -192,62 +182,6 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
             f"{increment.value!r} to weight {weight} does not fit in window width {window_a}"
         )
     return histories, params
-
-
-def _run_pieces(head, streams, params, histories, limits, tail):
-    """`run` on contiguous pieces of the realizations, which the caller and
-    one more thread take in turn, or the caller alone where the process may
-    use one CPU.
-
-    Each piece but the last holds the fewest whole lane blocks that cut the
-    run into at most PIECES pieces, so the cut depends on R alone and any
-    ragged block is in the last piece.  A thread takes the next piece as
-    soon as it is done with its last, so a core that runs slower for a
-    while trains fewer pieces instead of holding up the run.  head, limits and
-    tail are run's arguments before the streams, between the histories and
-    where, and after inc.  Returns run's status over the pieces (2 if one
-    failed to allocate), the smallest of their violation keys, realizations
-    counted from 0, and its increment.
-    """
-    n_real, lib = len(streams), load_library()
-    size = LANES * -(-n_real // (LANES * PIECES))
-    calls, hits = [], []
-    for lo in range(0, n_real, size):
-        hi = min(lo + size, n_real)
-        where, increment = (_I * 4)(), _F()
-        args = (hi - lo, *head, _address(streams[lo:hi]), _pointers([p[lo:hi] for p in params]),
-                _address(histories[lo:hi]), *limits, where, ctypes.byref(increment), *tail)
-        # converted here, so that the thread's calls raise no Python error
-        calls.append([t(a) if t is not _P else a for t, a in zip(_RUN, args)])
-        hits.append((lo, where, increment))
-    statuses, todo = [0] * len(calls), collections.deque(range(len(calls)))
-
-    def work():
-        while True:
-            try:
-                i = todo.popleft()  # thread-safe, so each piece is taken once
-            except IndexError:
-                return
-            statuses[i] = lib.run(*calls[i])
-
-    # at most two threads, and one where the process may use one CPU
-    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1:
-        thread = threading.Thread(target=work)
-        thread.start()
-        try:
-            work()
-        finally:
-            thread.join()
-    else:
-        work()
-    if 2 in statuses:
-        return 2, None, None
-    keys = [((where[0], where[1], lo + where[2], where[3]), increment)
-            for status, (lo, where, increment) in zip(statuses, hits) if status == 1]
-    if not keys:
-        return 0, None, None
-    key, increment = min(keys, key=lambda hit: hit[0])
-    return 1, key, increment
 
 
 def score(params, xs: np.ndarray, sizes=None, device=(0.0,) * 6) -> np.ndarray:

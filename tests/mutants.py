@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL, HARNESS, TRAIN = (f"src/memperceptron/{name}" for name in ("epoch.c", "harness.py", "train.py"))
+KERNEL, HARNESS = (f"src/memperceptron/{name}" for name in ("epoch.c", "harness.py"))
 ENGINE_TESTS, HARNESS_TESTS = "tests/test_engine.py::", "tests/test_harness.py::"
 
 # (file, old text, new text, the test that must fail)
@@ -38,11 +38,11 @@ MUTANTS = [
      HARNESS_TESTS + "test_cli_roc_one_class_evaluation_set_exits_1"),
     (KERNEL, "if (c.where[0] < e || (c.where[0] == e && c.where[1] <= k))", "if (c.where[0] < e)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_lane_block_stopped"),
-    (TRAIN, "lo + where[2]", "where[2]",
+    (KERNEL, "c.where[j] = INT64_MAX;", ";",
      ENGINE_TESTS + "test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines"),
-    (TRAIN, "min(keys, key=lambda hit: hit[0])", "keys[0]",
+    (KERNEL, "i < u.count; i++)", "i < u.count && where[0] == INT64_MAX; i++)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
-    (TRAIN, "-(-n_real // (LANES * PIECES))", "-(-n_real // (LANES * 2))",
+    (KERNEL, "(LANES * PIECES)", "(LANES * 2)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
 ]
 

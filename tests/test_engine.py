@@ -232,18 +232,20 @@ def test_a_violation_leaves_each_stream_where_its_piece_stopped(earlier):
 
 
 def on_cpus(cpus, monkeypatch, run):
-    """run()'s outcome when the process may use cpus CPUs, and the number of
-    threads it started."""
-    started = []
+    """run()'s outcome when the process may use cpus CPUs, and the CPU
+    count of each compiled run it made."""
+    lib, passed = train.load_library(), []
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    class Counting:
+        def __getattr__(self, name):
+            if name == "run":
+                return lambda *args: passed.append(args[-1]) or lib.run(*args)
+            return getattr(lib, name)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return outcome(run), len(started)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(train, "load_library", Counting)
+        return outcome(run), passed
 
 
 @pytest.mark.parametrize("model, n_real", [(model, n_real) for model in ("slp", "mlp")
@@ -251,8 +253,8 @@ def on_cpus(cpus, monkeypatch, run):
                          + [("slp overshooting", 160)])
 def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, monkeypatch):
     # one CPU runs the pieces one after the other in the caller; more share
-    # them with one more thread, never more.  At 300 a piece holds three
-    # lane blocks and the last one a full block and a ragged one
+    # them with one more thread.  At 300 a piece holds three lane blocks and
+    # the last one a full block and a ragged one
     rng = np.random.default_rng(n_real)
     xs = rng.uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
@@ -268,8 +270,8 @@ def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, mon
             got = on_cpus(cpus, monkeypatch, lambda: train_slp_ensemble(weights0, eta, xs, ts, 4, streams))
         return *got, streams.tolist()
 
-    (one, one_threads, one_streams), (two, two_threads, two_streams) = trained(1), trained(4)
-    assert (one_threads, two_threads) == (0, 1)
+    (one, one_cpus, one_streams), (two, two_cpus, two_streams) = trained(1), trained(4)
+    assert (one_cpus, two_cpus) == ([1], [4])
     assert isinstance(one, str) == (model == "slp overshooting")
     assert_same(one, two)
     assert one_streams == two_streams
@@ -338,6 +340,7 @@ def test_a_wide_hidden_layer_fits_the_kernel_scratch():
 
 @pytest.mark.parametrize("model", ["slp", "mlp"])
 def test_a_trainer_call_is_one_compiled_call(model, monkeypatch):
+    # wide runs too: the kernel cuts them into pieces and runs the second thread
     lib, calls = train.load_library(), []
 
     class Counting:
@@ -345,14 +348,29 @@ def test_a_trainer_call_is_one_compiled_call(model, monkeypatch):
             calls.append(name)
             return getattr(lib, name)
 
-    streams = seed_streams(0, 3)
     monkeypatch.setattr(train, "load_library", Counting)
-    if model == "slp":
-        train_slp_ensemble(np.zeros((3, 3)), 0.1, np.eye(2), np.ones(2), 5, streams)
-    else:
-        train_mlp_ensemble([np.zeros((3, 2, 2)), np.zeros((3, 2, 1))], [np.zeros((3, 2)), np.zeros((3, 1))],
-                           0.1, np.eye(2), np.ones(2), 5, streams)
-    assert calls == ["run"]
+    for n_real in (0, 1, 3, 16, 100, 1000):
+        streams = seed_streams(0, n_real)
+        calls.clear()
+        if model == "slp":
+            train_slp_ensemble(np.zeros((n_real, 3)), 0.1, np.eye(2), np.ones(2), 5, streams)
+        else:
+            train_mlp_ensemble([np.zeros((n_real, 2, 2)), np.zeros((n_real, 2, 1))],
+                               [np.zeros((n_real, 2)), np.zeros((n_real, 1))], 0.1, np.eye(2), np.ones(2), 5,
+                               streams)
+        assert calls == ["run"], n_real
+
+
+def test_an_empty_ensemble_trains_and_scores_to_empty_results():
+    xs, ts, streams = np.eye(2), np.ones(2), seed_streams(0, 0)
+    histories, w = train_slp_ensemble(np.zeros((0, 3)), 0.1, xs, ts, 3, streams)
+    assert (histories.shape, w.shape) == ((0, 3), (0, 3))
+    gammas0, biases0 = [np.zeros((0, 2, 2)), np.zeros((0, 2, 1))], [np.zeros((0, 2)), np.zeros((0, 1))]
+    histories, gammas, biases = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 3, streams)
+    assert histories.shape == (0, 3)
+    assert [a.shape for a in gammas + biases] == [a.shape for a in gammas0 + biases0]
+    assert score([np.zeros((0, 3))], xs).shape == (0, 2, 1)
+    assert score(gammas0 + biases0, xs, (2, 2, 1), (1.0,) * 6).shape == (0, 2, 1)
 
 
 def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch):

@@ -363,10 +363,10 @@ def test_slp_window_overshoot_is_a_keyed_config_error():
 def test_window_a_changes_nothing_in_an_mlp_run():
     # mlp writes are bursts, which no window limits; the same small window
     # stops an slp run
-    (h_wide, (g_wide, b_wide)), (h_narrow, (g_narrow, b_narrow)) = (
+    (h_wide, p_wide), (h_narrow, p_narrow) = (
         trained_ensemble(tiny(model="mlp", gate="XOR", learning_rate=0.5, window_a=a)) for a in (1.0, 1e-3))
     assert h_wide.tobytes() == h_narrow.tobytes()
-    for wide, narrow in zip(g_wide + b_wide, g_narrow + b_narrow, strict=True):
+    for wide, narrow in zip(p_wide, p_narrow, strict=True):
         assert wide.tobytes() == narrow.tobytes()
     with pytest.raises(ConfigError, match="'window_a'"):
         trained_ensemble(tiny(window_a=1e-3))
@@ -476,9 +476,6 @@ def test_readme_commands_parse():
 
 
 def test_trained_ensemble_snapshot_splits_exactly():
-    def arrays(model, params):
-        return [params] if model == "slp" else [*params[0], *params[1]]
-
     for model in ("slp", "mlp"):
         config = tiny(model=model, epochs=6)
         histories, final = trained_ensemble(config)
@@ -486,8 +483,7 @@ def test_trained_ensemble_snapshot_splits_exactly():
         split, split_final, taken = trained_ensemble(config, snapshot=2)
         assert np.array_equal(split, histories)
         assert np.array_equal(head, histories[:, :2])
-        for got, want in zip(arrays(model, split_final) + arrays(model, taken),
-                             arrays(model, final) + arrays(model, at_2)):
+        for got, want in zip(split_final + taken, final + at_2, strict=True):
             assert np.array_equal(got, want)
 
 
@@ -616,7 +612,7 @@ def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrid
     except ConfigError:  # one class: roc and protocol stop before training
         xs = None
     for params in [final, *taken]:
-        for p in [params] if config.model == "slp" else [*params[0], *params[1]]:
+        for p in params:
             assert p.shape[0] == config.n_realizations
             assert np.isfinite(p).all() and (np.abs(p) <= bound).all()
         if xs is not None:
