@@ -2,7 +2,9 @@
 
 Inputs are uniform random draws from {0,1}^2 labelled by the gate's truth
 table.  Generation is driven by numpy's default generator (PCG64), so a
-seed pins the dataset exactly.
+seed pins the dataset exactly.  A dataset is drawn and labelled as arrays;
+`Sample` and `gate_label` are the per-row spec it is held to, and the
+validation of rows read back from CSV.
 """
 
 from __future__ import annotations
@@ -34,20 +36,27 @@ class Sample:
             raise ValueError(f"label must be binary, got {self.t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple[Sample, ...]
+    """Float inputs xs (n, 2) and labels ts (n,) of one gate draw."""
+
+    xs: np.ndarray
+    ts: np.ndarray
     gate: Gate
     seed: int | None = None
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.ts)
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """The rows as validated Samples, built on each access."""
+        xs, ts = self.xs.astype(np.int64).tolist(), self.ts.astype(np.int64).tolist()
+        return tuple(Sample(x=tuple(x), t=t) for x, t in zip(xs, ts))
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float arrays (inputs, labels) ready for training loops."""
-        xs = np.array([s.x for s in self.samples], dtype=float)
-        ts = np.array([s.t for s in self.samples], dtype=float)
-        return xs, ts
+        """Fresh copies of (inputs, labels), which the caller may write."""
+        return self.xs.copy(), self.ts.copy()
 
 
 def gate_label(gate: Gate, x1: int, x2: int) -> int:
@@ -62,17 +71,18 @@ def gate_label(gate: Gate, x1: int, x2: int) -> int:
     raise ValueError(f"unknown gate {gate!r}")
 
 
+_GATE_OPS = {Gate.OR: np.bitwise_or, Gate.AND: np.bitwise_and, Gate.XOR: np.bitwise_xor}
+
+
 def generate_dataset(gate: Gate, n: int, seed: int) -> Dataset:
     """n samples with inputs drawn uniformly from {0,1}^2."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(n, 2))
-    samples = tuple(
-        Sample(x=(int(b[0]), int(b[1])), t=gate_label(gate, int(b[0]), int(b[1])))
-        for b in bits
-    )
-    return Dataset(samples=samples, gate=gate, seed=seed)
+    if gate not in _GATE_OPS:
+        raise ValueError(f"unknown gate {gate!r}")
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2))
+    ts = _GATE_OPS[gate](bits[:, 0], bits[:, 1])
+    return Dataset(xs=bits.astype(float), ts=ts.astype(float), gate=gate, seed=seed)
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

@@ -6,13 +6,16 @@ with two-decimal coordinates, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .metrics import EpochRecord, RocPoint
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
 _MARGIN = 60.0
+
+
+def _escape(s: str) -> str:
+    """xml.sax.saxutils.escape without its import, which loads urllib.request."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -30,7 +33,7 @@ def _y_px(frac: float) -> float:
 def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 12) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}">{escape(s)}</text>'
+        f'font-family="sans-serif" font-size="{size}">{_escape(s)}</text>'
     )
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .device import WindowViolationError
 
 _SOURCE = Path(__file__).with_name("epoch.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC", "-pthread")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC", "-pthread")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # R, samples, inputs, xs, ts, epochs, streams, parameter pointers, histories,
 # bound, window_a, violation key, violation increment, eta, layers, sizes,

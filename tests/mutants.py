@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL, HARNESS = (f"src/memperceptron/{name}" for name in ("epoch.c", "harness.py"))
+KERNEL, HARNESS, DATA = (f"src/memperceptron/{name}" for name in ("epoch.c", "harness.py", "data.py"))
 ENGINE_TESTS, HARNESS_TESTS = "tests/test_engine.py::", "tests/test_harness.py::"
 
 # (file, old text, new text, the test that must fail)
@@ -44,6 +44,8 @@ MUTANTS = [
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
     (KERNEL, "(LANES * PIECES)", "(LANES * 2)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
+    (DATA, "xs=bits.astype(float)", "xs=bits[:, ::-1].astype(float)",
+     "tests/test_data.py::test_generated_dataset_equals_the_per_sample_oracle"),
 ]
 
 

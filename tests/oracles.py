@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from memperceptron.data import Sample, gate_label
+
 
 def euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps, dt=1e-5):
     """Fixed-step time integration of constant-current pulses.
@@ -366,3 +368,16 @@ def pairwise_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def per_sample_dataset(gate, n, seed):
+    """generate_dataset's draw built one validated Sample per row, each
+    labelled by gate_label, then packed into float arrays: (xs, ts, samples)."""
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2))
+    samples = tuple(
+        Sample(x=(int(b[0]), int(b[1])), t=gate_label(gate, int(b[0]), int(b[1])))
+        for b in bits
+    )
+    xs = np.array([s.x for s in samples], dtype=float)
+    ts = np.array([s.t for s in samples], dtype=float)
+    return xs, ts, samples

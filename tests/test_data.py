@@ -17,6 +17,8 @@ from memperceptron.data import (
 )
 from memperceptron.train import load_library, seed_streams
 
+from oracles import per_sample_dataset
+
 TRUTH = {
     Gate.OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
     Gate.AND: {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
@@ -140,8 +142,32 @@ def test_infer_gate():
 
 
 def test_to_arrays():
-    ds = Dataset(samples=(Sample((1, 0), 1), Sample((0, 0), 0)), gate=Gate.OR)
+    ds = Dataset(xs=np.array([[1.0, 0.0], [0.0, 0.0]]), ts=np.array([1.0, 0.0]), gate=Gate.OR)
     xs, ts = ds.to_arrays()
     assert xs.dtype == float and ts.dtype == float
     assert xs.tolist() == [[1.0, 0.0], [0.0, 0.0]]
     assert ts.tolist() == [1.0, 0.0]
+    assert ds.samples == (Sample((1, 0), 1), Sample((0, 0), 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 4000])
+@pytest.mark.parametrize("gate", list(Gate))
+def test_generated_dataset_equals_the_per_sample_oracle(gate, n):
+    for seed in (0, 5, 2**32 + 7):
+        xs, ts, samples = per_sample_dataset(gate, n, seed)
+        ds = generate_dataset(gate, n, seed)
+        for got, want in zip(ds.to_arrays(), (xs, ts)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert ds.samples == samples
+        assert len(ds) == n
+
+
+def test_to_arrays_returns_copies_the_caller_may_write():
+    ds = generate_dataset(Gate.XOR, 20, 3)
+    xs, ts = ds.to_arrays()
+    xs[:] = 7.0
+    ts[:] = 7.0
+    again = ds.to_arrays()
+    want = per_sample_dataset(Gate.XOR, 20, 3)[:2]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want))

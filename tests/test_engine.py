@@ -679,13 +679,24 @@ def test_run_argtypes_follow_the_definition_of_run():
                             for p in params]
 
 
-def test_the_package_imports_without_scipy():
-    # scipy is a test dependency only: importing it would double start-up
+def modules_loaded_by_the_package(*prefixes):
+    """The modules under prefixes that a fresh interpreter holds after importing the package and its CLI."""
     probe = ("import sys, memperceptron, memperceptron.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {prefixes!r})))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(Path(train.__file__).parents[1])})
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_the_package_imports_without_scipy():
+    # scipy is a test dependency only: importing it would double start-up
+    assert modules_loaded_by_the_package("scipy") == "[]\n"
+
+
+def test_the_package_imports_without_the_network_and_xml_stack():
+    # xml.sax.saxutils pulls in urllib.request, http, email and ssl: about 20 ms of import.
+    # urllib.parse is not here: numpy imports it.
+    assert modules_loaded_by_the_package("xml", "urllib.request", "http", "email", "ssl") == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -1,5 +1,6 @@
 """Config parsing, experiment runners, artifact emission, CLI exit codes."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -293,6 +294,14 @@ def test_cli_dataset_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "gate XOR" in out and "16 samples" in out
+
+
+def test_cli_dataset_csv_bytes_are_pinned(tmp_path, capsys):
+    # the CSV is written from Dataset.samples, which are derived from the drawn arrays
+    assert main(["dataset", "--gate", "xor", "--dataset-size", "100", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "dataset_xor.csv").read_bytes()).hexdigest()
+    assert digest == "76ce2ab94c460dfecb204a80f896de53fcb13a137055142a03d151982b9beda2"
 
 
 def test_cli_dataset_rejects_bad_labels(tmp_path, capsys):
