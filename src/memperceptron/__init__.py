@@ -8,7 +8,7 @@ and ROC experiments over seeded ensembles of starting weights.
 """
 
 from .data import Dataset, Gate, Sample, generate_dataset
-from .device import DeviceParams, WindowViolationError, apply_read_pulse
+from .device import DeviceParams, WindowViolationError
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -17,7 +17,7 @@ from .harness import (
     run_roc_experiment,
 )
 from .metrics import EpochRecord, RocPoint, auc, roc_points
-from .mlp import Topology, glorot_init, train_mlp_ensemble
+from .mlp import glorot_init, train_mlp_ensemble
 from .slp import train_slp_ensemble
 
 __version__ = "0.1.0"
@@ -31,9 +31,7 @@ __all__ = [
     "Gate",
     "RocPoint",
     "Sample",
-    "Topology",
     "WindowViolationError",
-    "apply_read_pulse",
     "auc",
     "generate_dataset",
     "glorot_init",

@@ -29,8 +29,8 @@ from .metrics import (
     write_curve_csv,
     write_roc_csv,
 )
-from .mlp import Topology, device_constants, glorot_init, train_mlp_ensemble
-from .slp import glorot_slp_weights, train_slp_ensemble
+from .mlp import device_constants, glorot_init, glorot_layer, train_mlp_ensemble
+from .slp import train_slp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
 from .train import score, seed_streams
 
@@ -204,6 +204,13 @@ def effective_learning_rate(config: ExperimentConfig) -> float:
     return 0.1
 
 
+def model_device(config: ExperimentConfig):
+    """The device constants the mlp's training and scoring take, None for the slp."""
+    if config.model == "slp":
+        return None
+    return device_constants(device_params(config), config.tau, config.b_scale)
+
+
 def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     """Train all realizations; returns (histories, final parameters).
 
@@ -220,23 +227,18 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     eta = effective_learning_rate(config)
     # weight draws come first, then one permutation per epoch
     streams = seed_streams(config.seed, config.n_realizations)
-    if config.model == "slp":
-        start = [glorot_slp_weights(xs.shape[1], streams)]
+    device = model_device(config)
+    if device is None:
+        start = [glorot_layer(xs.shape[1], 1, streams)]
 
         def train(params, epochs):
-            histories, w = train_slp_ensemble(*params, eta, xs, ts, epochs, streams, window_a=config.window_a)
-            return histories, [w]
+            return train_slp_ensemble(params, eta, xs, ts, epochs, streams, config.window_a)
     else:
-        gammas0, biases0 = glorot_init(Topology(tuple(config.topology)), streams)
-        start, layers = [w / config.b_scale for w in gammas0] + biases0, len(gammas0)
+        gammas0, biases0 = glorot_init(config.topology, streams)
+        start = [w / config.b_scale for w in gammas0] + biases0
 
         def train(params, epochs):
-            histories, gammas, biases = train_mlp_ensemble(
-                params[:layers], params[layers:], eta, xs, ts, epochs, streams,
-                params=device_params(config), tau=config.tau, d_prime=config.d_prime,
-                b_scale=config.b_scale,
-            )
-            return histories, gammas + biases
+            return train_mlp_ensemble(params, eta, xs, ts, epochs, streams, device, config.d_prime)
 
     done = 0
     try:
@@ -272,11 +274,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
 def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarray:
     """Scores of every trained realization on a batch, (realizations, samples);
     a score that is not finite raises FloatingPointError."""
-    if config.model == "slp":
-        sizes, device = None, (0.0,) * 6
-    else:
-        sizes, device = config.topology, device_constants(device_params(config), config.tau, config.b_scale)
-    scores = score(final, xs, sizes, device)[:, :, 0]
+    scores = score(final, xs, model_device(config))[:, :, 0]
     bad = ~np.isfinite(scores).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"{config.model} {config.gate}: realization {int(bad.argmax())} "

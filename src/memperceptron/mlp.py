@@ -26,31 +26,18 @@ instead of the activation derivative.  Every change is delivered through
 its device's addressing hardware as a burst of pulses, which lands in
 full however large the change, then clamps to the device range.
 `train_mlp_ensemble` runs many seeded networks through the run shared
-with the SLP in `train`, with backpropagation as its per-sample step;
-`train.score` reads trained networks out through the same forward pass.
+with the SLP in `train`, with backpropagation as its per-sample step, on
+one flat list of arrays, the gammas then the node biases, whose shapes
+give the layer widths; `train.score(params, xs, device)` reads trained
+networks out through the same forward pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .device import DeviceParams, bias_drift_slope, quad_coefficient
 from .train import random_rows, train_lockstep
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Layer widths, input first; at least one hidden layer."""
-
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.layer_sizes) < 3:
-            raise ValueError(f"need input, hidden and output layers, got {self.layer_sizes}")
-        if any(n < 1 for n in self.layer_sizes):
-            raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
 
 
 def glorot_limit(n_in: int, n_out: int) -> float:
@@ -64,18 +51,18 @@ def glorot_layer(n_in: int, n_out: int, streams: np.ndarray) -> np.ndarray:
     return -limit + (limit - -limit) * random_rows(streams, (n_in + 1) * n_out)
 
 
-def glorot_init(topology: Topology, streams: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def glorot_init(widths, streams: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer uniform draws in +/- sqrt(6/(n_in+n_out)), one network per stream.
 
-    streams is a stream array (see `train.seed_streams`).  Bias weights
-    are drawn from the same interval as their layer.  Each stream makes
-    one `glorot_layer` draw per layer, split in the order W1, b1, W2, b2,
-    ...: the values and the final state of one rng.uniform call per
-    array.  Returns per-layer weights (realizations, n_in, n_out) and
-    biases (realizations, n_out).
+    widths are the layer widths, input first.  streams is a stream array
+    (see `train.seed_streams`).  Bias weights are drawn from the same
+    interval as their layer.  Each stream makes one `glorot_layer` draw
+    per layer, split in the order W1, b1, W2, b2, ...: the values and the
+    final state of one rng.uniform call per array.  Returns per-layer
+    weights (realizations, n_in, n_out) and biases (realizations, n_out).
     """
     weights, biases = [], []
-    for n_in, n_out in zip(topology.layer_sizes[:-1], topology.layer_sizes[1:]):
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
         layer = glorot_layer(n_in, n_out, streams)
         weights.append(layer[:, :n_in * n_out].reshape(len(layer), n_in, n_out))
         biases.append(layer[:, n_in * n_out:])
@@ -89,26 +76,17 @@ def device_constants(params: DeviceParams, tau: float, b_scale: float) -> tuple[
             params.d)
 
 
-def train_mlp_ensemble(gammas0, biases0, eta: float, xs: np.ndarray, ts: np.ndarray,
-                       epochs: int, streams: np.ndarray, params: DeviceParams | None = None,
-                       tau: float = 1.0, d_prime: float = 4.0, b_scale: float = 1.0):
+def train_mlp_ensemble(params, eta: float, xs: np.ndarray, ts: np.ndarray, epochs: int,
+                       streams: np.ndarray, device=device_constants(DeviceParams(), 1.0, 1.0),
+                       d_prime: float = 4.0):
     """Backprop many seeded networks, one stream row each.
 
-    gammas0[l] is (realizations, n_in, n_out) of synapse internal
-    variables (weight / b_scale), biases0[l] is (realizations, n_out).
-    A node's bias moves by eta * pull * m' * net input, where the pull
-    on its output is the residual (output node) or summed delta * w
+    params is the gammas, gammas[l] being (realizations, n_in, n_out) of
+    synapse internal variables (weight / b_scale), then the biases,
+    biases[l] being (realizations, n_out); device is `device_constants`'
+    tuple.  A node's bias moves by eta * pull * m' * net input, where the
+    pull on its output is the residual (output node) or summed delta * w
     (hidden node).  Every variable is bounded by +/- d_prime / 2.
-    Returns (histories, final gammas, final biases).
+    Returns (histories, final gammas + biases).
     """
-    if params is None:
-        params = DeviceParams()
-    n_layers, sizes = len(gammas0), [xs.shape[1]] + [np.shape(g)[-1] for g in gammas0]
-    want = [(np.shape(gammas0[0])[0], *sizes[l:l + 2]) for l in range(n_layers)]  # (R, n_in, n_out)
-    shapes = [np.shape(a) for a in (*gammas0, *biases0)]
-    if 0 in sizes or shapes != want + [(r, n_out) for r, _, n_out in want]:
-        raise ValueError(f"gammas0 must be {want} (no width 0) for {xs.shape[1]} inputs, biases0 to match")
-    device = device_constants(params, tau, b_scale)
-    histories, final = train_lockstep(list(gammas0) + list(biases0), xs, ts, epochs, streams,
-                                      d_prime / 2.0, np.inf, eta, sizes, device)
-    return histories, final[:n_layers], final[n_layers:]
+    return train_lockstep(params, xs, ts, epochs, streams, d_prime / 2.0, np.inf, eta, device)

@@ -37,11 +37,12 @@ _SOURCE = Path(__file__).with_name("epoch.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC", "-pthread")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # R, samples, inputs, xs, ts, epochs, streams, parameter pointers, histories,
-# bound, window_a, violation key, violation increment, eta, layers, sizes,
+# bound, window_a, violation key, violation increment, eta, layers, widths,
 # then the MLP's b_scale, kappa * tau, m', r_off, r_on, d, then the CPUs the process may use
 _RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] * 6 + [_I]
-# R, samples, inputs, xs, parameter pointers, scores, layers, sizes, then run's six device constants
+# R, samples, inputs, xs, parameter pointers, scores, layers, widths, then run's six device constants
 _SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
+_NO_DEVICE = (0.0,) * 6  # the device constants the SLP's run and score ignore
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
 
 
@@ -91,17 +92,34 @@ def _pointers(params):
     return (ctypes.c_void_p * len(params))(*[_address(p) for p in params])
 
 
-def _layers(sizes):
-    """The layer count and widths that run and score take: 0 layers is the SLP."""
-    return (0, None) if sizes is None else (len(sizes) - 1, (_I * len(sizes))(*sizes))
+def _layers(params, n_in: int, device):
+    """The layer count and widths that run and score take, read from the
+    shapes of params: the SLP's [weights] (0 layers) if device is None, else
+    the MLP's gammas, then its biases.  The kernel trusts these shapes, so
+    this is their one check: raises ValueError unless params fit n_in inputs
+    with every width at least 1."""
+    shapes = [p.shape for p in params]
+    n_real = shapes[0][0] if shapes and shapes[0] else -1
+    if device is None:
+        if shapes != [(n_real, n_in + 1)]:
+            raise ValueError(f"params of shapes {shapes} are not the SLP's [weights] for {n_in} inputs")
+        return 0, None
+    n_layers = len(shapes) // 2
+    widths = [n_in] + [s[-1] if s else 0 for s in shapes[:n_layers]]
+    gammas = [(n_real, a, b) for a, b in zip(widths, widths[1:])]
+    if not n_layers or 0 in widths or shapes[:n_layers] != gammas \
+            or shapes[n_layers:] != [(n_real, b) for b in widths[1:]]:
+        raise ValueError(f"params of shapes {shapes} are not the MLP's gammas, then biases, for {n_in} "
+                         f"inputs, widths at least 1")
+    return n_layers, (_I * len(widths))(*widths)
 
 
 def seed_streams(seed: int, n: int) -> np.ndarray:
     """The streams of np.random.default_rng(seed + r) for r < n, one row each.
 
     The rows hold the fields of PCG64.state (see STREAM); the trainers,
-    glorot_slp_weights and glorot_init advance them in place, as they
-    would advance the generators.
+    glorot_layer and glorot_init advance them in place, as they would
+    advance the generators.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -130,7 +148,7 @@ def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
 
 
 def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams: np.ndarray,
-                   bound: float, window_a: float, eta: float, sizes=None, device=(0.0,) * 6):
+                   bound: float, window_a: float, eta: float, device=None):
     """Train every realization online, in one compiled call.
 
     params is a list of arrays with realizations on the leading axis
@@ -138,15 +156,17 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     `seed_streams`, a row per realization, advanced in place; each
     stream is consumed by one permutation per epoch, the draws of
     rng.permutation(samples), and by nothing else.  Increments are
-    added, then clamped to [-bound, bound].  Without sizes the run
-    trains the SLP on its weights, in single pulses: an increment
-    reaching window_a raises WindowViolationError for the first one by
-    epoch, sample, realization and weight.  The MLP passes its gammas,
-    then biases, sizes as its layer widths, input first, and device as
-    (b_scale, kappa * tau, m', r_off, r_on, d); it writes bursts, and
-    ignores window_a.  A run that cannot allocate its scratch raises
-    MemoryError.  Returns (histories, params), histories being
-    (realizations, epochs) of the summed pre-update error.
+    added, then clamped to [-bound, bound].  Without device the run
+    trains the SLP on [weights], (realizations, inputs + 1) with the
+    bias weight last, in single pulses: an increment reaching window_a
+    raises WindowViolationError for the first one by epoch, sample,
+    realization and weight.  The MLP passes its gammas, (realizations,
+    n_in, n_out) per layer, then its biases, (realizations, n_out), and
+    device as (b_scale, kappa * tau, m', r_off, r_on, d); it writes
+    bursts, and ignores window_a.  The layer widths are read from the
+    shapes, which must fit xs (ValueError).  A run that cannot allocate
+    its scratch raises MemoryError.  Returns (histories, params),
+    histories being (realizations, epochs) of the summed pre-update error.
 
     The run cuts a wide ensemble into pieces of whole lane blocks, which
     one more thread and the caller take in turn when the process may use
@@ -163,7 +183,7 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     # copies, so that a read-only caller's array can be passed by _address
     xs, ts = np.array(xs, dtype=float, order="C"), np.array(ts, dtype=float, order="C")
     params = [np.array(p, dtype=float, order="C") for p in params]
-    n_real = params[0].shape[0]
+    layers, n_real = _layers(params, xs.shape[1], device), len(params[0])
     _check_streams(streams)
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
@@ -172,7 +192,7 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     status = load_library().run(
         n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),
         _pointers(params), _address(histories), bound, window_a, where, ctypes.byref(increment), eta,
-        *_layers(sizes), *device, cpus)
+        *layers, *(device or _NO_DEVICE), cpus)
     if status == 2:
         raise MemoryError("run: cannot allocate its scratch")
     if status == 1:
@@ -184,28 +204,22 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     return histories, params
 
 
-def score(params, xs: np.ndarray, sizes=None, device=(0.0,) * 6) -> np.ndarray:
+def score(params, xs: np.ndarray, device=None) -> np.ndarray:
     """Every realization's outputs on every sample of xs, in one compiled call.
 
     The forward half of `train_lockstep`'s steps alone, the same float
-    operations: params, sizes and device are as there (the SLP's weights
-    without sizes), and none is written.  xs is (samples, inputs).  A
-    score that cannot allocate its scratch raises MemoryError.  Returns
-    (realizations, samples, outputs).
+    operations: params and device are as there, and none is written.  xs
+    is (samples, inputs).  A score that cannot allocate its scratch
+    raises MemoryError.  Returns (realizations, samples, outputs).
     """
     xs = np.array(xs, dtype=float, order="C")
     params = [np.array(p, dtype=float, order="C") for p in params]
     if xs.ndim != 2 or 0 in xs.shape:
         raise ValueError(f"xs {xs.shape}: need (samples, inputs), none 0")
-    n_real, n_in = len(params[0]), xs.shape[1]
-    # the element count of each array of a realization, as epoch.c's lanes reads them
-    counts = [n_in + 1] if sizes is None else [a * b for a, b in zip(sizes, sizes[1:])] + list(sizes[1:])
-    if (sizes is not None and sizes[0] != n_in) or [(len(p), p.size) for p in params] != [
-            (n_real, n_real * count) for count in counts]:
-        raise ValueError(f"params of shapes {[p.shape for p in params]} do not fit sizes {sizes} "
-                         f"and {n_in} inputs")
-    scores = np.empty((n_real, len(xs), 1 if sizes is None else sizes[-1]))
-    if load_library().score(n_real, len(xs), n_in, _address(xs), _pointers(params), _address(scores),
-                            *_layers(sizes), *device) == 2:
+    n_layers, widths = _layers(params, xs.shape[1], device)
+    n_real = len(params[0])
+    scores = np.empty((n_real, len(xs), widths[n_layers] if n_layers else 1))
+    if load_library().score(n_real, len(xs), xs.shape[1], _address(xs), _pointers(params), _address(scores),
+                            n_layers, widths, *(device or _NO_DEVICE)) == 2:
         raise MemoryError("score: cannot allocate its scratch")
     return scores

@@ -19,7 +19,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL, HARNESS, DATA = (f"src/memperceptron/{name}" for name in ("epoch.c", "harness.py", "data.py"))
+KERNEL, HARNESS, DATA, TRAIN = (f"src/memperceptron/{name}"
+                                for name in ("epoch.c", "harness.py", "data.py", "train.py"))
 ENGINE_TESTS, HARNESS_TESTS = "tests/test_engine.py::", "tests/test_harness.py::"
 
 # (file, old text, new text, the test that must fail)
@@ -46,6 +47,8 @@ MUTANTS = [
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
     (DATA, "xs=bits.astype(float)", "xs=bits[:, ::-1].astype(float)",
      "tests/test_data.py::test_generated_dataset_equals_the_per_sample_oracle"),
+    (TRAIN, "shapes[n_layers:] != [(n_real, b) for b in widths[1:]]", "False",
+     ENGINE_TESTS + "test_shapes_the_kernel_cannot_take_are_rejected"),
 ]
 
 

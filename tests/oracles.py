@@ -32,6 +32,39 @@ def euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps, d
     return g, v
 
 
+def drift_rate(params, current, i_gamma=0.0):
+    """State drift rate under constant current, zero below threshold.
+
+    gamma_dot = mu_v * (r_on / d) * I - i_gamma once the driven term
+    exceeds the threshold current i_gamma >= 0, else 0.  Negative
+    currents never drift (the driven term is below any non-negative
+    threshold).
+    """
+    driven = params.mu_v * (params.r_on / params.d) * current
+    if driven > i_gamma:
+        return driven - i_gamma
+    return 0.0
+
+
+def apply_read_pulse(params, gamma0, current, duration, i_gamma=0.0):
+    """Integrate a constant-current pulse in closed form; returns (final gamma, voltage).
+
+    The rate is constant, so gamma(t) = gamma0 + rate * t until it pins at
+    d.  The reported voltage is taken at the end of the pulse in the
+    R_off approximation V = r_off * (1 - gamma/d) * I, valid because
+    r_on / r_off is small.  For a zero threshold this makes the response
+    of a fresh device quadratic in the drive: V = r_off*I - r_off*mu_v*(r_on/d^2)*I^2*t.
+    """
+    if duration < 0.0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+    if not 0.0 <= gamma0 <= params.d:
+        raise ValueError(f"gamma0 {gamma0} outside [0, {params.d}]")
+    final = gamma0 + drift_rate(params, current, i_gamma) * duration
+    if final > params.d:
+        final = params.d
+    return final, params.r_off * (1.0 - final / params.d) * current
+
+
 def naive_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 

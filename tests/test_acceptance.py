@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, apply_read_pulse
+from memperceptron.device import DeviceParams
 from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
-from memperceptron.mlp import Topology, device_constants, train_mlp_ensemble
-from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
+from memperceptron.mlp import device_constants, glorot_layer, train_mlp_ensemble
+from memperceptron.slp import train_slp_ensemble
 from memperceptron.train import load_library, score, seed_streams
 
 from oracles import (
+    apply_read_pulse,
     central_diff_bias_grads,
     central_diff_weight_grads,
     euler_pulse_batch,
@@ -131,14 +132,14 @@ def test_criterion_4_roc_reproduction(roc_ensembles):
 
 def test_criterion_5_backprop_matches_finite_differences():
     rng = np.random.default_rng(77)
-    topologies = [Topology((2, 2, 1)), Topology((2, 3, 1)), Topology((3, 3, 1))]
+    topologies = [(2, 2, 1), (2, 3, 1), (3, 3, 1)]
     eta = 0.01
     checked = 0
     worst = 0.0
     while checked < 100:
         topo = topologies[checked % len(topologies)]
-        w, b = glorot_loop_init(topo.layer_sizes, rng)  # glorot_init's draws (see test_engine)
-        x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
+        w, b = glorot_loop_init(topo, rng)  # glorot_init's draws (see test_engine)
+        x = rng.integers(0, 2, topo[0]).astype(float)
         t = float(rng.integers(0, 2))
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
         nets_in = []
@@ -149,12 +150,12 @@ def test_criterion_5_backprop_matches_finite_differences():
             continue  # keep the finite-difference stencil off the kink
         # one realization, a one-sample training set, one epoch: a single
         # online backprop step through the trainer
-        _, gammas, biases = train_mlp_ensemble(
-            [wl[None] for wl in w], [bl[None] for bl in b], eta, x[None], np.array([t]), 1,
+        _, params = train_mlp_ensemble(
+            [wl[None] for wl in w] + [bl[None] for bl in b], eta, x[None], np.array([t]), 1,
             seed_streams(0, 1),
         )
-        after_w = [g[0] for g in gammas]
-        after_b = [bl[0] for bl in biases]
+        after_w = [g[0] for g in params[:len(w)]]
+        after_b = [bl[0] for bl in params[len(w):]]
         moved = after_w + after_b
         if max(float(np.max(np.abs(a))) for a in moved) >= 2.0 - 1e-9:
             continue  # an update ran into the state bounds; stay away from clamps
@@ -187,9 +188,8 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
     g_ref, v_ref = euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps)
     worst_g = worst_v = 0.0
     for k in range(n):
-        p = DeviceParams(r_on=r_on[k], r_off=r_off[k], d=d[k], mu_v=mu_v[k],
-                         i_gamma=i_gamma[k])
-        final, voltage = apply_read_pulse(p, gamma0[k], current[k], n_steps[k] * 1e-5)
+        p = DeviceParams(r_on=r_on[k], r_off=r_off[k], d=d[k], mu_v=mu_v[k])
+        final, voltage = apply_read_pulse(p, gamma0[k], current[k], n_steps[k] * 1e-5, i_gamma[k])
         worst_g = max(worst_g, abs(final - g_ref[k]))
         worst_v = max(worst_v, abs(voltage - v_ref[k]))
     print(f"criterion 6: worst |closed form - integrator| over 100 pulses: "
@@ -211,7 +211,7 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
         duration = rng.uniform(0.05, 0.9) * d_k / rate
         p = DeviceParams(r_on=r_on_k, r_off=r_off_k, d=d_k, mu_v=mu_v_k)
         _, voltage = apply_read_pulse(p, 0.0, current_k, duration)
-        node = score([np.ones((1, 1)), np.zeros((1, 1))], np.array([[current_k]]), (1, 1),
+        node = score([np.ones((1, 1, 1)), np.zeros((1, 1))], np.array([[current_k]]),
                      device_constants(p, duration, 1.0))[0, 0, 0]
         worst_q = max(worst_q, abs(voltage - node))
     print(f"criterion 6: worst |read pulse - MLP node output| = {worst_q:.3g} (< 1e-9)")
@@ -262,7 +262,7 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
         ds = generate_dataset(gate, 12, seed)
         xs, ts = ds.to_arrays()
 
-        w0 = glorot_slp_weights(2, seed_streams(seed, 1))[0]
+        w0 = glorot_layer(2, 1, seed_streams(seed, 1))[0]
         rng = np.random.default_rng(seed)
         glorot_slp_loop_init(2, rng)  # the same init draw, so rng goes on as the stream would
         # the device trainer sees one sample at a time, in the order this
@@ -271,7 +271,7 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
         trail_dev = []
         for _ in range(50):
             for i in rng.permutation(len(xs)):
-                _, w = train_slp_ensemble(w, 0.1, xs[i:i + 1], ts[i:i + 1], 1, one_sample)
+                _, (w,) = train_slp_ensemble([w], 0.1, xs[i:i + 1], ts[i:i + 1], 1, one_sample)
                 trail_dev.append(w[0].copy())
 
         rng_ref = np.random.default_rng(seed)

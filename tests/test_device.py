@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from memperceptron.device import DeviceParams, apply_read_pulse, drift_rate
+from memperceptron.device import DeviceParams
 from memperceptron.mlp import device_constants
 from memperceptron.train import score
 
-from oracles import euler_pulse_batch
+from oracles import apply_read_pulse, drift_rate, euler_pulse_batch
 
-HP = DeviceParams(r_on=1.0, r_off=100.0, d=1.0, mu_v=1.0, i_gamma=0.0)
+HP = DeviceParams(r_on=1.0, r_off=100.0, d=1.0, mu_v=1.0)
 
 
 # ---------------------------------------------------------------- memristance
@@ -20,7 +20,7 @@ def node_slope(p, gamma_b):
     """The memristance r_off * (1 - g/d) + r_on * (g/d) of a node storing
     gamma_b, read from the trained network: a 1-1 net with a unit gamma,
     b_scale 1 and tau 0 outputs its node's slope times the input 1."""
-    return score([np.ones((1, 1)), np.full((1, 1), gamma_b)], np.ones((1, 1)), (1, 1),
+    return score([np.ones((1, 1, 1)), np.full((1, 1), gamma_b)], np.ones((1, 1)),
                  device_constants(p, 0.0, 1.0))[0, 0, 0]
 
 
@@ -46,24 +46,24 @@ def test_memristance_between_extremes(gamma, r_on, ratio):
 
 # ------------------------------------------------------------------- drift
 
-THRESHOLDED = DeviceParams(r_on=1.0, r_off=100.0, d=1.0, mu_v=1.0, i_gamma=0.5)
+I_GAMMA = 0.5  # the threshold current of the drift tests, on HP
 
 
 def test_drift_rate_above_threshold():
-    assert drift_rate(THRESHOLDED, 2.0) == pytest.approx(1.5)
+    assert drift_rate(HP, 2.0, I_GAMMA) == pytest.approx(1.5)
 
 
 def test_drift_rate_at_and_below_threshold():
-    assert drift_rate(THRESHOLDED, 0.5) == 0.0
-    assert drift_rate(THRESHOLDED, 0.4) == 0.0
-    assert drift_rate(THRESHOLDED, -3.0) == 0.0
+    assert drift_rate(HP, 0.5, I_GAMMA) == 0.0
+    assert drift_rate(HP, 0.4, I_GAMMA) == 0.0
+    assert drift_rate(HP, -3.0, I_GAMMA) == 0.0
 
 
 @given(i1=st.floats(-5.0, 5.0), i2=st.floats(-5.0, 5.0))
 def test_drift_rate_monotone_in_current(i1, i2):
     lo, hi = sorted((i1, i2))
-    assert drift_rate(THRESHOLDED, lo) <= drift_rate(THRESHOLDED, hi)
-    assert drift_rate(THRESHOLDED, lo) >= 0.0
+    assert drift_rate(HP, lo, I_GAMMA) <= drift_rate(HP, hi, I_GAMMA)
+    assert drift_rate(HP, lo, I_GAMMA) >= 0.0
 
 
 # ------------------------------------------------------------------- pulses
@@ -105,10 +105,10 @@ def test_quadratic_response_of_fresh_device(r_off, d, mu_v, current, duration):
     # MLP node's activation in the trainer's kernel: a unit-weight 1->1 net
     # with a zero bias and kt = kappa * duration reads out the same
     # quadratic response.
-    p = DeviceParams(r_on=r_off / 100.0, r_off=r_off, d=d, mu_v=mu_v, i_gamma=0.0)
+    p = DeviceParams(r_on=r_off / 100.0, r_off=r_off, d=d, mu_v=mu_v)
     assume(drift_rate(p, current) * duration < d)
     _, voltage = apply_read_pulse(p, 0.0, current, duration)
-    node = score([np.ones((1, 1)), np.zeros((1, 1))], np.array([[current]]), (1, 1),
+    node = score([np.ones((1, 1, 1)), np.zeros((1, 1))], np.array([[current]]),
                  device_constants(p, duration, 1.0))[0, 0, 0]
     assert voltage == pytest.approx(node, abs=1e-9)
 
@@ -126,7 +126,7 @@ def test_closed_form_matches_brute_force_integration():
     n_steps = rng.integers(1, 30_000, n)
     g_ref, v_ref = euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps)
     for k in range(n):
-        p = DeviceParams(r_on=r_on[k], r_off=r_off[k], d=d[k], mu_v=mu_v[k], i_gamma=i_gamma[k])
-        final, voltage = apply_read_pulse(p, gamma0[k], current[k], n_steps[k] * 1e-5)
+        p = DeviceParams(r_on=r_on[k], r_off=r_off[k], d=d[k], mu_v=mu_v[k])
+        final, voltage = apply_read_pulse(p, gamma0[k], current[k], n_steps[k] * 1e-5, i_gamma[k])
         assert abs(final - g_ref[k]) < 1e-6
         assert abs(voltage - v_ref[k]) < 1e-6

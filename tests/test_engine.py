@@ -29,8 +29,8 @@ from memperceptron import harness, train
 from memperceptron.cli import main
 from memperceptron.device import DeviceParams, WindowViolationError, quad_coefficient
 from memperceptron.harness import parse_config, trained_ensemble
-from memperceptron.mlp import Topology, device_constants, glorot_init, train_mlp_ensemble
-from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
+from memperceptron.mlp import device_constants, glorot_init, glorot_layer, train_mlp_ensemble
+from memperceptron.slp import train_slp_ensemble
 from memperceptron.train import score, seed_streams
 
 from oracles import (
@@ -158,7 +158,7 @@ def test_nan_realization_keeps_the_window_check_on_both_engines():
     # window width, which must still be rejected
     weights0 = np.array([[np.nan, np.nan, np.nan], [0.0, 0.0, 0.0]])
     xs, ts = np.ones((1, 2)), np.ones(1)
-    got = outcome(lambda: train_slp_ensemble(weights0, 8.0, xs, ts, 2, seed_streams(0, 2)))
+    got = outcome(lambda: train_slp_ensemble([weights0], 8.0, xs, ts, 2, seed_streams(0, 2)))
     assert got == oracle_outcome(lambda r, rng: slp_oracle(weights0[r], 8.0, xs, ts, 2, rng, 10.0, 1.0),
                                  2, 0, 1.0)
     assert got.startswith("realization 1, epoch 1, sample 1: increment 1.0 ")
@@ -170,7 +170,7 @@ def test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines():
     n_real, xs, ts = 20, np.ones((1, 2)), np.ones(1)
     weights0 = np.full((n_real, 3), 5.0)
     weights0[10] = 0.0
-    got = outcome(lambda: train_slp_ensemble(weights0, 8.0, xs, ts, 2, seed_streams(0, n_real)))
+    got = outcome(lambda: train_slp_ensemble([weights0], 8.0, xs, ts, 2, seed_streams(0, n_real)))
     assert got == oracle_outcome(lambda r, rng: slp_oracle(weights0[r], 8.0, xs, ts, 2, rng, 10.0, 1.0),
                                  n_real, 0, 1.0)
     assert got.startswith("realization 10, epoch 1, sample 1: increment ")
@@ -184,7 +184,7 @@ def test_the_first_violation_is_named_by_epoch_sample_realization_weight():
     weights0[0] = -1.5  # lane block 1: 0.43, 0.84, then 1.45 at epoch 2, sample 1
     with pytest.raises(WindowViolationError, match=r"^realization 9, epoch 1, sample 2: increment 1\.36\d* "
                        r"to weight 0 "):
-        train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 3, seed_streams(0, 10))
+        train_slp_ensemble([weights0], 10.0, np.ones((2, 1)), np.ones(2), 3, seed_streams(0, 10))
 
 
 def test_a_violation_leaves_each_stream_where_its_lane_block_stopped():
@@ -193,11 +193,11 @@ def test_a_violation_leaves_each_stream_where_its_lane_block_stopped():
     # drawn its init, then the permutations of epochs 1 and 2 and no more
     n_real, violating_epoch = 10, 1
     streams = seed_streams(0, n_real)
-    glorot_slp_weights(1, streams)
+    glorot_layer(1, 1, streams)
     weights0 = np.full((n_real, 2), 5.0)  # saturated: almost no increment
     weights0[0] = -1.5  # 0.43, 0.84, then 1.45 at epoch 2, sample 1
     with pytest.raises(WindowViolationError, match=r"^realization 0, epoch 2, sample 1: "):
-        train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
+        train_slp_ensemble([weights0], 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
     refs = [np.random.default_rng(r) for r in range(n_real)]
     for ref in refs:
         glorot_slp_loop_init(1, ref)
@@ -216,12 +216,12 @@ def test_a_violation_leaves_each_stream_where_its_piece_stopped(earlier):
     # later one two, and those of the other pieces all four
     n_real, piece, later = 160, 16, 150 - earlier
     streams = seed_streams(0, n_real)
-    glorot_slp_weights(1, streams)
+    glorot_layer(1, 1, streams)
     weights0 = np.full((n_real, 2), 5.0)  # saturated: almost no increment
     weights0[earlier] = -1.25  # 0.65, then 1.37 at epoch 1, sample 2
     weights0[later] = -1.5  # 0.43, 0.84, then 1.45 at epoch 2, sample 1
     with pytest.raises(WindowViolationError, match=rf"^realization {earlier}, epoch 1, sample 2: "):
-        train_slp_ensemble(weights0, 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
+        train_slp_ensemble([weights0], 10.0, np.ones((2, 1)), np.ones(2), 4, streams)
     drawn = {earlier // piece: 1, later // piece: 2}
     refs = [np.random.default_rng(r) for r in range(n_real)]
     for r, ref in enumerate(refs):
@@ -262,12 +262,12 @@ def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, mon
     def trained(cpus):
         streams = seed_streams(3, n_real)
         if model == "mlp":
-            gammas0, biases0 = glorot_init(Topology((2, 2, 1)), streams)
+            gammas0, biases0 = glorot_init((2, 2, 1), streams)
             got = on_cpus(cpus, monkeypatch,
-                          lambda: train_mlp_ensemble(gammas0, biases0, 0.5, xs, ts, 4, streams))
+                          lambda: train_mlp_ensemble(gammas0 + biases0, 0.5, xs, ts, 4, streams))
         else:
-            weights0, eta = glorot_slp_weights(2, streams), 7.0 if model == "slp overshooting" else 0.5
-            got = on_cpus(cpus, monkeypatch, lambda: train_slp_ensemble(weights0, eta, xs, ts, 4, streams))
+            weights0, eta = glorot_layer(2, 1, streams), 7.0 if model == "slp overshooting" else 0.5
+            got = on_cpus(cpus, monkeypatch, lambda: train_slp_ensemble([weights0], eta, xs, ts, 4, streams))
         return *got, streams.tolist()
 
     (one, one_cpus, one_streams), (two, two_cpus, two_streams) = trained(1), trained(4)
@@ -288,7 +288,8 @@ def test_concurrent_trainer_calls_each_run_every_piece_once(monkeypatch):
 
     def trained():
         streams = seed_streams(3, 300)
-        return *train_slp_ensemble(glorot_slp_weights(2, streams), 0.5, xs, ts, 3, streams), streams
+        histories, (w,) = train_slp_ensemble([glorot_layer(2, 1, streams)], 0.5, xs, ts, 3, streams)
+        return histories, w, streams
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = trained()
@@ -314,11 +315,11 @@ def test_signed_zeros_follow_the_oracles():
     gammas0 = [np.full((3, 2, 2), -0.0), np.full((3, 2, 1), -0.0)]
     biases0 = [np.full((3, 2), -0.0), np.full((3, 1), -0.0)]
     xs, ts = np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0])
-    got = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 3, seed_streams(0, 3))
+    got = train_mlp_ensemble(gammas0 + biases0, 0.1, xs, ts, 3, seed_streams(0, 3))
     want = oracle_outcome(lambda r, rng: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], 0.1, xs, ts, 3, rng, (0.01, 1.0, 1.0),
         1.0, 2.0)[:3], 3, 0)
-    assert np.signbit(np.concatenate([b.ravel() for b in got[2]])).any()
+    assert np.signbit(np.concatenate([b.ravel() for b in got[1][2:]])).any()
     assert_same(got, want)
 
 
@@ -330,7 +331,7 @@ def test_a_wide_hidden_layer_fits_the_kernel_scratch():
     biases0 = [rng.uniform(-0.1, 0.1, (n_real, b)) for b in sizes[1:]]
     xs = rng.integers(0, 2, (6, 2)).astype(float)
     ts = rng.integers(0, 2, 6).astype(float)
-    got = train_mlp_ensemble(gammas0, biases0, 0.05, xs, ts, 2, seed_streams(0, n_real))
+    got = train_mlp_ensemble(gammas0 + biases0, 0.05, xs, ts, 2, seed_streams(0, n_real))
     want = oracle_outcome(lambda r, stream: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], 0.05, xs, ts, 2, stream, (0.01, 1.0, 1.0),
         1.0, 2.0)[:3], n_real, 0)
@@ -353,24 +354,24 @@ def test_a_trainer_call_is_one_compiled_call(model, monkeypatch):
         streams = seed_streams(0, n_real)
         calls.clear()
         if model == "slp":
-            train_slp_ensemble(np.zeros((n_real, 3)), 0.1, np.eye(2), np.ones(2), 5, streams)
+            train_slp_ensemble([np.zeros((n_real, 3))], 0.1, np.eye(2), np.ones(2), 5, streams)
         else:
-            train_mlp_ensemble([np.zeros((n_real, 2, 2)), np.zeros((n_real, 2, 1))],
-                               [np.zeros((n_real, 2)), np.zeros((n_real, 1))], 0.1, np.eye(2), np.ones(2), 5,
+            train_mlp_ensemble([np.zeros((n_real, 2, 2)), np.zeros((n_real, 2, 1)),
+                                np.zeros((n_real, 2)), np.zeros((n_real, 1))], 0.1, np.eye(2), np.ones(2), 5,
                                streams)
         assert calls == ["run"], n_real
 
 
 def test_an_empty_ensemble_trains_and_scores_to_empty_results():
     xs, ts, streams = np.eye(2), np.ones(2), seed_streams(0, 0)
-    histories, w = train_slp_ensemble(np.zeros((0, 3)), 0.1, xs, ts, 3, streams)
+    histories, (w,) = train_slp_ensemble([np.zeros((0, 3))], 0.1, xs, ts, 3, streams)
     assert (histories.shape, w.shape) == ((0, 3), (0, 3))
     gammas0, biases0 = [np.zeros((0, 2, 2)), np.zeros((0, 2, 1))], [np.zeros((0, 2)), np.zeros((0, 1))]
-    histories, gammas, biases = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 3, streams)
+    histories, final = train_mlp_ensemble(gammas0 + biases0, 0.1, xs, ts, 3, streams)
     assert histories.shape == (0, 3)
-    assert [a.shape for a in gammas + biases] == [a.shape for a in gammas0 + biases0]
+    assert [a.shape for a in final] == [a.shape for a in gammas0 + biases0]
     assert score([np.zeros((0, 3))], xs).shape == (0, 2, 1)
-    assert score(gammas0 + biases0, xs, (2, 2, 1), (1.0,) * 6).shape == (0, 2, 1)
+    assert score(gammas0 + biases0, xs, (1.0,) * 6).shape == (0, 2, 1)
 
 
 def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch):
@@ -378,7 +379,7 @@ def test_a_kernel_without_memory_for_its_scratch_raises_memory_error(monkeypatch
     failing = types.SimpleNamespace(run=lambda *args: 2, score=lambda *args: 2)
     monkeypatch.setattr(train, "load_library", lambda: failing)
     with pytest.raises(MemoryError, match="run: cannot allocate its scratch"):
-        train_slp_ensemble(np.zeros((2, 3)), 0.1, np.eye(2), np.ones(2), 1, streams)
+        train_slp_ensemble([np.zeros((2, 3))], 0.1, np.eye(2), np.ones(2), 1, streams)
     with pytest.raises(MemoryError, match="score: cannot allocate its scratch"):
         score([np.zeros((2, 3))], np.eye(2))
 
@@ -389,7 +390,7 @@ def test_clamp_is_np_clip_at_odd_bounds(bound):
     # bounds reach only direct trainer calls
     weights0 = np.array([[0.3, -0.2, 0.1], [-0.5, 0.0, 2.0]])
     xs, ts = np.eye(2), np.ones(2)
-    got = outcome(lambda: train_slp_ensemble(weights0, 0.5, xs, ts, 3, seed_streams(0, 2),
+    got = outcome(lambda: train_slp_ensemble([weights0], 0.5, xs, ts, 3, seed_streams(0, 2),
                                              weight_bound=bound))
     assert_same(got, oracle_outcome(lambda r, rng: slp_oracle(weights0[r], 0.5, xs, ts, 3, rng, bound, 1.0),
                                     2, 0, 1.0))
@@ -418,8 +419,8 @@ def test_mlp_kernel_equals_numpy(widths, n_real, n_samples, epochs, eta, b_scale
     xs = rng.integers(0, 2, (n_samples, widths[0])).astype(float)
     ts = rng.integers(0, 2, n_samples).astype(float)
     params = DeviceParams(r_on=r_on)
-    got = train_mlp_ensemble(gammas0, biases0, eta, xs, ts, epochs, seed_streams(seed, n_real),
-                             params=params, tau=tau, d_prime=d_prime, b_scale=b_scale)
+    got = train_mlp_ensemble(gammas0 + biases0, eta, xs, ts, epochs, seed_streams(seed, n_real),
+                             device_constants(params, tau, b_scale), d_prime)
     want = oracle_outcome(lambda r, stream: ideal_mlp_run(
         [g[r] for g in gammas0], [b[r] for b in biases0], eta, xs, ts, epochs, stream,
         (r_on, params.r_off, params.d), quad_coefficient(params) * tau, d_prime / 2.0, b_scale)[:3],
@@ -443,7 +444,7 @@ def test_slp_kernel_equals_numpy(width, n_real, n_samples, epochs, eta, bound, w
     weights0 = rng.uniform(-bound, bound, (n_real, width + 1))
     xs = rng.uniform(-2.0, 2.0, (n_samples, width))
     ts = rng.integers(0, 2, n_samples).astype(float)
-    got = outcome(lambda: train_slp_ensemble(weights0, eta, xs, ts, epochs, seed_streams(seed, n_real),
+    got = outcome(lambda: train_slp_ensemble([weights0], eta, xs, ts, epochs, seed_streams(seed, n_real),
                                              weight_bound=bound, window_a=window_a))
     want = oracle_outcome(lambda r, stream: slp_oracle(weights0[r], eta, xs, ts, epochs, stream, bound,
                                                        window_a), n_real, seed, window_a)
@@ -506,24 +507,11 @@ def test_mlp_score_equals_the_oracle(widths, n_real, n_samples, b_scale, tau, r_
     biases = [with_specials(rng, rng.uniform(-1.0, 1.0, (n_real, b)), specials[1::2]) for _, b in pairs]
     xs = with_specials(rng, rng.integers(0, 2, (n_samples, widths[0])).astype(float), [-0.0] * len(specials))
     params = DeviceParams(r_on=r_on)
-    got = score(gammas + biases, xs, widths, device_constants(params, tau, b_scale))
+    got = score(gammas + biases, xs, device_constants(params, tau, b_scale))
     want = mlp_forward([g[:, None] for g in gammas], [b[:, None] for b in biases], xs, params,
                        quad_coefficient(params) * tau, b_scale)[-1][2]
     assert got.shape == want.shape == (n_real, n_samples, widths[-1])
     assert_same([got], [want])
-
-
-def test_score_rejects_what_the_kernel_cannot_take():
-    with pytest.raises(ValueError, match=r"need \(samples, inputs\), none 0"):
-        score([np.zeros((1, 3))], np.ones((0, 2)))
-    with pytest.raises(ValueError, match=r"do not fit sizes None and 2 inputs"):
-        score([np.zeros((1, 4))], np.ones((3, 2)))
-    with pytest.raises(ValueError, match=r"do not fit sizes \(3, 2, 1\) and 2 inputs"):
-        score([np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 2)), np.zeros((1, 1))], np.ones((3, 2)),
-              (3, 2, 1))
-    with pytest.raises(ValueError, match=r"do not fit sizes \(2, 2, 1\) and 2 inputs"):
-        score([np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((2, 2)), np.zeros((1, 1))], np.ones((3, 2)),
-              (2, 2, 1))
 
 
 def test_read_only_arrays_are_taken_as_writeable_copies():
@@ -536,23 +524,40 @@ def test_read_only_arrays_are_taken_as_writeable_copies():
     for a in frozen:
         a.flags.writeable = False
     weights0_ro, xs_ro, ts_ro = frozen
-    got = train_slp_ensemble(weights0_ro, 0.5, xs_ro, ts_ro, 3, seed_streams(0, 3))
-    assert_same(got, train_slp_ensemble(weights0, 0.5, xs, ts, 3, seed_streams(0, 3)))
+    got = train_slp_ensemble([weights0_ro], 0.5, xs_ro, ts_ro, 3, seed_streams(0, 3))
+    assert_same(got, train_slp_ensemble([weights0], 0.5, xs, ts, 3, seed_streams(0, 3)))
     assert_same([score([weights0_ro], xs_ro)], [score([weights0], xs)])
     assert all(np.array_equal(a, b) for a, b in zip(frozen, (weights0, xs, ts)))
 
 
-def test_shapes_the_kernel_cannot_take_are_rejected():
-    # the kernel trusts these shapes, so the trainers check them first
-    streams = seed_streams(0, 1)
-    with pytest.raises(ValueError, match=r"need \(samples, inputs\), \(samples,\)"):
-        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.ones((3, 2)), np.ones(2), 1, streams)
-    with pytest.raises(ValueError, match="weights0 of shape"):
-        train_slp_ensemble(np.zeros((1, 3, 1)), 0.1, np.ones((3, 2)), np.ones(3), 1, streams)
-    with pytest.raises(ValueError, match=r"gammas0 must be \[\(1, 2, 2\), \(1, 2, 1\)\]"):
-        train_mlp_ensemble([np.zeros((1, 2, 2)), np.zeros((1, 2, 1))],
-                           [np.zeros((1, 2)), np.zeros((1, 2))], 0.1, np.ones((3, 2)), np.ones(3), 1,
-                           streams)
+SHAPE_CHECKED = {  # the two compiled calls, on params, xs, ts and device
+    "train_lockstep": lambda params, xs, ts, device: train.train_lockstep(
+        params, xs, ts, 1, seed_streams(0, 1), 10.0, 1.0, 0.1, device),
+    "score": lambda params, xs, ts, device: score(params, xs, device),
+}
+
+
+@pytest.mark.parametrize("call", SHAPE_CHECKED)
+def test_shapes_the_kernel_cannot_take_are_rejected(call):
+    # the kernel trusts these shapes, so both calls check them first; one
+    # realization, 3 samples of 2 inputs
+    run, xs, ts, mlp = SHAPE_CHECKED[call], np.ones((3, 2)), np.ones(3), (1.0,) * 6
+    with pytest.raises(ValueError, match=r"need \(samples, inputs\), .*none 0"):
+        run([np.zeros((1, 3))], np.ones((0, 2)), np.ones(0), None)
+    if call == "train_lockstep":  # score takes no targets
+        with pytest.raises(ValueError, match=r"need \(samples, inputs\), \(samples,\)"):
+            run([np.zeros((1, 3))], xs, np.ones(2), None)
+    for device, params in [
+        (None, [np.zeros((1, 3, 1))]),  # an SLP weight array with a third axis
+        (None, [np.zeros((1, 4))]),  # an SLP row one element long
+        (None, [np.zeros((1, 2))]),  # an SLP row one element short
+        (mlp, [np.zeros((1, 3, 2)), np.zeros((1, 2, 1)), np.zeros((1, 2)), np.zeros((1, 1))]),  # 3 inputs
+        (mlp, [np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((2, 2)), np.zeros((1, 1))]),  # 2 realizations
+        (mlp, [np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 2)), np.zeros((1, 2))]),  # 2 outputs
+        (mlp, [np.zeros((1, 2, 2)), np.zeros((1, 2, 1))]),  # no biases
+    ]:
+        with pytest.raises(ValueError, match=rf"are not the {'SLP' if device is None else 'MLP'}'s .* 2 inputs"):
+            run(params, xs, ts, device)
 
 
 # bases whose five streams cross 2**32 and 2**64 (a carry into a new word),
@@ -614,9 +619,9 @@ def test_other_bit_generators_and_malformed_stream_arrays_are_refused(source):
         rngs = [np.random.Generator(bit_generator(0))]
         state = rngs[0].bit_generator.state
         with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
-            glorot_slp_weights(2, rngs)
+            glorot_layer(2, 1, rngs)
         with pytest.raises(ValueError, match=r"\(R, 6\) uint64 array"):
-            train_slp_ensemble(np.zeros((1, 3)), 0.1, np.eye(2), np.ones(2), 1, rngs)
+            train_slp_ensemble([np.zeros((1, 3))], 0.1, np.eye(2), np.ones(2), 1, rngs)
         np.testing.assert_equal(rngs[0].bit_generator.state, state)
     read_only = SOURCES[source](0, 2)
     read_only.flags.writeable = False
@@ -634,12 +639,12 @@ def test_generators_end_in_the_same_state_on_both_engines(model):
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
     streams = seed_streams(10, 3)
     params = [np.full((3, 3), 0.1)] if model == "slp" else [
-        [np.full((3, 2, 2), 0.1), np.full((3, 2, 1), -0.1)], [np.zeros((3, 2)), np.zeros((3, 1))]]
+        np.full((3, 2, 2), 0.1), np.full((3, 2, 1), -0.1), np.zeros((3, 2)), np.zeros((3, 1))]
     for epochs in (2, 3):  # a snapshot split: two calls on the same streams
         if model == "slp":
-            params = train_slp_ensemble(*params, 0.1, xs, ts, epochs, streams)[1:]
+            params = train_slp_ensemble(params, 0.1, xs, ts, epochs, streams)[1]
         else:
-            params = train_mlp_ensemble(*params, 0.1, xs, ts, epochs, streams)[1:]
+            params = train_mlp_ensemble(params, 0.1, xs, ts, epochs, streams)[1]
     refs = [np.random.default_rng(10 + r) for r in range(3)]
     for ref in refs:
         for _ in range(5):
@@ -650,7 +655,7 @@ def test_generators_end_in_the_same_state_on_both_engines(model):
 @pytest.mark.parametrize("sizes", [(2, 2, 1), (2, 3, 4, 1), (3, 1, 2)])
 def test_glorot_init_equals_one_uniform_call_per_array(sizes):
     streams, refs = seed_streams(0, 40), [np.random.default_rng(s) for s in range(40)]
-    weights, biases = glorot_init(Topology(sizes), streams)
+    weights, biases = glorot_init(sizes, streams)
     want = [glorot_loop_init(sizes, ref) for ref in refs]
     assert len(weights) == len(biases) == len(sizes) - 1
     for arrays, part in ((weights, 0), (biases, 1)):
@@ -663,7 +668,7 @@ def test_glorot_init_equals_one_uniform_call_per_array(sizes):
 @pytest.mark.parametrize("input_dim", [1, 2, 5])
 def test_glorot_slp_weights_equal_one_uniform_call_per_generator(input_dim):
     streams, refs = seed_streams(0, 40), [np.random.default_rng(s) for s in range(40)]
-    got = glorot_slp_weights(input_dim, streams)
+    got = glorot_layer(input_dim, 1, streams)
     want = np.stack([glorot_slp_loop_init(input_dim, ref) for ref in refs])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]

@@ -121,6 +121,13 @@ def test_out_of_range_diagnostics():
         parse_config(overrides={"seed": -1})
 
 
+def test_topology_validation():
+    # no hidden layer, and a layer of width 0
+    for widths in ([2, 1], [2, 0, 1]):
+        with pytest.raises(ConfigError, match="'topology' out of range"):
+            parse_config(overrides={"model": "mlp", "topology": widths})
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="config file"):
         parse_config(tmp_path / "missing.json")
@@ -613,8 +620,9 @@ def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrid
         return
     assert histories.shape == (config.n_realizations, config.epochs)
     assert np.isfinite(histories).all() and (histories >= 0.0).all()
-    # the slp trains with train_slp_ensemble's default weight_bound; the
-    # mlp clamps gammas and node biases to +/- d_prime / 2
+    # the harness passes the slp's trainer window_a alone, so its weights
+    # keep the default weight_bound of 10; the mlp's trainer clamps its
+    # whole flat list, gammas and node biases alike, to +/- d_prime / 2
     bound = 10.0 if config.model == "slp" else config.d_prime / 2.0
     try:
         xs = _evaluation_set(config)[0]

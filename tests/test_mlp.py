@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import DeviceParams, bias_drift_slope, quad_coefficient
-from memperceptron.mlp import Topology, device_constants, glorot_init, glorot_limit, train_mlp_ensemble
+from memperceptron.mlp import device_constants, glorot_init, glorot_limit, train_mlp_ensemble
 from memperceptron.train import score, seed_streams
 
 from oracles import (
@@ -23,7 +23,7 @@ from oracles import (
 )
 
 SLOPE_PARAMS = (0.01, 1.0, 1.0)  # (r_on, r_off, d) used by the oracles
-T221 = Topology((2, 2, 1))
+T221 = (2, 2, 1)
 # r_on = r_off / 2 puts the slope at exactly 0.5 for a stored bias of 1;
 # mu_v = 0 makes every node linear
 LINEAR_HALF = DeviceParams(r_on=0.5, r_off=1.0, mu_v=0.0)
@@ -40,8 +40,7 @@ def forward(weights, biases, x, params=None, b_scale=1.0):
 def kernel_output(weights, biases, x):
     """The kernel's outputs of one default-device network, given its weights, on one sample."""
     arrays = [np.asarray(a, dtype=float)[None] for a in (*weights, *biases)]
-    sizes = [len(x)] + [np.shape(w)[-1] for w in weights]
-    return score(arrays, np.array([x], dtype=float), sizes, device_constants(DeviceParams(), 1.0, 1.0))[0, 0]
+    return score(arrays, np.array([x], dtype=float), device_constants(DeviceParams(), 1.0, 1.0))[0, 0]
 
 
 def node(s, b=0.0, params=None):
@@ -54,24 +53,25 @@ def constant_net(w=0.5, b=0.0):
     return [np.full((2, 2), w), np.full((2, 1), w)], [np.full(2, b), np.full(1, b)]
 
 
-def one_step(weights, biases, x, t, eta=0.1, **kw):
+def one_step(weights, biases, x, t, eta=0.1, params=None):
     """Present one sample once to one network; returns (cost, weights, biases)."""
-    hist, gammas, bias_out = train_mlp_ensemble(
-        [np.asarray(w, dtype=float)[None] for w in weights],
-        [np.asarray(b, dtype=float)[None] for b in biases],
-        eta, np.array([x], dtype=float), np.array([t], dtype=float), 1, seed_streams(0, 1), **kw,
+    hist, final = train_mlp_ensemble(
+        [np.asarray(w, dtype=float)[None] for w in weights]
+        + [np.asarray(b, dtype=float)[None] for b in biases],
+        eta, np.array([x], dtype=float), np.array([t], dtype=float), 1, seed_streams(0, 1),
+        device_constants(params or DeviceParams(), 1.0, 1.0),
     )
-    return hist[0, 0], [g[0] for g in gammas], [b[0] for b in bias_out]
+    return hist[0, 0], [g[0] for g in final[:len(weights)]], [b[0] for b in final[len(weights):]]
 
 
-def train_one(weights, biases, ds, epochs, seed, eta=0.1, **kw):
+def train_one(weights, biases, ds, epochs, seed, eta=0.1):
     """Train a single network on a dataset; returns (history, weights, biases)."""
     xs, ts = ds.to_arrays()
-    hist, gammas, bias_out = train_mlp_ensemble(
-        [np.asarray(w)[None] for w in weights], [np.asarray(b)[None] for b in biases],
-        eta, xs, ts, epochs, seed_streams(seed, 1), **kw,
+    hist, final = train_mlp_ensemble(
+        [np.asarray(w)[None] for w in weights] + [np.asarray(b)[None] for b in biases],
+        eta, xs, ts, epochs, seed_streams(seed, 1),
     )
-    return hist[0], [g[0] for g in gammas], [b[0] for b in bias_out]
+    return hist[0], [g[0] for g in final[:len(weights)]], [b[0] for b in final[len(weights):]]
 
 
 def stacked_inits(seed, n, topology=T221, streams_from=seed_streams):
@@ -83,17 +83,10 @@ def stacked_inits(seed, n, topology=T221, streams_from=seed_streams):
 def init_one(topology, rng):
     """One network's Glorot draws, without the realization axis: those of
     glorot_init on rng's stream (see test_engine)."""
-    return glorot_loop_init(topology.layer_sizes, rng)
+    return glorot_loop_init(topology, rng)
 
 
 # -------------------------------------------------------------- components
-
-def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology((2, 1))
-    with pytest.raises(ValueError):
-        Topology((2, 0, 1))
-
 
 def test_glorot_limits():
     assert glorot_limit(2, 2) == pytest.approx(1.224744871391589, abs=1e-12)
@@ -185,9 +178,9 @@ def test_forward_zero_weights_gives_zero_output():
 
 def test_forward_matches_plain_oracle():
     rng = np.random.default_rng(17)
-    for topo in [T221, Topology((2, 3, 1)), Topology((3, 2, 2))]:
+    for topo in [T221, (2, 3, 1), (3, 2, 2)]:
         w, b = init_one(topo, rng)
-        x = rng.integers(0, 2, topo.layer_sizes[0])
+        x = rng.integers(0, 2, topo[0])
         layers = forward(w, b, x)
         ref = plain_mlp_forward(w, b, x, SLOPE_PARAMS, 1.0)
         for l in range(len(w)):
@@ -199,7 +192,7 @@ def test_forward_broadcasts_over_leading_axes():
     # oracle's for that network and sample alone
     gammas, biases, _ = stacked_inits(5, 3)
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    scores = score(gammas + biases, xs, T221.layer_sizes, device_constants(DeviceParams(), 1.0, 1.0))
+    scores = score(gammas + biases, xs, device_constants(DeviceParams(), 1.0, 1.0))
     assert scores.shape == (3, 4, 1)
     for r in range(3):
         for i in range(4):
@@ -253,9 +246,9 @@ def test_backprop_zero_residual_moves_nothing():
 
 def test_backprop_step_matches_ideal_arithmetic():
     rng = np.random.default_rng(23)
-    for topo in [T221, Topology((2, 3, 1)), Topology((3, 3, 1))]:
+    for topo in [T221, (2, 3, 1), (3, 3, 1)]:
         w, b = init_one(topo, rng)
-        x = rng.integers(0, 2, topo.layer_sizes[0]).astype(float)
+        x = rng.integers(0, 2, topo[0]).astype(float)
         t = float(rng.integers(0, 2))
         inc_w, inc_b, ref_cost = ideal_mlp_step(w, b, x, [t], 0.1, SLOPE_PARAMS, 1.0)
         err, after_w, after_b = one_step(w, b, x, t)
@@ -340,7 +333,8 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
         ds = generate_dataset(gate, 18, 6)
         xs, ts = ds.to_arrays()
         gammas0, biases0, streams = stacked_inits(seeds[0], len(seeds), streams_from=streams_from)
-        hist_ens, g_ens, b_ens = train_mlp_ensemble(gammas0, biases0, 0.1, xs, ts, 10, streams)
+        hist_ens, final = train_mlp_ensemble(gammas0 + biases0, 0.1, xs, ts, 10, streams)
+        g_ens, b_ens = final[:2], final[2:]
 
         clamps = 0
         for r, seed in enumerate(seeds):
@@ -361,6 +355,6 @@ def test_xor_is_learnable_by_the_mlp():
     ds = generate_dataset(Gate.XOR, 60, 13)
     xs, ts = ds.to_arrays()
     gammas0, biases0, streams = stacked_inits(500, 5)
-    hist, _, _ = train_mlp_ensemble(gammas0, biases0, 0.01, xs, ts, 500, streams)
+    hist, _ = train_mlp_ensemble(gammas0 + biases0, 0.01, xs, ts, 500, streams)
     ratios = hist[:, -1] / hist[:, 0]
     assert np.count_nonzero(ratios < 0.1) >= 4

@@ -8,7 +8,8 @@ from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.device import WindowViolationError
-from memperceptron.slp import glorot_slp_weights, train_slp_ensemble
+from memperceptron.mlp import glorot_layer
+from memperceptron.slp import train_slp_ensemble
 from memperceptron.train import score, seed_streams
 
 from oracles import glorot_slp_loop_init, ideal_slp_run, numpy_streams, pcg64_row, slp_forward
@@ -21,8 +22,8 @@ def forward(weights, x):
 
 def one_step(weights=(0.0, 0.0, 0.0), x=(1, 0), t=1, eta=0.1, bound=10.0):
     """Present one sample once to one machine; returns (cost, new weights)."""
-    hist, w = train_slp_ensemble(
-        np.array([weights], dtype=float), eta, np.array([x], dtype=float),
+    hist, (w,) = train_slp_ensemble(
+        [np.array([weights], dtype=float)], eta, np.array([x], dtype=float),
         np.array([t], dtype=float), 1, seed_streams(0, 1), weight_bound=bound,
     )
     return hist[0, 0], w[0]
@@ -39,7 +40,7 @@ def test_net_input_values():
 
 def test_net_input_dimension_check():
     with pytest.raises(ValueError):
-        train_slp_ensemble(np.zeros((1, 3)), 0.1, np.zeros((4, 3)), np.zeros(4), 1, seed_streams(0, 1))
+        train_slp_ensemble([np.zeros((1, 3))], 0.1, np.zeros((4, 3)), np.zeros(4), 1, seed_streams(0, 1))
 
 
 def test_logistic_activation_center():
@@ -150,7 +151,7 @@ def test_training_is_seed_deterministic():
     runs = []
     for _ in range(2):
         w0 = np.array([[0.2, 0.4, -0.1]])
-        runs.append(train_slp_ensemble(w0, 0.1, xs, ts, 20, seed_streams(42, 1)))
+        runs.append(train_slp_ensemble([w0], 0.1, xs, ts, 20, seed_streams(42, 1)))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -159,9 +160,9 @@ def test_training_validates_arguments():
     xs, ts = generate_dataset(Gate.AND, 5, 1).to_arrays()
     w0 = np.zeros((1, 3))
     with pytest.raises(ValueError):
-        train_slp_ensemble(w0, 0.1, xs, ts, 0, seed_streams(0, 1))
+        train_slp_ensemble([w0], 0.1, xs, ts, 0, seed_streams(0, 1))
     with pytest.raises(ValueError):
-        train_slp_ensemble(w0, 0.1, xs[:0], ts[:0], 3, seed_streams(0, 1))
+        train_slp_ensemble([w0], 0.1, xs[:0], ts[:0], 3, seed_streams(0, 1))
 
 
 def test_memristor_updates_equal_ideal_delta_rule():
@@ -170,11 +171,11 @@ def test_memristor_updates_equal_ideal_delta_rule():
     # shuffling, in both routes
     for seed in range(6):
         streams = seed_streams(100 + seed, 1)
-        w0 = glorot_slp_weights(2, streams)[0]
+        w0 = glorot_layer(2, 1, streams)[0]
         ds = generate_dataset(Gate.XOR if seed % 2 else Gate.OR, 12, seed)
         xs, ts = ds.to_arrays()
 
-        hist, w = train_slp_ensemble(w0[None], 0.1, xs, ts, 40, streams)
+        hist, (w,) = train_slp_ensemble([w0[None]], 0.1, xs, ts, 40, streams)
 
         rng_ref = np.random.default_rng(100 + seed)
         assert np.array_equal(glorot_slp_loop_init(2, rng_ref), w0)  # the init draw, made the same way
@@ -195,8 +196,8 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
     seeds = [60, 61, 62, 63, 64]
     for bound in (10.0, 0.3):
         streams = {"compiled": seed_streams, "numpy": numpy_streams}[source](seeds[0], len(seeds))
-        weights0 = np.clip(glorot_slp_weights(2, streams), -bound, bound)
-        hist_ens, w_ens = train_slp_ensemble(weights0, 0.1, xs, ts, 15, streams,
+        weights0 = np.clip(glorot_layer(2, 1, streams), -bound, bound)
+        hist_ens, (w_ens,) = train_slp_ensemble([weights0], 0.1, xs, ts, 15, streams,
                                              weight_bound=bound)
         clamped = 0
         for r, seed in enumerate(seeds):
@@ -215,14 +216,14 @@ def test_ensemble_rejects_mismatched_generators():
     xs = np.zeros((4, 2))
     ts = np.zeros(4)
     with pytest.raises(ValueError):
-        train_slp_ensemble(np.zeros((3, 3)), 0.1, xs, ts, 1, seed_streams(0, 1))
+        train_slp_ensemble([np.zeros((3, 3))], 0.1, xs, ts, 1, seed_streams(0, 1))
 
 
 # ------------------------------------------------------- learning behaviour
 
 def test_glorot_draws_stay_inside_limit():
     limit = np.sqrt(6.0 / 3.0)
-    draws = glorot_slp_weights(2, seed_streams(0, 400))
+    draws = glorot_layer(2, 1, seed_streams(0, 400))
     assert np.max(np.abs(draws)) < limit
     assert np.max(np.abs(draws)) > 0.9 * limit  # actually fills the range
 
@@ -233,8 +234,8 @@ def test_or_is_learnable_and_xor_is_not():
     for ds, learnable in [(ds_or, True), (ds_xor, False)]:
         xs, ts = ds.to_arrays()
         streams = seed_streams(300, 5)
-        weights0 = glorot_slp_weights(2, streams)
-        hist, _ = train_slp_ensemble(weights0, 0.1, xs, ts, 150, streams)
+        weights0 = glorot_layer(2, 1, streams)
+        hist, _ = train_slp_ensemble([weights0], 0.1, xs, ts, 150, streams)
         ratios = hist[:, -1] / hist[:, 0]
         if learnable:
             assert np.count_nonzero(ratios < 0.25) >= 4
