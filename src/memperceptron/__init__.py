@@ -7,7 +7,7 @@ quadratic read response.  The harness reruns the logic-gate learning
 and ROC experiments over seeded ensembles of starting weights.
 """
 
-from .data import Dataset, Gate, Sample, generate_dataset
+from .data import Gate, generate_dataset
 from .device import DeviceParams, WindowViolationError
 from .harness import (
     ConfigError,
@@ -24,13 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "Dataset",
     "DeviceParams",
     "EpochRecord",
     "ExperimentConfig",
     "Gate",
     "RocPoint",
-    "Sample",
     "WindowViolationError",
     "auc",
     "generate_dataset",

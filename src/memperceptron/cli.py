@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .data import Gate, generate_dataset, infer_gate, load_samples_csv, save_dataset_csv
+from .data import Gate, generate_dataset, infer_gate, load_dataset_csv, save_dataset_csv
 from .harness import (
     ROC_EPOCHS,
     ConfigError,
@@ -93,22 +93,21 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
     if args.load is not None:
-        samples = load_samples_csv(args.load)
-        gate = infer_gate(samples)
-        positives = sum(s.t for s in samples)
-        print(f"{args.load}: {len(samples)} samples, gate {gate.value}, "
-              f"{positives} positive / {len(samples) - positives} negative")
+        xs, ts = load_dataset_csv(args.load)
+        gate, positives = infer_gate(xs, ts), int(ts.sum())
+        print(f"{args.load}: {len(ts)} samples, gate {gate.value}, "
+              f"{positives} positive / {len(ts) - positives} negative")
         return 0
     config = parse_config(overrides={
         "gate": args.gate, "dataset_size": args.dataset_size, "seed": args.seed,
     })
     gate = Gate[config.gate]
-    dataset = generate_dataset(gate, config.dataset_size, config.seed)
+    xs, ts = generate_dataset(gate, config.dataset_size, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"dataset_{gate.value.lower()}.csv"
-    save_dataset_csv(dataset, path)
-    print(f"wrote {path} ({len(dataset)} samples)")
+    save_dataset_csv(xs, ts, path)
+    print(f"wrote {path} ({len(ts)} samples)")
     return 0
 
 

@@ -2,16 +2,16 @@
 
 Inputs are uniform random draws from {0,1}^2 labelled by the gate's truth
 table.  Generation is driven by numpy's default generator (PCG64), so a
-seed pins the dataset exactly.  A dataset is drawn and labelled as arrays;
-`Sample` and `gate_label` are the per-row spec it is held to, and the
-validation of rows read back from CSV.
+seed pins the dataset exactly.  A dataset is two float arrays, inputs xs
+(n, 2) and labels ts (n,), from the draw through the CSV and back;
+`_GATE_OPS` is the one truth table, which labels a draw and names the
+gate of a loaded file.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,80 +22,30 @@ class Gate(enum.Enum):
     XOR = "XOR"
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One labelled input pattern; components and label are binary."""
-
-    x: tuple[int, ...]
-    t: int
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.x):
-            raise ValueError(f"inputs must be binary, got {self.x}")
-        if self.t not in (0, 1):
-            raise ValueError(f"label must be binary, got {self.t}")
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Float inputs xs (n, 2) and labels ts (n,) of one gate draw."""
-
-    xs: np.ndarray
-    ts: np.ndarray
-    gate: Gate
-    seed: int | None = None
-
-    def __len__(self):
-        return len(self.ts)
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """The rows as validated Samples, built on each access."""
-        xs, ts = self.xs.astype(np.int64).tolist(), self.ts.astype(np.int64).tolist()
-        return tuple(Sample(x=tuple(x), t=t) for x, t in zip(xs, ts))
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh copies of (inputs, labels), which the caller may write."""
-        return self.xs.copy(), self.ts.copy()
-
-
-def gate_label(gate: Gate, x1: int, x2: int) -> int:
-    if x1 not in (0, 1) or x2 not in (0, 1):
-        raise ValueError(f"inputs must be binary, got ({x1}, {x2})")
-    if gate is Gate.OR:
-        return x1 | x2
-    if gate is Gate.AND:
-        return x1 & x2
-    if gate is Gate.XOR:
-        return x1 ^ x2
-    raise ValueError(f"unknown gate {gate!r}")
-
-
 _GATE_OPS = {Gate.OR: np.bitwise_or, Gate.AND: np.bitwise_and, Gate.XOR: np.bitwise_xor}
 
 
-def generate_dataset(gate: Gate, n: int, seed: int) -> Dataset:
-    """n samples with inputs drawn uniformly from {0,1}^2."""
+def generate_dataset(gate: Gate, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float (xs, ts) of n samples with inputs drawn uniformly from {0,1}^2."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     if gate not in _GATE_OPS:
         raise ValueError(f"unknown gate {gate!r}")
     bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2))
-    ts = _GATE_OPS[gate](bits[:, 0], bits[:, 1])
-    return Dataset(xs=bits.astype(float), ts=ts.astype(float), gate=gate, seed=seed)
+    return bits.astype(float), _GATE_OPS[gate](bits[:, 0], bits[:, 1]).astype(float)
 
 
-def save_dataset_csv(dataset: Dataset, path) -> None:
+def save_dataset_csv(xs: np.ndarray, ts: np.ndarray, path) -> None:
+    """Write x1,x2,label rows of integers."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x1", "x2", "label"])
-        for s in dataset.samples:
-            writer.writerow([s.x[0], s.x[1], s.t])
+        writer.writerows(np.column_stack((xs, ts)).astype(np.int64).tolist())
 
 
-def load_samples_csv(path) -> list[Sample]:
-    """Read x1,x2,label rows back; every field must be a binary integer."""
-    samples = []
+def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read x1,x2,label rows back as float (xs, ts); every field must be a binary integer."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -108,15 +58,21 @@ def load_samples_csv(path) -> list[Sample]:
                 x1, x2, t = (int(v) for v in row)
             except ValueError as exc:
                 raise ValueError(f"non-integer field in row {row}") from exc
-            samples.append(Sample(x=(x1, x2), t=t))
-    if not samples:
+            if x1 not in (0, 1) or x2 not in (0, 1):
+                raise ValueError(f"inputs must be binary, got {(x1, x2)}")
+            if t not in (0, 1):
+                raise ValueError(f"label must be binary, got {t}")
+            rows.append((x1, x2, t))
+    if not rows:
         raise ValueError("dataset file contains no samples")
-    return samples
+    table = np.array(rows, dtype=float)
+    return table[:, :2].copy(), table[:, 2].copy()
 
 
-def infer_gate(samples) -> Gate:
-    """Which gate's truth table labels these samples; error if none do."""
+def infer_gate(xs: np.ndarray, ts: np.ndarray) -> Gate:
+    """The first gate, in Gate order, whose truth table labels xs as ts; error if none does."""
+    bits = np.asarray(xs, dtype=np.int64)
     for gate in Gate:
-        if all(s.t == gate_label(gate, s.x[0], s.x[1]) for s in samples):
+        if np.array_equal(_GATE_OPS[gate](bits[:, 0], bits[:, 1]), ts):
             return gate
     raise ValueError("labels match no known gate truth table")

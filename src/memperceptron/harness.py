@@ -222,8 +222,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     second call resumes exactly where the first stopped.  A realization whose error or
     parameters are not finite raises FloatingPointError.
     """
-    dataset = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
-    xs, ts = dataset.to_arrays()
+    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
     eta = effective_learning_rate(config)
     # weight draws come first, then one permutation per epoch
     streams = seed_streams(config.seed, config.n_realizations)
@@ -287,9 +286,16 @@ def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
 
     Each epoch's realizations are reduced as one contiguous row, which
     gives the bytes of np.mean and np.std on that epoch's column alone.
+    Finite errors can still overflow in the reduction: a mean or std that
+    is not finite raises FloatingPointError naming its first epoch.
     """
     by_epoch = np.ascontiguousarray(histories.T)
-    means, stds = by_epoch.mean(axis=1), by_epoch.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = by_epoch.mean(axis=1), by_epoch.std(axis=1)
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        raise FloatingPointError(f"the mean or std of E_total over the realizations "
+                                 f"is not finite at epoch {int(bad.argmax()) + 1}")
     return [EpochRecord(epoch=e + 1, mean_e_total=float(m), std_e_total=float(sd))
             for e, (m, sd) in enumerate(zip(means, stds))]
 
@@ -309,7 +315,7 @@ def _emit_curve(config: ExperimentConfig, records: list[EpochRecord]) -> Path:
 
 def _evaluation_set(config: ExperimentConfig):
     """The fresh ROC evaluation set (xs, ts), drawn from seed + 1."""
-    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1).to_arrays()
+    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1)
     if ts.min() == ts.max():
         raise ConfigError(
             f"config key 'dataset_size' out of range: the {config.dataset_size}-sample "

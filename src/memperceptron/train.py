@@ -114,6 +114,18 @@ def _layers(params, n_in: int, device):
     return n_layers, (_I * len(widths))(*widths)
 
 
+def _inputs(params, xs, device):
+    """params and xs as fresh float C-contiguous copies, which _address can
+    pass even where the caller's arrays are read-only, and their layers (see
+    `_layers`).  The input check train_lockstep and score share: raises
+    ValueError unless xs is (samples, inputs), neither 0, and params fit it."""
+    xs = np.array(xs, dtype=float, order="C")
+    if xs.ndim != 2 or 0 in xs.shape:
+        raise ValueError(f"xs {xs.shape}: need (samples, inputs), none 0")
+    params = [np.array(p, dtype=float, order="C") for p in params]
+    return params, xs, _layers(params, xs.shape[1], device)
+
+
 def seed_streams(seed: int, n: int) -> np.ndarray:
     """The streams of np.random.default_rng(seed + r) for r < n, one row each.
 
@@ -177,13 +189,11 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    n_samples = xs.shape[0]
-    if xs.ndim != 2 or 0 in xs.shape or np.shape(ts) != (n_samples,):
-        raise ValueError(f"xs {xs.shape}, ts {np.shape(ts)}: need (samples, inputs), (samples,), none 0")
-    # copies, so that a read-only caller's array can be passed by _address
-    xs, ts = np.array(xs, dtype=float, order="C"), np.array(ts, dtype=float, order="C")
-    params = [np.array(p, dtype=float, order="C") for p in params]
-    layers, n_real = _layers(params, xs.shape[1], device), len(params[0])
+    params, xs, layers = _inputs(params, xs, device)
+    n_real, n_samples = len(params[0]), len(xs)
+    ts = np.array(ts, dtype=float, order="C")
+    if ts.shape != (n_samples,):
+        raise ValueError(f"xs {xs.shape}, ts {ts.shape}: need (samples, inputs), (samples,)")
     _check_streams(streams)
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
@@ -212,11 +222,7 @@ def score(params, xs: np.ndarray, device=None) -> np.ndarray:
     is (samples, inputs).  A score that cannot allocate its scratch
     raises MemoryError.  Returns (realizations, samples, outputs).
     """
-    xs = np.array(xs, dtype=float, order="C")
-    params = [np.array(p, dtype=float, order="C") for p in params]
-    if xs.ndim != 2 or 0 in xs.shape:
-        raise ValueError(f"xs {xs.shape}: need (samples, inputs), none 0")
-    n_layers, widths = _layers(params, xs.shape[1], device)
+    params, xs, (n_layers, widths) = _inputs(params, xs, device)
     n_real = len(params[0])
     scores = np.empty((n_real, len(xs), widths[n_layers] if n_layers else 1))
     if load_library().score(n_real, len(xs), xs.shape[1], _address(xs), _pointers(params), _address(scores),

@@ -45,8 +45,12 @@ MUTANTS = [
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
     (KERNEL, "(LANES * PIECES)", "(LANES * 2)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
-    (DATA, "xs=bits.astype(float)", "xs=bits[:, ::-1].astype(float)",
+    (DATA, "return bits.astype(float),", "return bits[:, ::-1].astype(float),",
      "tests/test_data.py::test_generated_dataset_equals_the_per_sample_oracle"),
+    (HARNESS, "bad = ~(np.isfinite(means) & np.isfinite(stds))", "bad = ~np.isfinite(means)",
+     HARNESS_TESTS + "test_cli_curve_statistics_that_overflow_exit_2"),
+    (TRAIN, "if xs.ndim != 2 or 0 in xs.shape:", "if 0 in xs.shape:",
+     ENGINE_TESTS + "test_shapes_the_kernel_cannot_take_are_rejected"),
     (TRAIN, "shapes[n_layers:] != [(n_real, b) for b in widths[1:]]", "False",
      ENGINE_TESTS + "test_shapes_the_kernel_cannot_take_are_rejected"),
 ]

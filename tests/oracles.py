@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from memperceptron.data import Sample, gate_label
+from memperceptron.data import Gate
 
 
 def euler_pulse_batch(mu_v, r_on, r_off, d, i_gamma, gamma0, current, n_steps, dt=1e-5):
@@ -403,14 +403,15 @@ def pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+TRUTH = {  # the gates' truth tables, written out
+    Gate.OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+    Gate.AND: {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
+    Gate.XOR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+}
+
+
 def per_sample_dataset(gate, n, seed):
-    """generate_dataset's draw built one validated Sample per row, each
-    labelled by gate_label, then packed into float arrays: (xs, ts, samples)."""
-    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2))
-    samples = tuple(
-        Sample(x=(int(b[0]), int(b[1])), t=gate_label(gate, int(b[0]), int(b[1])))
-        for b in bits
-    )
-    xs = np.array([s.x for s in samples], dtype=float)
-    ts = np.array([s.t for s in samples], dtype=float)
-    return xs, ts, samples
+    """generate_dataset's draw, each row labelled from TRUTH one at a time,
+    packed into float arrays: (xs, ts)."""
+    rows = [tuple(b) for b in np.random.default_rng(seed).integers(0, 2, size=(n, 2)).tolist()]
+    return np.array(rows, dtype=float), np.array([TRUTH[gate][x] for x in rows], dtype=float)

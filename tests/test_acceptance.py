@@ -72,8 +72,7 @@ def roc_ensembles(slp_or_and_runs, slp_xor_run, mlp_runs):
     out = {}
     for (model, gate), state in states.items():
         config = protocol_config(model, gate, 500)
-        eval_set = generate_dataset(Gate[gate], config.dataset_size, config.seed + 1)
-        xs, ts = eval_set.to_arrays()
+        xs, ts = generate_dataset(Gate[gate], config.dataset_size, config.seed + 1)
         out[(model, gate)] = (ensemble_scores(config, state, xs), ts)
     return out
 
@@ -259,8 +258,7 @@ def test_criterion_8_slp_equals_ideal_delta_rule():
     for run in range(100):
         seed = int(rng_master.integers(0, 1_000_000))
         gate = Gate[GATES[run % 3]]
-        ds = generate_dataset(gate, 12, seed)
-        xs, ts = ds.to_arrays()
+        xs, ts = generate_dataset(gate, 12, seed)
 
         w0 = glorot_layer(2, 1, seed_streams(seed, 1))[0]
         rng = np.random.default_rng(seed)

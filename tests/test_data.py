@@ -6,42 +6,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from memperceptron.data import (
-    Dataset,
     Gate,
-    Sample,
-    gate_label,
     generate_dataset,
     infer_gate,
-    load_samples_csv,
+    load_dataset_csv,
     save_dataset_csv,
 )
 from memperceptron.train import load_library, seed_streams
 
-from oracles import per_sample_dataset
+from oracles import TRUTH, per_sample_dataset
 
-TRUTH = {
-    Gate.OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
-    Gate.AND: {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
-    Gate.XOR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
-}
+
+def as_arrays(rows):
+    """A {(x1, x2): label} table as the float (xs, ts) the package takes."""
+    return np.array(list(rows), dtype=float), np.array(list(rows.values()), dtype=float)
 
 
 def test_truth_tables():
+    # each gate's four rows, written out, name that gate and no earlier one
     for gate, table in TRUTH.items():
-        for (x1, x2), label in table.items():
-            assert gate_label(gate, x1, x2) == label
-
-
-def test_gate_label_rejects_non_binary():
-    with pytest.raises(ValueError):
-        gate_label(Gate.OR, 2, 0)
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample(x=(0, 2), t=0)
-    with pytest.raises(ValueError):
-        Sample(x=(0, 1), t=3)
+        assert infer_gate(*as_arrays(table)) is gate
 
 
 @given(
@@ -50,18 +34,18 @@ def test_sample_validation():
     seed=st.integers(0, 2**31),
 )
 def test_generated_labels_follow_truth_table(gate, n, seed):
-    ds = generate_dataset(gate, n, seed)
-    assert len(ds) == n
-    for s in ds.samples:
-        assert s.t == TRUTH[gate][s.x]
+    xs, ts = generate_dataset(gate, n, seed)
+    assert xs.shape == (n, 2) and ts.shape == (n,)
+    for x, t in zip(xs.astype(int).tolist(), ts.tolist()):
+        assert t == TRUTH[gate][tuple(x)]
 
 
 def test_generation_is_seed_deterministic():
     a = generate_dataset(Gate.XOR, 40, 7)
     b = generate_dataset(Gate.XOR, 40, 7)
     c = generate_dataset(Gate.XOR, 40, 8)
-    assert a.samples == b.samples
-    assert a.samples != c.samples
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_generation_rejects_empty():
@@ -70,12 +54,10 @@ def test_generation_rejects_empty():
 
 
 def test_pattern_frequencies_are_roughly_uniform():
-    ds = generate_dataset(Gate.OR, 4000, 123)
-    counts = {}
-    for s in ds.samples:
-        counts[s.x] = counts.get(s.x, 0) + 1
-    for pattern in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        assert abs(counts[pattern] / 4000 - 0.25) < 0.05
+    xs, _ = generate_dataset(Gate.OR, 4000, 123)
+    patterns, counts = np.unique(xs, axis=0, return_counts=True)
+    assert patterns.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert all(abs(c / 4000 - 0.25) < 0.05 for c in counts)
 
 
 def presented_order(n, epochs, seed):
@@ -102,72 +84,80 @@ def test_shuffle_singleton():
 
 
 def test_csv_round_trip(tmp_path):
-    ds = generate_dataset(Gate.XOR, 25, 11)
+    xs, ts = generate_dataset(Gate.XOR, 25, 11)
     path = tmp_path / "ds.csv"
-    save_dataset_csv(ds, path)
+    save_dataset_csv(xs, ts, path)
     text = path.read_text()
     assert text.splitlines()[0] == "x1,x2,label"
-    loaded = load_samples_csv(path)
-    assert tuple(loaded) == ds.samples
+    assert text.splitlines()[1:] == [f"{a:.0f},{b:.0f},{t:.0f}" for (a, b), t in zip(xs, ts)]
+    for got, want in zip(load_dataset_csv(path), (xs, ts)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0\n", "expected 3 fields per row"),
+    ("0,0,0,1\n", "expected 3 fields per row"),
+    ("0,0.0,0\n", "non-integer field"),
+    ("0,x,0\n", "non-integer field"),
+])
+def test_load_rejects_malformed_rows(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,label\n0,0,0\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        load_dataset_csv(path)
 
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0,0,0\n")
-    with pytest.raises(ValueError):
-        load_samples_csv(path)
+    with pytest.raises(ValueError, match="expected header x1,x2,label"):
+        load_dataset_csv(path)
 
 
 def test_load_rejects_non_binary(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2,label\n0,3,1\n")
-    with pytest.raises(ValueError):
-        load_samples_csv(path)
+    with pytest.raises(ValueError, match=r"inputs must be binary, got \(0, 3\)"):
+        load_dataset_csv(path)
+
+
+def test_load_rejects_non_binary_label(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,label\n0,1,1\n0,1,3\n")
+    with pytest.raises(ValueError, match="label must be binary, got 3"):
+        load_dataset_csv(path)
 
 
 def test_load_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x1,x2,label\n")
-    with pytest.raises(ValueError):
-        load_samples_csv(path)
+    with pytest.raises(ValueError, match="no samples"):
+        load_dataset_csv(path)
 
 
 def test_infer_gate():
     for gate in Gate:
-        ds = generate_dataset(gate, 50, 3)
-        assert infer_gate(ds.samples) is gate
-    bad = [Sample((0, 0), 1), Sample((1, 1), 0)]
-    with pytest.raises(ValueError):
-        infer_gate(bad)
-
-
-def test_to_arrays():
-    ds = Dataset(xs=np.array([[1.0, 0.0], [0.0, 0.0]]), ts=np.array([1.0, 0.0]), gate=Gate.OR)
-    xs, ts = ds.to_arrays()
-    assert xs.dtype == float and ts.dtype == float
-    assert xs.tolist() == [[1.0, 0.0], [0.0, 0.0]]
-    assert ts.tolist() == [1.0, 0.0]
-    assert ds.samples == (Sample((1, 0), 1), Sample((0, 0), 0))
+        assert infer_gate(*generate_dataset(gate, 50, 3)) is gate
+    # ambiguous rows take the first gate in Gate order: these fit OR and AND, then all three
+    for rows in ({(0, 0): 0, (1, 1): 1}, {(0, 0): 0}):
+        assert infer_gate(*as_arrays(rows)) is Gate.OR
+    with pytest.raises(ValueError, match="match no known gate"):
+        infer_gate(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 4000])
 @pytest.mark.parametrize("gate", list(Gate))
 def test_generated_dataset_equals_the_per_sample_oracle(gate, n):
     for seed in (0, 5, 2**32 + 7):
-        xs, ts, samples = per_sample_dataset(gate, n, seed)
-        ds = generate_dataset(gate, n, seed)
-        for got, want in zip(ds.to_arrays(), (xs, ts)):
+        for got, want in zip(generate_dataset(gate, n, seed), per_sample_dataset(gate, n, seed)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert ds.samples == samples
-        assert len(ds) == n
 
 
-def test_to_arrays_returns_copies_the_caller_may_write():
-    ds = generate_dataset(Gate.XOR, 20, 3)
-    xs, ts = ds.to_arrays()
+def test_generated_arrays_are_fresh_and_writeable():
+    xs, ts = generate_dataset(Gate.XOR, 20, 3)
     xs[:] = 7.0
     ts[:] = 7.0
-    again = ds.to_arrays()
-    want = per_sample_dataset(Gate.XOR, 20, 3)[:2]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want))
+    again = generate_dataset(Gate.XOR, 20, 3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, per_sample_dataset(Gate.XOR, 20, 3)))

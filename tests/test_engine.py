@@ -530,6 +530,16 @@ def test_read_only_arrays_are_taken_as_writeable_copies():
     assert all(np.array_equal(a, b) for a, b in zip(frozen, (weights0, xs, ts)))
 
 
+def test_nested_lists_train_and_score_as_their_arrays():
+    # xs and ts are converted before their shapes are read
+    rng = np.random.default_rng(6)
+    weights0, xs = rng.uniform(-1.0, 1.0, (3, 3)), rng.integers(0, 2, (6, 2)).astype(float)
+    ts = rng.integers(0, 2, 6).astype(float)
+    got = train_slp_ensemble([weights0.tolist()], 0.5, xs.tolist(), ts.tolist(), 3, seed_streams(0, 3))
+    assert_same(got, train_slp_ensemble([weights0], 0.5, xs, ts, 3, seed_streams(0, 3)))
+    assert_same([score([weights0.tolist()], xs.tolist())], [score([weights0], xs)])
+
+
 SHAPE_CHECKED = {  # the two compiled calls, on params, xs, ts and device
     "train_lockstep": lambda params, xs, ts, device: train.train_lockstep(
         params, xs, ts, 1, seed_streams(0, 1), 10.0, 1.0, 0.1, device),
@@ -542,8 +552,9 @@ def test_shapes_the_kernel_cannot_take_are_rejected(call):
     # the kernel trusts these shapes, so both calls check them first; one
     # realization, 3 samples of 2 inputs
     run, xs, ts, mlp = SHAPE_CHECKED[call], np.ones((3, 2)), np.ones(3), (1.0,) * 6
-    with pytest.raises(ValueError, match=r"need \(samples, inputs\), .*none 0"):
-        run([np.zeros((1, 3))], np.ones((0, 2)), np.ones(0), None)
+    for bad in (np.ones((0, 2)), np.float64(1.0)):  # no samples; a 0-d xs
+        with pytest.raises(ValueError, match=r"need \(samples, inputs\), .*none 0"):
+            run([np.zeros((1, 3))], bad, np.ones(0), None)
     if call == "train_lockstep":  # score takes no targets
         with pytest.raises(ValueError, match=r"need \(samples, inputs\), \(samples,\)"):
             run([np.zeros((1, 3))], xs, np.ones(2), None)

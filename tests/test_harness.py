@@ -304,7 +304,7 @@ def test_cli_dataset_roundtrip(tmp_path, capsys):
 
 
 def test_cli_dataset_csv_bytes_are_pinned(tmp_path, capsys):
-    # the CSV is written from Dataset.samples, which are derived from the drawn arrays
+    # the CSV is written from the drawn arrays
     assert main(["dataset", "--gate", "xor", "--dataset-size", "100", "--seed", "0",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "dataset_xor.csv").read_bytes()).hexdigest()
@@ -568,6 +568,26 @@ def test_cli_non_finite_training_exits_2(tmp_path, capsys, command, flag):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == (["curve_slp_and.csv", "curve_slp_or.csv", "curve_slp_xor.csv",
                         "roc_slp_or.csv", "roc_slp_xor.csv"] if command == "protocol" else [])
+
+
+def test_cli_curve_statistics_that_overflow_exit_2(tmp_path, capsys):
+    # each realization's E_total is finite, near 5e246, and the std's squares
+    # overflow; protocol hits a window violation first at this rate
+    rc = main(["train", "--model", "mlp", "--gate", "xor", "--b-scale", "1e20", "--learning-rate", "10",
+               "--epochs", "3", "--realizations", "3", "--dataset-size", "12", "--svg", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: the mean or std of E_total over the realizations is not finite at epoch 1\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_aggregate_curve_names_the_first_epoch_it_cannot_reduce():
+    histories = np.array([[1.0, 1e200, 1e308], [3.0, -1e200, 1e308]])  # std, then mean overflow
+    with pytest.raises(FloatingPointError, match=r"not finite at epoch 2$"):
+        aggregate_curve(histories)
+    with pytest.raises(FloatingPointError, match=r"not finite at epoch 1$"):
+        aggregate_curve(histories[:, ::-1])
+    assert [r.std_e_total for r in aggregate_curve(histories[:, :1])] == [1.0]
 
 
 def test_a_parameter_gone_bad_in_the_last_write_is_a_non_finite_run():

@@ -64,9 +64,9 @@ def one_step(weights, biases, x, t, eta=0.1, params=None):
     return hist[0, 0], [g[0] for g in final[:len(weights)]], [b[0] for b in final[len(weights):]]
 
 
-def train_one(weights, biases, ds, epochs, seed, eta=0.1):
-    """Train a single network on a dataset; returns (history, weights, biases)."""
-    xs, ts = ds.to_arrays()
+def train_one(weights, biases, dataset, epochs, seed, eta=0.1):
+    """Train a single network on a dataset (xs, ts); returns (history, weights, biases)."""
+    xs, ts = dataset
     hist, final = train_mlp_ensemble(
         [np.asarray(w)[None] for w in weights] + [np.asarray(b)[None] for b in biases],
         eta, xs, ts, epochs, seed_streams(seed, 1),
@@ -330,8 +330,7 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
     streams_from = {"compiled": seed_streams, "numpy": numpy_streams}[source]
     seeds = [70, 71, 72, 73]
     for gate in (Gate.XOR, Gate.OR):
-        ds = generate_dataset(gate, 18, 6)
-        xs, ts = ds.to_arrays()
+        xs, ts = generate_dataset(gate, 18, 6)
         gammas0, biases0, streams = stacked_inits(seeds[0], len(seeds), streams_from=streams_from)
         hist_ens, final = train_mlp_ensemble(gammas0 + biases0, 0.1, xs, ts, 10, streams)
         g_ens, b_ens = final[:2], final[2:]
@@ -352,8 +351,7 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
 
 
 def test_xor_is_learnable_by_the_mlp():
-    ds = generate_dataset(Gate.XOR, 60, 13)
-    xs, ts = ds.to_arrays()
+    xs, ts = generate_dataset(Gate.XOR, 60, 13)
     gammas0, biases0, streams = stacked_inits(500, 5)
     hist, _ = train_mlp_ensemble(gammas0 + biases0, 0.01, xs, ts, 500, streams)
     ratios = hist[:, -1] / hist[:, 0]

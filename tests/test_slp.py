@@ -146,8 +146,7 @@ def test_update_moves_with_the_residual(w1, w2, wb, x1, x2, t):
 # ------------------------------------------------------------------ training
 
 def test_training_is_seed_deterministic():
-    ds = generate_dataset(Gate.AND, 30, 11)
-    xs, ts = ds.to_arrays()
+    xs, ts = generate_dataset(Gate.AND, 30, 11)
     runs = []
     for _ in range(2):
         w0 = np.array([[0.2, 0.4, -0.1]])
@@ -157,7 +156,7 @@ def test_training_is_seed_deterministic():
 
 
 def test_training_validates_arguments():
-    xs, ts = generate_dataset(Gate.AND, 5, 1).to_arrays()
+    xs, ts = generate_dataset(Gate.AND, 5, 1)
     w0 = np.zeros((1, 3))
     with pytest.raises(ValueError):
         train_slp_ensemble([w0], 0.1, xs, ts, 0, seed_streams(0, 1))
@@ -172,8 +171,7 @@ def test_memristor_updates_equal_ideal_delta_rule():
     for seed in range(6):
         streams = seed_streams(100 + seed, 1)
         w0 = glorot_layer(2, 1, streams)[0]
-        ds = generate_dataset(Gate.XOR if seed % 2 else Gate.OR, 12, seed)
-        xs, ts = ds.to_arrays()
+        xs, ts = generate_dataset(Gate.XOR if seed % 2 else Gate.OR, 12, seed)
 
         hist, (w,) = train_slp_ensemble([w0[None]], 0.1, xs, ts, 40, streams)
 
@@ -191,8 +189,7 @@ def test_ensemble_matches_scalar_bit_for_bit(source):
     # the oracle is a plain per-sample loop with the trainer's float
     # order; bound 0.3 makes the clamps fire; the streams are seeded by the
     # library, or copied from numpy's generators
-    ds = generate_dataset(Gate.OR, 20, 9)
-    xs, ts = ds.to_arrays()
+    xs, ts = generate_dataset(Gate.OR, 20, 9)
     seeds = [60, 61, 62, 63, 64]
     for bound in (10.0, 0.3):
         streams = {"compiled": seed_streams, "numpy": numpy_streams}[source](seeds[0], len(seeds))
@@ -229,10 +226,8 @@ def test_glorot_draws_stay_inside_limit():
 
 
 def test_or_is_learnable_and_xor_is_not():
-    ds_or = generate_dataset(Gate.OR, 60, 21)
-    ds_xor = generate_dataset(Gate.XOR, 60, 21)
-    for ds, learnable in [(ds_or, True), (ds_xor, False)]:
-        xs, ts = ds.to_arrays()
+    for gate, learnable in [(Gate.OR, True), (Gate.XOR, False)]:
+        xs, ts = generate_dataset(gate, 60, 21)
         streams = seed_streams(300, 5)
         weights0 = glorot_layer(2, 1, streams)
         hist, _ = train_slp_ensemble([weights0], 0.1, xs, ts, 150, streams)
