@@ -9,11 +9,13 @@
  * for every lane of the block before the next operation, so the lanes'
  * independent dependency chains overlap in the core instead of one step
  * waiting on the previous one.  A block loads its streams and parameters
- * once.  Each epoch it draws every lane's permutation of the samples from
- * the lane's stream, presents the samples in that order, each through the
- * model's forward half (slp_forward or mlp_forward) and then its backward
- * half (slp_backward or mlp_backward), and writes each lane's summed error
- * to histories[r, e].  At the end it stores parameters and streams back.
+ * once.  Each epoch it draws its lanes' permutations of the samples, each
+ * from its lane's stream, the lanes' draws interleaved and all but the last
+ * few without a branch (see permutations).  It presents the samples in that
+ * order, each through the model's forward half (slp_forward or mlp_forward)
+ * and then its backward half (slp_backward or mlp_backward), and writes each
+ * lane's summed error to histories[r, e].  At the end it stores parameters
+ * and streams back.
  * A parameter is written by adding its increment, then clamping to
  * [-bound, bound].  `score` runs the forward halves alone, in blocks of the
  * same lanes, on a batch of samples: the outputs a trained model gives.
@@ -186,27 +188,81 @@ static uint64_t random_interval(pcg64 *g, uint64_t max)
     return value;
 }
 
+/* Helpers inlined into each block, so that a constant lane count gives lane
+ * loops of a known trip count: one lane costs what the plain loop costs,
+ * and a full block's loops can use the vector unit, lane by lane. */
+#define INLINE static inline __attribute__((always_inline))
 
-/* row becomes g's rng.permutation(n): the Fisher-Yates of numpy's
- * Generator.shuffle, with the same draws. */
-static void permutation(pcg64 *g, int64_t n, int64_t *row)
+/* One attempt of random_interval(*i) at step *i of a Fisher-Yates, with
+ * 1 <= *i <= 0xffffffff, on the 32-bit value v, without a branch: the mask
+ * is random_interval's smear of *i, a rejected value swaps row[*i] with
+ * itself, and an accepted one moves to the next step. */
+INLINE void attempt(int64_t *row, int64_t *i, uint32_t v)
 {
-    for (int64_t i = 0; i < n; i++)
-        row[i] = i;
-    for (int64_t i = n - 1; i > 0; i--) {
-        int64_t j = (int64_t)random_interval(g, (uint64_t)i), swap = row[i];
-        row[i] = row[j];
-        row[j] = swap;
-    }
+    int64_t at = *i, j = v & (0xffffffffu >> __builtin_clz((uint32_t)at)), ok = j <= at;
+    j = ok ? j : at;
+    int64_t swap = row[at];
+    row[at] = row[j];
+    row[j] = swap;
+    *i = at - ok;
 }
 
-/* Row r of perm becomes stream r's rng.permutation(n). */
+/* Row b of perm (n entries from perm + b * n) becomes lane b's
+ * rng.permutation(n), for the nb lanes of g: the Fisher-Yates of numpy's
+ * Generator.shuffle, from step n - 1 down to 1, with the same draws.  While
+ * n - 1 fits in 32 bits, a step takes next32's draws: a lane's buffered
+ * half first, then, while every lane has two steps left or more, the lanes
+ * in turn each take one output and make their attempts on its low half,
+ * then its high half, leaving the high half in uinteger as two next32 calls
+ * do.  The few steps left go through random_interval, as do all of a
+ * larger n's. */
+INLINE void permutations(int64_t nb, pcg64 *g, int64_t n, int64_t *perm)
+{
+    int paired = n > 1 && n - 1 <= 0xffffffffLL;
+    int64_t step[LANES], least = paired ? n - 1 : 0;
+    for (int64_t b = 0; b < nb; b++) {
+        int64_t *row = perm + b * n;
+        for (int64_t i = 0; i < n; i++)
+            row[i] = i;
+        step[b] = n - 1;
+        if (paired && g[b].has_uint32) {
+            g[b].has_uint32 = 0;
+            attempt(row, step + b, (uint32_t)g[b].uinteger);
+            least = step[b] < least ? step[b] : least;
+        }
+    }
+    while (least >= 2) {
+        for (int64_t round = least / 2; round > 0; round--) /* each takes a lane two steps down at most */
+            for (int64_t b = 0; b < nb; b++) {
+                uint64_t x = next64(g + b);
+                attempt(perm + b * n, step + b, (uint32_t)x);
+                attempt(perm + b * n, step + b, (uint32_t)(x >> 32));
+                g[b].uinteger = x >> 32;
+            }
+        least = step[0];
+        for (int64_t b = 1; b < nb; b++)
+            least = step[b] < least ? step[b] : least;
+    }
+    for (int64_t b = 0; b < nb; b++)
+        for (int64_t i = step[b], *row = perm + b * n; i > 0; i--) {
+            int64_t j = (int64_t)random_interval(g + b, (uint64_t)i), swap = row[i];
+            row[i] = row[j];
+            row[j] = swap;
+        }
+}
+
+/* Row r of perm becomes stream r's rng.permutation(n), in blocks of LANES
+ * rows. */
 void shuffle_rows(int64_t R, int64_t n, uint64_t *streams, int64_t *perm)
 {
-    for (int64_t r = 0; r < R; r++) {
-        pcg64 g = load(streams + r * STREAM);
-        permutation(&g, n, perm + r * n);
-        store(streams + r * STREAM, &g);
+    pcg64 g[LANES];
+    for (int64_t r0 = 0; r0 < R; r0 += LANES) {
+        int64_t nb = R - r0 < LANES ? R - r0 : LANES;
+        for (int64_t b = 0; b < nb; b++)
+            g[b] = load(streams + (r0 + b) * STREAM);
+        permutations(nb, g, n, perm + r0 * n);
+        for (int64_t b = 0; b < nb; b++)
+            store(streams + (r0 + b) * STREAM, g + b);
     }
 }
 
@@ -235,11 +291,6 @@ typedef struct {
     int64_t *where;
     double bound, window_a, eta, b_scale, kt, m_prime, r_off, r_on, d;
 } args;
-
-/* Helpers inlined into each block, so that a constant lane count gives lane
- * loops of a known trip count: one lane costs what the plain loop costs,
- * and a full block's loops can use the vector unit, lane by lane. */
-#define INLINE static inline __attribute__((always_inline))
 
 /* The streams of the nb lanes from r0 to g, unless g is NULL, and rows r0
  * .. r0 + nb - 1 of each array of p to the lane-major copy q (element e of
@@ -344,7 +395,7 @@ INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args 
 {
     const int64_t L = c.L, *sizes = c.sizes;
     const double b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
-    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES, acc[LANES];
+    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES, acc[LANES], drive[LANES];
     const double *in = x;
     for (int64_t l = 0; l < L; l++) {
         int64_t ni = sizes[l], no = sizes[l + 1];
@@ -355,13 +406,19 @@ INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args 
             for (int64_t i = 1; i < ni; i++)
                 for (int64_t b = 0; b < nb; b++)
                     acc[b] = acc[b] + (b_scale * gam[(i * no + j) * LANES + b]) * in[i * LANES + b];
+            /* the select in a lane loop of its own, and neither loop unrolled
+             * before the vectorizer, so that gcc 12 makes both vector loops:
+             * in the node loop, or unrolled, each lane's select was a branch */
+#pragma GCC unroll 1
+            for (int64_t b = 0; b < nb; b++)
+                drive[b] = acc[b] > 0.0 ? acc[b] : 0.0;
+#pragma GCC unroll 1
             for (int64_t b = 0; b < nb; b++) {
                 double bj = bias[j * LANES + b];
                 double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
-                double drive = acc[b] > 0.0 ? acc[b] : 0.0;
                 s[j * LANES + b] = acc[b];
-                v[j * LANES + b] = m * acc[b] - kt * (drive * drive);
-                dv[j * LANES + b] = m - (2.0 * kt) * drive;
+                v[j * LANES + b] = m * acc[b] - kt * (drive[b] * drive[b]);
+                dv[j * LANES + b] = m - (2.0 * kt) * drive[b];
             }
         }
         in = v;
@@ -465,10 +522,9 @@ INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
     pcg64 g[LANES];
     lanes(nb, r0, L, c, g, q, 1);
     for (int64_t e = 0; e < c.epochs; e++) {
-        for (int64_t b = 0; b < nb; b++) {
-            permutation(g + b, n, perm + b * n);
+        permutations(nb, g, n, perm);
+        for (int64_t b = 0; b < nb; b++)
             total[b] = 0.0;
-        }
         for (int64_t k = 0; k < n; k++) {
             for (int64_t b = 0; b < nb; b++) {
                 int64_t idx = perm[b * n + k];
@@ -501,9 +557,9 @@ INLINE void blocks(int64_t L, args c, int64_t lo, int64_t hi)
                          : hi - r0 == 1 ? block(1, r0, L, c) : block(hi - r0, r0, L, c);
 }
 
-/* The MLP's blocks, in a function apart from the SLP's: sharing one, gcc 12
- * at -O2 kept more values of the SLP's in registers, saved and restored
- * around every exp call, and its blocks of eight lanes ran 6-8% slower. */
+/* The MLP's blocks, in a function apart from the SLP's: sharing one, built
+ * by gcc 12 at -O3, the SLP's steps ran 5-10% slower at R = 8, 100 and 1000
+ * on one CPU, and the MLP's 1-3%. */
 __attribute__((noinline)) static void mlp_blocks(args c, int64_t lo, int64_t hi)
 {
     blocks(c.L, c, lo, hi);

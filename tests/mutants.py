@@ -53,6 +53,11 @@ MUTANTS = [
      ENGINE_TESTS + "test_shapes_the_kernel_cannot_take_are_rejected"),
     (TRAIN, "shapes[n_layers:] != [(n_real, b) for b in widths[1:]]", "False",
      ENGINE_TESTS + "test_shapes_the_kernel_cannot_take_are_rejected"),
+    # the rows stay right: only the final stream states show it
+    (KERNEL, "g[b].uinteger = x >> 32;", ";",
+     ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
+    (KERNEL, "drive[b] = acc[b] > 0.0 ? acc[b] : 0.0;", "drive[b] = acc[b];",
+     ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
 ]
 
 

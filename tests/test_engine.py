@@ -396,6 +396,33 @@ def test_clamp_is_np_clip_at_odd_bounds(bound):
                                     2, 0, 1.0))
 
 
+@pytest.mark.parametrize("n_real", [8, 11])
+@pytest.mark.parametrize("model", ["slp", "mlp"])
+def test_long_shuffles_equal_the_oracles(model, n_real):
+    # the properties below shuffle 1-5 samples, so a lane block rarely takes
+    # paired draws there; 60 samples take most of their draws in pairs, and
+    # an epoch that ends on an odd number of 32-bit draws leaves half an
+    # output buffered for the next
+    seed, epochs, rng = 4, 3, np.random.default_rng(4)
+    xs = rng.integers(0, 2, (60, 2)).astype(float)
+    ts = rng.integers(0, 2, 60).astype(float)
+    streams, refs = seed_streams(seed, n_real), []
+    if model == "slp":
+        weights0 = rng.uniform(-1.0, 1.0, (n_real, 3))
+        got = train_slp_ensemble([weights0], 0.5, xs, ts, epochs, streams)
+        want = oracle_outcome(lambda r, stream: refs.append(stream) or slp_oracle(
+            weights0[r], 0.5, xs, ts, epochs, stream, 10.0, 1.0), n_real, seed)
+    else:  # the default device, whose node drive is zero for a negative net input
+        gammas0 = [rng.uniform(-1.0, 1.0, (n_real, 2, 2)), rng.uniform(-1.0, 1.0, (n_real, 2, 1))]
+        biases0 = [rng.uniform(-1.0, 1.0, (n_real, 2)), rng.uniform(-1.0, 1.0, (n_real, 1))]
+        got = train_mlp_ensemble(gammas0 + biases0, 0.1, xs, ts, epochs, streams)
+        want = oracle_outcome(lambda r, stream: refs.append(stream) or ideal_mlp_run(
+            [g[r] for g in gammas0], [b[r] for b in biases0], 0.1, xs, ts, epochs, stream, (0.01, 1.0, 1.0),
+            1.0, 2.0)[:3], n_real, seed)
+    assert_same(got, want)
+    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     widths=st.lists(st.integers(1, 4), min_size=3, max_size=5),
@@ -595,15 +622,19 @@ def test_random_rows_draw_rng_random(source, seed):
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
 
+# rows for the shuffle tests: one full lane block and a ragged block of three
+SHUFFLED = 11
+
+
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_shuffle_rows_on_seeded_streams_draw_rng_permutation(seed):
     lib = train.load_library()
-    streams = train.seed_streams(seed, 3)
-    refs = [np.random.default_rng(seed + r) for r in range(3)]
+    streams = train.seed_streams(seed, SHUFFLED)
+    refs = [np.random.default_rng(seed + r) for r in range(SHUFFLED)]
     for n in (1, 2, 3, 100, 4099):
-        perms = np.empty((3, n), dtype=np.int64)
+        perms = np.empty((SHUFFLED, n), dtype=np.int64)
         for _ in range(3):  # an odd number of 32-bit draws leaves half of an output buffered
-            lib.shuffle_rows(3, n, streams.ctypes.data, perms.ctypes.data)
+            lib.shuffle_rows(SHUFFLED, n, streams.ctypes.data, perms.ctypes.data)
             assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
             assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
@@ -613,11 +644,11 @@ def test_shuffle_rows_on_seeded_streams_draw_rng_permutation(seed):
 def test_shuffle_rows_draws_rng_permutation(bit_generator, n):
     # on rows copied from generators seeded by the bit generator itself
     lib = train.load_library()
-    rngs, refs = ([np.random.Generator(bit_generator(s)) for s in range(3)] for _ in range(2))
+    rngs, refs = ([np.random.Generator(bit_generator(s)) for s in range(SHUFFLED)] for _ in range(2))
     streams = np.array([pcg64_row(rng) for rng in rngs], dtype=np.uint64)
-    perms = np.empty((3, n), dtype=np.int64)
+    perms = np.empty((SHUFFLED, n), dtype=np.int64)
     for _ in range(3):
-        lib.shuffle_rows(3, n, streams.ctypes.data, perms.ctypes.data)
+        lib.shuffle_rows(SHUFFLED, n, streams.ctypes.data, perms.ctypes.data)
         assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
