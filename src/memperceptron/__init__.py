@@ -8,7 +8,6 @@ and ROC experiments over seeded ensembles of starting weights.
 """
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams, WindowViolationError
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -16,19 +15,17 @@ from .harness import (
     run_learning_experiment,
     run_roc_experiment,
 )
-from .metrics import EpochRecord, RocPoint, auc, roc_points
-from .mlp import glorot_init, train_mlp_ensemble
-from .slp import train_slp_ensemble
+from .metrics import auc, roc_points
+from .mlp import DeviceParams, glorot_init, train_mlp_ensemble
+from .train import WindowViolationError, train_slp_ensemble
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
     "DeviceParams",
-    "EpochRecord",
     "ExperimentConfig",
     "Gate",
-    "RocPoint",
     "WindowViolationError",
     "auc",
     "generate_dataset",

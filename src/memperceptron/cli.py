@@ -61,9 +61,8 @@ def _parsed(args: argparse.Namespace, defaults: dict | None = None):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _parsed(args)
-    path, records = run_learning_experiment(config)
-    last = records[-1]
-    print(f"wrote {path} ({len(records)} epochs, final mean E_total {last.mean_e_total:.6g})")
+    path, means, _ = run_learning_experiment(config)
+    print(f"wrote {path} ({len(means)} epochs, final mean E_total {means[-1]:.6g})")
     if config.svg:
         print(f"wrote {path.with_suffix('.svg')}")
     return 0
@@ -71,8 +70,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_roc(args: argparse.Namespace) -> int:
     config = _parsed(args, defaults={"epochs": ROC_EPOCHS})
-    path, points, auc_value = run_roc_experiment(config)
-    summary = "; ".join(f"t={p.threshold:g}: tpr={p.tpr:.2f} fpr={p.fpr:.2f}" for p in points)
+    path, tprs, fprs, auc_value = run_roc_experiment(config)
+    summary = "; ".join(f"t={thr:g}: tpr={tpr:.2f} fpr={fpr:.2f}"
+                        for thr, tpr, fpr in zip(config.roc_thresholds, tprs, fprs))
     print(f"wrote {path} ({summary}; AUC {auc_value:.3f})")
     if config.svg:
         print(f"wrote {path.with_suffix('.svg')}")

@@ -21,18 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import Gate, generate_dataset
-from .device import DeviceParams, WindowViolationError
-from .metrics import (
-    EpochRecord,
-    auc,
-    roc_points,
-    write_curve_csv,
-    write_roc_csv,
-)
-from .mlp import device_constants, glorot_init, glorot_layer, train_mlp_ensemble
-from .slp import train_slp_ensemble
+from .metrics import auc, roc_points, write_curve_csv, write_roc_csv
+from .mlp import DeviceParams, device_constants, glorot_init, glorot_layer, train_mlp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
-from .train import score, seed_streams
+from .train import WindowViolationError, score, seed_streams, train_slp_ensemble
 
 
 class ConfigError(ValueError):
@@ -50,11 +42,12 @@ class ExperimentConfig:
     """Everything one experiment run depends on.
 
     The fields are the config keys: each default's type is the type the
-    key accepts (a tuple's first element types its elements), and
-    construction rejects any value out of range, so every instance can
-    be run.  learning_rate=None means the per-model protocol default:
-    0.1 everywhere except the mlp on XOR, which uses 0.01.  window_a is
-    slp only; d_prime to topology are mlp only.
+    key accepts (a tuple's first element types its elements, and an int
+    passes for a float), and construction rejects any value of another
+    type or out of range, so every instance can be run.
+    learning_rate=None means the per-model protocol default: 0.1
+    everywhere except the mlp on XOR, which uses 0.01.  window_a is slp
+    only; d_prime to topology are mlp only.
     """
 
     model: str = "slp"
@@ -78,10 +71,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Raise ConfigError on the first field that cannot be run."""
-        for key in _DEFAULTS:  # the range checks below are one-sided comparisons: NaN and inf slip past
-            values = getattr(self, key) if isinstance(_DEFAULTS[key], tuple) else [getattr(self, key)]
-            if key_type(key) is float and not all(v is None or math.isfinite(v) for v in values):
-                raise ConfigError(f"config key '{key}' out of range: must be finite")
+        for key, default in _DEFAULTS.items():
+            value = getattr(self, key)
+            if isinstance(default, tuple) and not isinstance(value, tuple):
+                plural = "integers" if key_type(key) is int else "numbers"
+                raise ConfigError(f"config key '{key}' expects a list of {plural}, got {value!r}")
+            for v in value if isinstance(default, tuple) else [value]:
+                if v is not None or default is not None:  # learning_rate may be None
+                    _check(key_type(key), key, v)
         if self.model not in MODELS:
             raise ConfigError(f"config key 'model' out of range: must be one of {', '.join(MODELS)}")
         if self.gate not in GATE_NAMES:
@@ -130,31 +127,31 @@ def key_type(key: str) -> type:
     return type(default[0]) if isinstance(default, tuple) else type(default)
 
 
-def _as(kind: type, key: str, value):
+def _check(kind: type, key: str, value) -> None:
+    """Raise ConfigError unless value is of kind (an int passes for a float) and finite."""
     accepted = (int, float) if kind is float else kind
     # bool subclasses int, so it is told apart first: only a bool key takes one
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"config key '{key}' expects {_EXPECTS[kind]}, got {value!r}")
-    return kind(value)
+    # the range checks are one-sided comparisons: NaN and inf slip past them
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key '{key}' out of range: must be finite")
 
 
 def _coerce(key: str, value):
+    """value in the form its field keeps: a list as a tuple, an int as a float
+    for a float key, model and gate case-folded.  Construction checks the type."""
     if key not in _DEFAULTS:
         raise ConfigError(f"unknown config key: {key}")
-    kind = key_type(key)
-    if isinstance(_DEFAULTS[key], tuple):
-        if not isinstance(value, (list, tuple)):
-            plural = "integers" if kind is int else "numbers"
-            raise ConfigError(f"config key '{key}' expects a list of {plural}, got {value!r}")
-        return tuple(_as(kind, key, v) for v in value)
-    if value is None and _DEFAULTS[key] is None:
-        return None
-    value = _as(kind, key, value)
-    if key == "model":
-        return value.lower()
-    if key == "gate":
-        return value.upper()
-    return value
+
+    def convert(v):
+        return float(v) if key_type(key) is float and type(v) is int else v
+
+    if isinstance(_DEFAULTS[key], tuple) and isinstance(value, list):
+        return tuple(convert(v) for v in value)
+    if key in ("model", "gate") and isinstance(value, str):
+        return value.lower() if key == "model" else value.upper()
+    return convert(value)
 
 
 def _load_config_file(path) -> dict:
@@ -281,8 +278,9 @@ def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarr
     return scores
 
 
-def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
-    """Per-epoch mean and population standard deviation, epochs 1-based.
+def aggregate_curve(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-epoch (means, stds): the mean and population standard deviation
+    of each epoch's errors over the realizations.
 
     Each epoch's realizations are reduced as one contiguous row, which
     gives the bytes of np.mean and np.std on that epoch's column alone.
@@ -296,18 +294,17 @@ def aggregate_curve(histories: np.ndarray) -> list[EpochRecord]:
     if bad.any():
         raise FloatingPointError(f"the mean or std of E_total over the realizations "
                                  f"is not finite at epoch {int(bad.argmax()) + 1}")
-    return [EpochRecord(epoch=e + 1, mean_e_total=float(m), std_e_total=float(sd))
-            for e, (m, sd) in enumerate(zip(means, stds))]
+    return means, stds
 
 
-def _emit_curve(config: ExperimentConfig, records: list[EpochRecord]) -> Path:
+def _emit_curve(config: ExperimentConfig, means: np.ndarray, stds: np.ndarray) -> Path:
     """Write the learning-curve CSV (+ optional SVG); returns the CSV path."""
     path = Path(config.out_dir) / f"curve_{config.model}_{config.gate.lower()}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(path, records)
+    write_curve_csv(path, means, stds)
     if config.svg:
         write_curve_svg(
-            path.with_suffix(".svg"), records,
+            path.with_suffix(".svg"), means, stds,
             title=f"{config.model} {config.gate}: mean total error per epoch",
         )
     return path
@@ -325,34 +322,35 @@ def _evaluation_set(config: ExperimentConfig):
 
 
 def _emit_roc(config: ExperimentConfig, scores: np.ndarray, ts: np.ndarray):
-    """Write one model's ROC CSV (+ optional SVG); returns (CSV path, points, AUC)."""
-    points = roc_points(scores, ts, config.roc_thresholds)
+    """Write one model's ROC CSV (+ optional SVG); returns (CSV path, tprs, fprs, AUC)."""
+    tprs, fprs = roc_points(scores, ts, config.roc_thresholds)
     auc_value = auc(scores, ts)
     path = Path(config.out_dir) / f"roc_{config.model}_{config.gate.lower()}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_roc_csv(path, points, auc_value)
+    write_roc_csv(path, config.roc_thresholds, tprs, fprs, auc_value)
     if config.svg:
         write_roc_svg(
-            path.with_suffix(".svg"), points, auc_value,
+            path.with_suffix(".svg"), config.roc_thresholds, tprs, fprs, auc_value,
             title=f"{config.model} {config.gate}: ROC on a fresh evaluation set",
         )
-    return path, points, auc_value
+    return path, tprs, fprs, auc_value
 
 
 def run_learning_experiment(config: ExperimentConfig):
     """Train the ensemble and emit the learning-curve CSV (+ optional SVG).
 
-    Returns (csv path, records).
+    Returns (csv path, means, stds), the per-epoch mean and standard
+    deviation of E_total over the realizations.
     """
-    records = aggregate_curve(trained_ensemble(config)[0])
-    return _emit_curve(config, records), records
+    means, stds = aggregate_curve(trained_ensemble(config)[0])
+    return _emit_curve(config, means, stds), means, stds
 
 
 def run_roc_experiment(config: ExperimentConfig):
     """Train one model, score a fresh evaluation set, emit the ROC CSV.
 
     The single model is realization 0 of the config's seed.  Returns
-    (csv path, points, auc value).
+    (csv path, tprs, fprs, auc value), a rate per roc_threshold.
     """
     xs, ts = _evaluation_set(config)
     single = replace(config, n_realizations=1)
@@ -374,7 +372,7 @@ def run_protocol(config: ExperimentConfig):
     evals = {(c.model, c.gate): _evaluation_set(c) for c in pairs if (c.model, c.gate) in ROC_PAIRS}
     for pair in pairs:
         histories, _, taken = trained_ensemble(pair, snapshot)
-        yield _emit_curve(pair, aggregate_curve(histories))
+        yield _emit_curve(pair, *aggregate_curve(histories))
         if (pair.model, pair.gate) in evals:
             xs, ts = evals[(pair.model, pair.gate)]
             yield _emit_roc(pair, ensemble_scores(pair, [p[:1] for p in taken], xs)[0], ts)[0]

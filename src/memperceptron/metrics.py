@@ -1,27 +1,15 @@
-"""Learning-curve records and ROC statistics, plus their CSV serialisations."""
+"""ROC rates and AUC, and the CSV files of learning curves and ROC runs.
+
+A learning curve is two arrays, the per-epoch mean and standard deviation
+of E_total over the realizations; ROC rates are two arrays, the true- and
+false-positive rates at each threshold in the order given.
+"""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    """Aggregated epoch-summed cost across realizations."""
-
-    epoch: int
-    mean_e_total: float
-    std_e_total: float
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    tpr: float
-    fpr: float
 
 
 def _split_scores(scores, labels):
@@ -36,15 +24,12 @@ def _split_scores(scores, labels):
     return pos, neg
 
 
-def roc_points(scores, labels, thresholds) -> list[RocPoint]:
-    """Classify positive iff score >= threshold; rates per threshold."""
+def roc_points(scores, labels, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Classify positive iff score >= threshold: (tprs, fprs), one rate per threshold."""
     pos, neg = _split_scores(scores, labels)
-    points = []
-    for thr in thresholds:
-        tpr = float(np.count_nonzero(pos >= thr)) / len(pos)
-        fpr = float(np.count_nonzero(neg >= thr)) / len(neg)
-        points.append(RocPoint(threshold=float(thr), tpr=tpr, fpr=fpr))
-    return points
+    tprs = np.array([np.count_nonzero(pos >= thr) for thr in thresholds]) / len(pos)
+    fprs = np.array([np.count_nonzero(neg >= thr) for thr in thresholds]) / len(neg)
+    return tprs, fprs
 
 
 def auc(scores, labels) -> float:
@@ -54,63 +39,26 @@ def auc(scores, labels) -> float:
     probability that a random positive outranks a random negative, ties
     counting one half.
     """
-    pos, neg = _split_scores(scores, labels)
-    scores = np.asarray(scores, dtype=float)
-    cutoffs = np.unique(scores)[::-1]
-    tprs = [0.0]
-    fprs = [0.0]
-    for c in cutoffs:
-        tprs.append(float(np.count_nonzero(pos >= c)) / len(pos))
-        fprs.append(float(np.count_nonzero(neg >= c)) / len(neg))
-    area = 0.0
-    for k in range(1, len(tprs)):
-        area += 0.5 * (tprs[k] + tprs[k - 1]) * (fprs[k] - fprs[k - 1])
-    return area
+    tprs, fprs = roc_points(scores, labels, np.unique(np.asarray(scores, dtype=float))[::-1])
+    tprs, fprs = np.concatenate(([0.0], tprs)), np.concatenate(([0.0], fprs))
+    # cumsum adds the trapezoids left to right, where sum would add them pairwise
+    return float(np.cumsum(0.5 * (tprs[1:] + tprs[:-1]) * (fprs[1:] - fprs[:-1]))[-1])
 
 
-def write_curve_csv(path, records: list[EpochRecord]) -> None:
+def write_curve_csv(path, means: np.ndarray, stds: np.ndarray) -> None:
+    """One epoch,mean_e_total,std_e_total row per epoch, epochs 1-based."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "mean_e_total", "std_e_total"])
-        for rec in records:
-            writer.writerow([rec.epoch, repr(float(rec.mean_e_total)), repr(float(rec.std_e_total))])
+        for epoch, (mean, std) in enumerate(zip(means.tolist(), stds.tolist()), 1):
+            writer.writerow([epoch, repr(mean), repr(std)])
 
 
-def read_curve_csv(path) -> list[EpochRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "mean_e_total", "std_e_total"]:
-            raise ValueError(f"expected header epoch,mean_e_total,std_e_total, got {header}")
-        for row in reader:
-            records.append(EpochRecord(int(row[0]), float(row[1]), float(row[2])))
-    return records
-
-
-def write_roc_csv(path, points: list[RocPoint], auc_value: float) -> None:
+def write_roc_csv(path, thresholds, tprs: np.ndarray, fprs: np.ndarray, auc_value: float) -> None:
     """Threshold rows followed by one summary line `auc,<value>,`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["threshold", "tpr", "fpr"])
-        for p in points:
-            writer.writerow([repr(float(p.threshold)), repr(float(p.tpr)), repr(float(p.fpr))])
+        for thr, tpr, fpr in zip(thresholds, tprs.tolist(), fprs.tolist()):
+            writer.writerow([repr(float(thr)), repr(tpr), repr(fpr)])
         writer.writerow(["auc", repr(float(auc_value)), ""])
-
-
-def read_roc_csv(path) -> tuple[list[RocPoint], float]:
-    points = []
-    auc_value = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["threshold", "tpr", "fpr"]:
-            raise ValueError(f"expected header threshold,tpr,fpr, got {header}")
-        for row in reader:
-            if row[0] == "auc":
-                auc_value = float(row[1])
-            else:
-                points.append(RocPoint(float(row[0]), float(row[1]), float(row[2])))
-    if auc_value is None:
-        raise ValueError("roc file is missing its auc line")
-    return points, auc_value

@@ -1,5 +1,15 @@
 """Multilayer perceptron built entirely from memristors.
 
+Every device is a current-controlled memristor, which couples Ohm's law
+V = R(gamma, I) * I with internal-variable dynamics gamma_dot = f(gamma,
+I).  Here it is a linear ion-drift device: a series combination of doped
+(R_on) and undoped (R_off) regions, R(gamma) = R_on * gamma/D + R_off *
+(1 - gamma/D), whose state drifts only above a current threshold, zero
+here, at a rate that does not depend on gamma.  A read pulse therefore
+has a closed form, of which the node activation below needs two
+constants, `quad_coefficient` and `bias_drift_slope`; the pulse itself is
+integrated only by the tests.
+
 Connections are linear memristors used as programmable resistors: the
 output is weight * current with weight = B * gamma, and gamma may swing
 over a signed range [-d_prime/2, d_prime/2] so weights carry sign.  Nodes
@@ -34,10 +44,44 @@ networks out through the same forward pass.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .device import DeviceParams, bias_drift_slope, quad_coefficient
 from .train import random_rows, train_lockstep
+
+
+@dataclass(frozen=True)
+class DeviceParams:
+    """Physical constants of one linear ion-drift device.
+
+    Dimensionless unit system with r_off = 1 as the reference scale.
+    The defaults keep r_on / r_off = 1/100 and make mu_v * r_on / d = 1,
+    so a unit-duration pulse of current I > 0 drifts gamma by I.
+    """
+
+    r_on: float = 0.01
+    r_off: float = 1.0
+    d: float = 1.0
+    mu_v: float = 100.0
+
+    def __post_init__(self):
+        if not 0.0 < self.r_on < self.r_off:
+            raise ValueError(f"need 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
+        if self.d <= 0.0:
+            raise ValueError(f"d must be positive, got {self.d}")
+        if self.mu_v < 0.0:
+            raise ValueError(f"mu_v must be non-negative, got {self.mu_v}")
+
+
+def quad_coefficient(params: DeviceParams) -> float:
+    """Curvature kappa of the read response, R_off approximation."""
+    return params.r_off * params.mu_v * params.r_on / (params.d * params.d)
+
+
+def bias_drift_slope(params: DeviceParams) -> float:
+    """Sensitivity dm/dgamma_b of the slope to the stored bias (negative)."""
+    return (params.r_on - params.r_off) / params.d
 
 
 def glorot_limit(n_in: int, n_out: int) -> float:

@@ -6,7 +6,7 @@ with two-decimal coordinates, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from .metrics import EpochRecord, RocPoint
+import numpy as np
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
@@ -58,23 +58,19 @@ def _polyline(fracs, stroke: str, dash: str = "") -> str:
     return f'<polyline fill="none" stroke="{stroke}"{extra} points="{pts}"/>'
 
 
-def write_curve_svg(path, records: list[EpochRecord], title: str = "") -> None:
+def write_curve_svg(path, means: np.ndarray, stds: np.ndarray, title: str = "") -> None:
     """Mean total error per epoch as one polyline, linear axes from zero."""
-    if not records:
-        raise ValueError("need at least one epoch record to plot")
-    n = len(records)
-    top = max(rec.mean_e_total + rec.std_e_total for rec in records)
+    if not len(means):
+        raise ValueError("need at least one epoch to plot")
+    top = float((means + stds).max())
     if top <= 0.0:
         top = 1.0
-    span = float(max(n - 1, 1))
-    mean = [((rec.epoch - 1) / span, rec.mean_e_total / top) for rec in records]
-    band = [((rec.epoch - 1) / span, (rec.mean_e_total + rec.std_e_total) / top)
-            for rec in records]
+    xs = (np.arange(len(means)) / float(max(len(means) - 1, 1))).tolist()
     body = _frame(title, "epoch", "E_total")
-    body.append(_polyline(band, "steelblue", dash="4 3"))
-    body.append(_polyline(mean, "black"))
+    body.append(_polyline(zip(xs, ((means + stds) / top).tolist()), "steelblue", dash="4 3"))
+    body.append(_polyline(zip(xs, (means / top).tolist()), "black"))
     body.append(_text(_x_px(0.0), _y_px(0.0) + 16.0, "1"))
-    body.append(_text(_x_px(1.0), _y_px(0.0) + 16.0, str(records[-1].epoch)))
+    body.append(_text(_x_px(1.0), _y_px(0.0) + 16.0, str(len(means))))
     body.append(_text(_x_px(0.0) - 8.0, _y_px(0.0) + 4.0, "0", anchor="end"))
     body.append(_text(_x_px(0.0) - 8.0, _y_px(1.0) + 4.0, _fmt(top), anchor="end"))
     body.append("</svg>")
@@ -82,16 +78,17 @@ def write_curve_svg(path, records: list[EpochRecord], title: str = "") -> None:
         fh.write("\n".join(body) + "\n")
 
 
-def write_roc_svg(path, points: list[RocPoint], auc_value: float, title: str = "") -> None:
-    """Threshold points in the unit square, chance diagonal for reference."""
-    if not points:
+def write_roc_svg(path, thresholds, tprs: np.ndarray, fprs: np.ndarray, auc_value: float,
+                  title: str = "") -> None:
+    """One point per threshold in the unit square, chance diagonal for reference."""
+    if not len(tprs):
         raise ValueError("need at least one ROC point to plot")
     body = _frame(title, "false positive rate", "true positive rate")
     body.append(_polyline([(0.0, 0.0), (1.0, 1.0)], "gray", dash="5 4"))
-    for p in points:
-        cx, cy = _x_px(p.fpr), _y_px(p.tpr)
+    for thr, tpr, fpr in zip(thresholds, tprs.tolist(), fprs.tolist()):
+        cx, cy = _x_px(fpr), _y_px(tpr)
         body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="crimson"/>')
-        body.append(_text(cx + 8.0, cy - 8.0, f"t={p.threshold:g}", anchor="start"))
+        body.append(_text(cx + 8.0, cy - 8.0, f"t={float(thr):g}", anchor="start"))
     body.append(_text(_x_px(1.0), _y_px(1.0) - 10.0, f"AUC = {auc_value:.3f}", anchor="end"))
     for frac, label in ((0.0, "0"), (1.0, "1")):
         body.append(_text(_x_px(frac), _y_px(0.0) + 16.0, label))

@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .device import WindowViolationError
-
 _SOURCE = Path(__file__).with_name("epoch.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC", "-pthread")
 _I, _F, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -44,6 +42,10 @@ _RUN = [_I, _I, _I, _P, _P, _I, _P, _P, _P, _F, _F, _P, _P, _F, _I, _P] + [_F] *
 _SCORE = [_I, _I, _I, _P, _P, _P, _I, _P] + [_F] * 6
 _NO_DEVICE = (0.0,) * 6  # the device constants the SLP's run and score ignore
 STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinteger
+
+
+class WindowViolationError(ValueError):
+    """Requested state change does not fit inside an addressing window."""
 
 
 @functools.cache
@@ -212,6 +214,30 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
             f"{increment.value!r} to weight {weight} does not fit in window width {window_a}"
         )
     return histories, params
+
+
+def train_slp_ensemble(params, eta: float, xs: np.ndarray, ts: np.ndarray, epochs: int,
+                       streams: np.ndarray, window_a: float = 1.0, weight_bound: float = 10.0):
+    """Train one single-layer perceptron per realization, all in one compiled run.
+
+    For a unit with n inputs, one multi-variable memristor holds the n
+    input weights and the bias weight.  The output is logistic in the
+    weighted input sum shifted by the bias weight, computed in `epoch.c`
+    as 1 / (1 + exp(-z)), which is scipy.special.expit bit for bit.
+    Weight updates follow the delta rule and are delivered one at a time
+    through the device's addressing windows, each as a unit-duration
+    write pulse, so the stored weight moves by exactly the requested
+    amount (then clamps to +/- weight_bound); every update must fit a
+    single pulse (see `train_lockstep`).
+
+    params is [weights], weights being (realizations, n + 1) with the
+    bias weight last, the one-output draw `mlp.glorot_layer(n, 1,
+    streams)` at the start; streams has one row per realization, consumed
+    one permutation per epoch.  The common factor eta * (t - out) * out *
+    (1 - out) scales each input component; the bias acts as an always-on
+    input of 1.  Returns (histories, [final weights]).
+    """
+    return train_lockstep(params, xs, ts, epochs, streams, weight_bound, window_a, eta)
 
 
 def score(params, xs: np.ndarray, device=None) -> np.ndarray:

@@ -19,8 +19,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL, HARNESS, DATA, TRAIN = (f"src/memperceptron/{name}"
-                                for name in ("epoch.c", "harness.py", "data.py", "train.py"))
+KERNEL, HARNESS, DATA, TRAIN, METRICS = (f"src/memperceptron/{name}" for name in
+                                         ("epoch.c", "harness.py", "data.py", "train.py", "metrics.py"))
 ENGINE_TESTS, HARNESS_TESTS = "tests/test_engine.py::", "tests/test_harness.py::"
 
 # (file, old text, new text, the test that must fail)
@@ -58,6 +58,14 @@ MUTANTS = [
      ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
     (KERNEL, "drive[b] = acc[b] > 0.0 ? acc[b] : 0.0;", "drive[b] = acc[b];",
      ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
+    # types checked only on the parse_config route, as they once were
+    (HARNESS, "_check(key_type(key), key, v)", "pass",
+     HARNESS_TESTS + "test_construction_checks_the_type_of_every_key"),
+    (METRICS, "float(np.cumsum(0.5 * (tprs[1:] + tprs[:-1]) * (fprs[1:] - fprs[:-1]))[-1])",
+     "float(np.sum(0.5 * (tprs[1:] + tprs[:-1]) * (fprs[1:] - fprs[:-1])))",
+     "tests/test_metrics.py::test_auc_equals_the_trapezoid_loop_bit_for_bit"),
+    (METRICS, "def _split_scores(", "def _unused():\n    return None\n\n\ndef _split_scores(",
+     "tests/test_source.py::test_every_top_level_name_is_public_or_used_by_the_package"),
 ]
 
 

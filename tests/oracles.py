@@ -1,10 +1,13 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and readers of the CSV files it writes.
 
 Everything in here is deliberately dumb: explicit loops, naive formulas,
 no reuse of package internals beyond parameter containers.  Slow is fine.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.special import expit
@@ -401,6 +404,52 @@ def pairwise_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def sweep_auc_loop(scores, labels):
+    """The trapezoid area under the ROC sweep over the distinct scores, from
+    the highest down, each rate counted and each trapezoid added in turn."""
+    pos = [s for s, t in zip(scores, labels) if t == 1]
+    neg = [s for s, t in zip(scores, labels) if t == 0]
+    area, tpr0, fpr0 = 0.0, 0.0, 0.0
+    for cutoff in sorted(set(scores), reverse=True):
+        tpr = sum(s >= cutoff for s in pos) / len(pos)
+        fpr = sum(s >= cutoff for s in neg) / len(neg)
+        area += 0.5 * (tpr + tpr0) * (fpr - fpr0)
+        tpr0, fpr0 = tpr, fpr
+    return area
+
+
+def read_curve_csv(path):
+    """A learning-curve CSV back as float arrays (epochs, means, stds)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["epoch", "mean_e_total", "std_e_total"]:
+            raise ValueError(f"expected header epoch,mean_e_total,std_e_total, got {header}")
+        rows = [[float(v) for v in row] for row in reader]
+    epochs, means, stds = np.array(rows, dtype=float).reshape(-1, 3).T
+    return epochs, means, stds
+
+
+def read_roc_csv(path):
+    """A ROC CSV back as float arrays (thresholds, tprs, fprs) and its AUC."""
+    rows = []
+    auc_value = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["threshold", "tpr", "fpr"]:
+            raise ValueError(f"expected header threshold,tpr,fpr, got {header}")
+        for row in reader:
+            if row[0] == "auc":
+                auc_value = float(row[1])
+            else:
+                rows.append([float(v) for v in row])
+    if auc_value is None:
+        raise ValueError("roc file is missing its auc line")
+    thresholds, tprs, fprs = np.array(rows, dtype=float).reshape(-1, 3).T
+    return thresholds, tprs, fprs, auc_value
 
 
 TRUTH = {  # the gates' truth tables, written out

@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams
 from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
-from memperceptron.mlp import device_constants, glorot_layer, train_mlp_ensemble
-from memperceptron.slp import train_slp_ensemble
-from memperceptron.train import load_library, score, seed_streams
+from memperceptron.mlp import DeviceParams, device_constants, glorot_layer, train_mlp_ensemble
+from memperceptron.train import load_library, score, seed_streams, train_slp_ensemble
 
 from oracles import (
     apply_read_pulse,
@@ -116,8 +114,8 @@ def test_criterion_4_roc_reproduction(roc_ensembles):
         scores, ts = roc_ensembles[key]
         perfect = 0
         for r in range(scores.shape[0]):
-            pts = roc_points(scores[r], ts, thresholds)
-            if all(p.fpr == 0.0 and p.tpr == 1.0 for p in pts):
+            tprs, fprs = roc_points(scores[r], ts, thresholds)
+            if (fprs == 0.0).all() and (tprs == 1.0).all():
                 perfect += 1
         print(f"criterion 4 [{key[0]} {key[1]}]: perfect (0,1) at all thresholds "
               f"for {perfect}/100 seeds (>= 95)")

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from memperceptron.device import DeviceParams
-from memperceptron.mlp import device_constants
+from memperceptron.mlp import DeviceParams, device_constants
 from memperceptron.train import score
 
 from oracles import apply_read_pulse, drift_rate, euler_pulse_batch

@@ -27,11 +27,16 @@ from scipy.special import expit
 
 from memperceptron import harness, train
 from memperceptron.cli import main
-from memperceptron.device import DeviceParams, WindowViolationError, quad_coefficient
 from memperceptron.harness import parse_config, trained_ensemble
-from memperceptron.mlp import device_constants, glorot_init, glorot_layer, train_mlp_ensemble
-from memperceptron.slp import train_slp_ensemble
-from memperceptron.train import score, seed_streams
+from memperceptron.mlp import (
+    DeviceParams,
+    device_constants,
+    glorot_init,
+    glorot_layer,
+    quad_coefficient,
+    train_mlp_ensemble,
+)
+from memperceptron.train import WindowViolationError, score, seed_streams, train_slp_ensemble
 
 from oracles import (
     Overshoot,

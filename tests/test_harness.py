@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memperceptron.cli import build_parser, main
-from memperceptron.device import WindowViolationError
 from memperceptron.harness import (
     GATE_NAMES,
     MODELS,
@@ -31,9 +30,10 @@ from memperceptron.harness import (
     run_roc_experiment,
     trained_ensemble,
 )
-from memperceptron.metrics import read_curve_csv, read_roc_csv
+from memperceptron.metrics import write_curve_csv
+from memperceptron.train import WindowViolationError
 
-from oracles import aggregate_curve_loop
+from oracles import aggregate_curve_loop, read_curve_csv, read_roc_csv
 from test_golden import GOLDEN, _digests
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,7 +146,7 @@ def test_reruns_are_byte_identical(tmp_path):
         blobs = []
         for tag in ("a", "b"):
             config = tiny(model=model, out_dir=str(tmp_path / f"{model}_{tag}"))
-            path, _ = run_learning_experiment(config)
+            path, _, _ = run_learning_experiment(config)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -154,20 +154,20 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_aggregation_matches_independent_recomputation(tmp_path):
     config = tiny(gate="AND", out_dir=str(tmp_path))
     histories = trained_ensemble(config)[0]
-    path, _ = run_learning_experiment(config)
-    records = read_curve_csv(path)
-    assert len(records) == config.epochs
-    for rec in records:
-        col = histories[:, rec.epoch - 1]
+    path, _, _ = run_learning_experiment(config)
+    epochs, means, stds = read_curve_csv(path)
+    assert len(epochs) == config.epochs
+    for epoch, read_mean, read_std in zip(epochs, means, stds):
+        col = histories[:, int(epoch) - 1]
         mean = sum(col) / len(col)
         var = sum((v - mean) ** 2 for v in col) / len(col)
-        assert abs(rec.mean_e_total - mean) <= 1e-12
-        assert abs(rec.std_e_total - var ** 0.5) <= 1e-12
+        assert abs(read_mean - mean) <= 1e-12
+        assert abs(read_std - var ** 0.5) <= 1e-12
 
 
 def test_single_realization_single_epoch_row(tmp_path):
     config = tiny(epochs=1, n_realizations=1, out_dir=str(tmp_path))
-    path, _ = run_learning_experiment(config)
+    path, _, _ = run_learning_experiment(config)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mean_e_total,std_e_total"
     assert len(lines) == 2
@@ -176,11 +176,11 @@ def test_single_realization_single_epoch_row(tmp_path):
 
 def test_curve_filename_and_seed_sensitivity(tmp_path):
     config = tiny(gate="XOR", out_dir=str(tmp_path))
-    path, records = run_learning_experiment(config)
+    path, means, _ = run_learning_experiment(config)
     assert path.name == "curve_slp_xor.csv"
     other = tiny(gate="XOR", seed=9, out_dir=str(tmp_path / "other"))
-    _, other_records = run_learning_experiment(other)
-    assert other_records[0].mean_e_total != records[0].mean_e_total
+    _, other_means, _ = run_learning_experiment(other)
+    assert other_means[0] != means[0]
 
 
 def test_roc_experiment_csv(tmp_path):
@@ -188,43 +188,44 @@ def test_roc_experiment_csv(tmp_path):
         "model": "mlp", "gate": "XOR", "epochs": 40,
         "dataset_size": 30, "out_dir": str(tmp_path),
     })
-    path, points, auc_value = run_roc_experiment(config)
+    path, tprs, fprs, auc_value = run_roc_experiment(config)
     assert path.name == "roc_mlp_xor.csv"
-    read_points, read_auc = read_roc_csv(path)
-    assert [p.threshold for p in read_points] == [0.3, 0.5, 0.7]
-    assert read_points == points
+    read_thresholds, read_tprs, read_fprs, read_auc = read_roc_csv(path)
+    assert read_thresholds.tolist() == [0.3, 0.5, 0.7]
+    assert (read_tprs.tolist(), read_fprs.tolist()) == (tprs.tolist(), fprs.tolist())
     assert read_auc == auc_value
     assert 0.0 <= auc_value <= 1.0
-    for p in points:
-        assert 0.0 <= p.tpr <= 1.0 and 0.0 <= p.fpr <= 1.0
+    for tpr, fpr in zip(tprs, fprs, strict=True):
+        assert 0.0 <= tpr <= 1.0 and 0.0 <= fpr <= 1.0
 
 
 def test_svg_siblings(tmp_path):
     config = tiny(out_dir=str(tmp_path), svg=True)
-    path, _ = run_learning_experiment(config)
+    path, _, _ = run_learning_experiment(config)
     svg = path.with_suffix(".svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
     roc_cfg = tiny(epochs=3, out_dir=str(tmp_path), svg=True)
-    roc_file, _, _ = run_roc_experiment(roc_cfg)
+    roc_file, _, _, _ = run_roc_experiment(roc_cfg)
     roc_svg = roc_file.with_suffix(".svg").read_text()
     assert roc_svg.startswith("<svg") and "circle" in roc_svg
 
 
-def test_aggregate_curve_epochs_one_based():
+def test_aggregate_curve_epochs_one_based(tmp_path):
     histories = np.array([[4.0, 2.0], [2.0, 0.0]])
-    records = aggregate_curve(histories)
-    assert [r.epoch for r in records] == [1, 2]
-    assert records[0].mean_e_total == 3.0
-    assert records[0].std_e_total == 1.0
+    means, stds = aggregate_curve(histories)
+    write_curve_csv(tmp_path / "curve.csv", means, stds)
+    assert read_curve_csv(tmp_path / "curve.csv")[0].tolist() == [1, 2]
+    assert means[0] == 3.0
+    assert stds[0] == 1.0
 
 
 @pytest.mark.parametrize("n_real", [1, 7, 100, 1000])
 def test_aggregate_curve_equals_mean_and_std_per_column(n_real):
     histories = np.random.default_rng(n_real).lognormal(0.0, 2.0, (n_real, 50))
-    records = aggregate_curve(histories)
+    means, stds = aggregate_curve(histories)
     want = aggregate_curve_loop(histories)
-    got = [(r.mean_e_total, r.std_e_total) for r in records]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    got = np.column_stack((means, stds))
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_cli_train_success(tmp_path, capsys):
@@ -234,6 +235,18 @@ def test_cli_train_success(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "curve_slp_or.csv").exists()
     assert "curve_slp_or.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(("argv", "name", "summary"), [
+    # the mlp calls no libm exp, so its curve does not depend on the host
+    (["train", "--model", "mlp", "--gate", "xor", "--epochs", "30"], "curve_mlp_xor.csv",
+     "30 epochs, final mean E_total 1.12271"),
+    (["roc", "--model", "slp", "--gate", "or", "--epochs", "30", "--roc-thresholds", "0.2", "0.5", "0.9"],
+     "roc_slp_or.csv", "t=0.2: tpr=1.00 fpr=1.00; t=0.5: tpr=1.00 fpr=0.00; t=0.9: tpr=0.33 fpr=0.00; AUC 1.000"),
+])
+def test_cli_summary_lines_are_pinned(tmp_path, capsys, argv, name, summary):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / name} ({summary})\n"
 
 
 def test_cli_validation_failure_exits_1(tmp_path, capsys):
@@ -359,6 +372,22 @@ def test_config_validates_on_construction():
         ExperimentConfig(epochs=0)
     with pytest.raises(ConfigError, match="'seed' out of range"):
         replace(ExperimentConfig(), seed=-1)
+
+
+@pytest.mark.parametrize(("key", "value", "expects"), [
+    ("epochs", 2.5, "an integer"),
+    ("n_realizations", 2.0, "an integer"),
+    ("seed", True, "an integer"),
+    ("learning_rate", "0.1", "a number"),
+    ("roc_thresholds", (0.5, "0.7"), "a number"),
+    ("topology", [2, 2, 1], "a list of integers"),
+    ("svg", "no", "true or false"),
+    ("model", None, "a string"),
+])
+def test_construction_checks_the_type_of_every_key(key, value, expects):
+    # the check parse_config's values pass too, made where every config is built
+    with pytest.raises(ConfigError, match=f"^config key '{key}' expects {expects}, got "):
+        ExperimentConfig(**{key: value})
 
 
 def test_slp_window_overshoot_is_a_keyed_config_error():
@@ -587,7 +616,7 @@ def test_aggregate_curve_names_the_first_epoch_it_cannot_reduce():
         aggregate_curve(histories)
     with pytest.raises(FloatingPointError, match=r"not finite at epoch 1$"):
         aggregate_curve(histories[:, ::-1])
-    assert [r.std_e_total for r in aggregate_curve(histories[:, :1])] == [1.0]
+    assert aggregate_curve(histories[:, :1])[1].tolist() == [1.0]
 
 
 def test_a_parameter_gone_bad_in_the_last_write_is_a_non_finite_run():

@@ -5,36 +5,27 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from memperceptron.metrics import (
-    EpochRecord,
-    RocPoint,
-    auc,
-    read_curve_csv,
-    read_roc_csv,
-    roc_points,
-    write_curve_csv,
-    write_roc_csv,
-)
+from memperceptron.metrics import auc, roc_points, write_curve_csv, write_roc_csv
 
-from oracles import pairwise_auc
+from oracles import pairwise_auc, read_curve_csv, read_roc_csv, sweep_auc_loop
 
 
 def test_roc_perfect_separation():
     scores = [0.9, 0.8, 0.1, 0.2]
     labels = [1, 1, 0, 0]
-    (p,) = roc_points(scores, labels, [0.5])
-    assert (p.fpr, p.tpr) == (0.0, 1.0)
+    tprs, fprs = roc_points(scores, labels, [0.5])
+    assert (fprs.tolist(), tprs.tolist()) == ([0.0], [1.0])
 
 
 def test_roc_constant_scores():
-    (p,) = roc_points([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0], [0.3])
-    assert (p.fpr, p.tpr) == (1.0, 1.0)
+    tprs, fprs = roc_points([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0], [0.3])
+    assert (fprs.tolist(), tprs.tolist()) == ([1.0], [1.0])
 
 
 def test_roc_scores_equal_labels():
-    pts = roc_points([1.0, 0.0, 1.0, 0.0], [1, 0, 1, 0], [0.3, 0.5, 0.7])
-    for p in pts:
-        assert (p.fpr, p.tpr) == (0.0, 1.0)
+    tprs, fprs = roc_points([1.0, 0.0, 1.0, 0.0], [1, 0, 1, 0], [0.3, 0.5, 0.7])
+    for tpr, fpr in zip(tprs, fprs, strict=True):
+        assert (fpr, tpr) == (0.0, 1.0)
 
 
 def test_roc_single_class_is_an_error():
@@ -53,10 +44,11 @@ def test_roc_rates_grow_as_threshold_drops(scores, data):
         st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores))
     )
     assume(0 < sum(labels) < len(labels))
-    pts = roc_points(scores, labels, [0.8, 0.5, 0.2])
-    for lo, hi in zip(pts, pts[1:]):
-        assert hi.tpr >= lo.tpr
-        assert hi.fpr >= lo.fpr
+    tprs, fprs = roc_points(scores, labels, [0.8, 0.5, 0.2])
+    assert len(tprs) == len(fprs) == 3
+    for rates in (tprs, fprs):
+        for lo, hi in zip(rates, rates[1:]):
+            assert hi >= lo
 
 
 def test_auc_extremes():
@@ -84,6 +76,19 @@ def test_auc_matches_pairwise_ranking_probability(scores, data):
 
 
 @given(
+    scores=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=60),
+    data=st.data(),
+)
+def test_auc_equals_the_trapezoid_loop_bit_for_bit(scores, data):
+    # the trapezoids are added left to right, so the float is the loop's
+    labels = data.draw(
+        st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores))
+    )
+    assume(0 < sum(labels) < len(labels))
+    assert auc(scores, labels) == sweep_auc_loop(scores, labels)
+
+
+@given(
     grid=st.lists(st.integers(-48, 48), min_size=4, max_size=25),
     data=st.data(),
     scale=st.floats(0.1, 5.0),
@@ -103,22 +108,24 @@ def test_auc_invariant_under_increasing_transforms(grid, data, scale, shift):
 
 
 def test_curve_csv_round_trip(tmp_path):
-    records = [EpochRecord(1, 12.25, 0.5), EpochRecord(2, 3.125, 0.25)]
+    means, stds = np.array([12.25, 3.125]), np.array([0.5, 0.25])
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, records)
+    write_curve_csv(path, means, stds)
     assert path.read_text().splitlines()[0] == "epoch,mean_e_total,std_e_total"
-    assert read_curve_csv(path) == records
+    epochs, read_means, read_stds = read_curve_csv(path)
+    assert (epochs.tolist(), read_means.tolist(), read_stds.tolist()) == ([1, 2], means.tolist(), stds.tolist())
 
 
 def test_roc_csv_round_trip(tmp_path):
-    points = [RocPoint(0.3, 1.0, 0.0), RocPoint(0.5, 1.0, 0.0), RocPoint(0.7, 0.96, 0.0)]
+    thresholds, tprs, fprs = (0.3, 0.5, 0.7), np.array([1.0, 1.0, 0.96]), np.array([0.0, 0.0, 0.0])
     path = tmp_path / "roc.csv"
-    write_roc_csv(path, points, 0.98)
+    write_roc_csv(path, thresholds, tprs, fprs, 0.98)
     lines = path.read_text().splitlines()
     assert lines[0] == "threshold,tpr,fpr"
     assert lines[-1].startswith("auc,")
-    loaded, auc_value = read_roc_csv(path)
-    assert loaded == points
+    read_thresholds, read_tprs, read_fprs, auc_value = read_roc_csv(path)
+    assert read_thresholds.tolist() == list(thresholds)
+    assert (read_tprs.tolist(), read_fprs.tolist()) == (tprs.tolist(), fprs.tolist())
     assert auc_value == 0.98
 
 

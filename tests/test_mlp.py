@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import DeviceParams, bias_drift_slope, quad_coefficient
-from memperceptron.mlp import device_constants, glorot_init, glorot_limit, train_mlp_ensemble
+from memperceptron.mlp import (
+    DeviceParams,
+    bias_drift_slope,
+    device_constants,
+    glorot_init,
+    glorot_limit,
+    quad_coefficient,
+    train_mlp_ensemble,
+)
 from memperceptron.train import score, seed_streams
 
 from oracles import (

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
-from memperceptron.device import WindowViolationError
 from memperceptron.mlp import glorot_layer
-from memperceptron.slp import train_slp_ensemble
-from memperceptron.train import score, seed_streams
+from memperceptron.train import WindowViolationError, score, seed_streams, train_slp_ensemble
 
 from oracles import glorot_slp_loop_init, ideal_slp_run, numpy_streams, pcg64_row, slp_forward
 
