@@ -5,20 +5,25 @@
  * (same operands, same order, no contraction), so it gives their bytes.
  *
  * A run trains R realizations online for `epochs` epochs.  Realizations run
- * in blocks of LANES, the last one ragged: each operation of a sample runs
- * for every lane of the block before the next operation, so the lanes'
- * independent dependency chains overlap in the core instead of one step
- * waiting on the previous one.  A block loads its streams and parameters
- * once.  Each epoch it draws its lanes' permutations of the samples, each
- * from its lane's stream, the lanes' draws interleaved and all but the last
- * few without a branch (see permutations).  It presents the samples in that
- * order, each through the model's forward half (slp_forward or mlp_forward)
- * and then its backward half (slp_backward or mlp_backward), and writes each
- * lane's summed error to histories[r, e].  At the end it stores parameters
- * and streams back.
+ * in lane blocks, SLP_LANES wide for the SLP and MLP_LANES for the MLP, the
+ * last ones ragged (see blocks): each operation of a sample runs for every
+ * lane of the block before the next operation, so the lanes' independent
+ * dependency chains overlap in the core instead of one step waiting on the
+ * previous one.  A block loads its streams and parameters once.  Each epoch
+ * it draws its lanes' permutations of the samples, each from its lane's
+ * stream, the lanes' draws interleaved and all but the last few without a
+ * branch (see permutations).  It presents the samples in that order, each
+ * through the model's forward half (slp_forward or mlp_forward) and then its
+ * backward half (slp_backward or mlp_backward), and writes each lane's
+ * summed error to histories[r, e].  At the end it stores parameters and
+ * streams back.
  * A parameter is written by adding its increment, then clamping to
  * [-bound, bound].  `score` runs the forward halves alone, in blocks of the
  * same lanes, on a batch of samples: the outputs a trained model gives.
+ * The MLP's blocks are built twice, for AVX2 and for the default target, and
+ * a run takes the AVX2 copy where the CPU has it (see avx2).  Both copies
+ * make every lane's float operations in the same order, with no
+ * contraction, so they give the same bytes.
  *
  * The SLP writes each weight with one pulse, so an increment with |inc| >=
  * window_a is a window violation: the weight is not written, and the run
@@ -27,17 +32,18 @@
  * the sample of the first violation found so far, since no later one can
  * come first.  The MLP writes bursts of pulses, which land in full.
  *
- * A run cuts its realizations into pieces: one below 2 * LANES, else at
- * most PIECES of whole lane blocks, the fewest blocks per piece that make
- * PIECES enough, so the cut depends on R alone and any ragged block is in
- * the last piece.  The caller and, where the process may use two CPUs, one
- * more thread take the pieces in turn, each the next one as soon as it is
- * done with its last, so a core that runs slower for a while trains fewer
- * pieces instead of holding up the run; the bytes are the same on one CPU
- * and on two.  Each piece stops its blocks at its own first violation, so
- * after a violation a stream ends where its piece's block stopped; the run
- * names the smallest key of all pieces.  A run keeps no state outside its
- * arguments and its own scratch, so calls on disjoint arrays can run at once.
+ * A run cuts its realizations into pieces: one below two lane blocks, else
+ * at most PIECES of whole lane blocks, the fewest blocks per piece that make
+ * PIECES enough, so the cut depends on the model and R alone and any ragged
+ * block is in the last piece.  The caller and, where the process may use two
+ * CPUs, one more thread take the pieces in turn, each the next one as soon
+ * as it is done with its last, so a core that runs slower for a while trains
+ * fewer pieces instead of holding up the run; the bytes are the same on one
+ * CPU and on two.  Each piece stops its blocks at its own first violation,
+ * so after a violation a stream ends where its piece's block stopped; the
+ * run names the smallest key of all pieces.  A run keeps no state outside
+ * its arguments and its own scratch, so calls on disjoint arrays can run at
+ * once.
  */
 #include <math.h>
 #include <pthread.h>
@@ -46,8 +52,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define LANES 8
-#define PIECES 16 /* the most pieces a run is cut into */
+#define SLP_LANES 8  /* at 16, a prototype's SLP ran slower */
+#define MLP_LANES 16 /* the widest lane block, which sizes the lane arrays */
+#define PIECES 16    /* the most pieces a run is cut into */
 
 /* A realization's PCG64 stream is a row of STREAM words holding the fields
  * of numpy's PCG64.state: the 128-bit state and increment, each as its high
@@ -190,7 +197,9 @@ static uint64_t random_interval(pcg64 *g, uint64_t max)
 
 /* Helpers inlined into each block, so that a constant lane count gives lane
  * loops of a known trip count: one lane costs what the plain loop costs,
- * and a full block's loops can use the vector unit, lane by lane. */
+ * and a full block's loops can use the vector unit, lane by lane.  Those
+ * that take W, the lane stride of the block's lane-major arrays, take it as
+ * a constant too: SLP_LANES or MLP_LANES. */
 #define INLINE static inline __attribute__((always_inline))
 
 /* One attempt of random_interval(*i) at step *i of a Fisher-Yates, with
@@ -219,7 +228,7 @@ INLINE void attempt(int64_t *row, int64_t *i, uint32_t v)
 INLINE void permutations(int64_t nb, pcg64 *g, int64_t n, int64_t *perm)
 {
     int paired = n > 1 && n - 1 <= 0xffffffffLL;
-    int64_t step[LANES], least = paired ? n - 1 : 0;
+    int64_t step[MLP_LANES], least = paired ? n - 1 : 0;
     for (int64_t b = 0; b < nb; b++) {
         int64_t *row = perm + b * n;
         for (int64_t i = 0; i < n; i++)
@@ -251,13 +260,13 @@ INLINE void permutations(int64_t nb, pcg64 *g, int64_t n, int64_t *perm)
         }
 }
 
-/* Row r of perm becomes stream r's rng.permutation(n), in blocks of LANES
- * rows. */
+/* Row r of perm becomes stream r's rng.permutation(n), in blocks of
+ * SLP_LANES rows. */
 void shuffle_rows(int64_t R, int64_t n, uint64_t *streams, int64_t *perm)
 {
-    pcg64 g[LANES];
-    for (int64_t r0 = 0; r0 < R; r0 += LANES) {
-        int64_t nb = R - r0 < LANES ? R - r0 : LANES;
+    pcg64 g[SLP_LANES];
+    for (int64_t r0 = 0; r0 < R; r0 += SLP_LANES) {
+        int64_t nb = R - r0 < SLP_LANES ? R - r0 : SLP_LANES;
         for (int64_t b = 0; b < nb; b++)
             g[b] = load(streams + (r0 + b) * STREAM);
         permutations(nb, g, n, perm + r0 * n);
@@ -294,11 +303,11 @@ typedef struct {
 
 /* The streams of the nb lanes from r0 to g, unless g is NULL, and rows r0
  * .. r0 + nb - 1 of each array of p to the lane-major copy q (element e of
- * lane b at q[e * LANES + b], one array after another), if in; else back
- * from g and q.
+ * lane b at q[e * W + b], one array after another), if in; else back from g
+ * and q.
  * With L = 0 (the SLP) p holds one (R, n_in + 1) array, else L (R,
  * sizes[l] * sizes[l + 1]) then L (R, sizes[l + 1]) arrays. */
-INLINE void lanes(int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q, int in)
+INLINE void lanes(int64_t W, int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q, int in)
 {
     for (int64_t b = 0; g && b < nb; b++)
         if (in)
@@ -311,11 +320,11 @@ INLINE void lanes(int64_t nb, int64_t r0, int64_t L, args c, pcg64 *g, double *q
             for (int64_t b = 0; b < nb; b++) {
                 double *row = c.p[a] + (r0 + b) * size + e;
                 if (in)
-                    q[e * LANES + b] = *row;
+                    q[e * W + b] = *row;
                 else
-                    *row = q[e * LANES + b];
+                    *row = q[e * W + b];
             }
-        q += size * LANES;
+        q += size * W;
     }
 }
 
@@ -375,37 +384,37 @@ INLINE void put(int64_t nb, int64_t r0, int64_t e, int64_t k, int64_t i, double 
 /* The forward halves compute the outputs of the nb lanes on the inputs x.
  * The SLP's is logistic in the weighted input sum shifted by the bias
  * weight, w being the weights, the bias weight last; it writes out[b]. */
-INLINE void slp_forward(int64_t nb, const double *w, const double *x, double *out, args c)
+INLINE void slp_forward(int64_t W, int64_t nb, const double *w, const double *x, double *out, args c)
 {
     int64_t n_in = c.n_in;
     for (int64_t b = 0; b < nb; b++)
         out[b] = w[b] * x[b];
     for (int64_t i = 1; i < n_in; i++)
         for (int64_t b = 0; b < nb; b++)
-            out[b] = out[b] + w[i * LANES + b] * x[i * LANES + b];
+            out[b] = out[b] + w[i * W + b] * x[i * W + b];
     for (int64_t b = 0; b < nb; b++)
-        out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * LANES + b])));
+        out[b] = 1.0 / (1.0 + exp(-(out[b] + w[n_in * W + b])));
 }
 
 /* The MLP's: gam is the L layers' synapse gammas, then their node biases.
  * After them it writes each layer's net input, output and activation
  * derivative, and it returns the network's output, which its activation
  * derivative follows. */
-INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args c)
+INLINE const double *mlp_forward(int64_t W, int64_t nb, double *gam, const double *x, args c)
 {
     const int64_t L = c.L, *sizes = c.sizes;
     const double b_scale = c.b_scale, kt = c.kt, r_off = c.r_off, r_on = c.r_on, d = c.d;
-    double *bias = gam + c.weights * LANES, *s = bias + c.nodes * LANES, acc[LANES], drive[LANES];
+    double *bias = gam + c.weights * W, *s = bias + c.nodes * W, acc[MLP_LANES], drive[MLP_LANES];
     const double *in = x;
     for (int64_t l = 0; l < L; l++) {
         int64_t ni = sizes[l], no = sizes[l + 1];
-        double *v = s + no * LANES, *dv = v + no * LANES;
+        double *v = s + no * W, *dv = v + no * W;
         for (int64_t j = 0; j < no; j++) {
             for (int64_t b = 0; b < nb; b++)
-                acc[b] = (b_scale * gam[j * LANES + b]) * in[b];
+                acc[b] = (b_scale * gam[j * W + b]) * in[b];
             for (int64_t i = 1; i < ni; i++)
                 for (int64_t b = 0; b < nb; b++)
-                    acc[b] = acc[b] + (b_scale * gam[(i * no + j) * LANES + b]) * in[i * LANES + b];
+                    acc[b] = acc[b] + (b_scale * gam[(i * no + j) * W + b]) * in[i * W + b];
             /* the select in a lane loop of its own, and neither loop unrolled
              * before the vectorizer, so that gcc 12 makes both vector loops:
              * in the node loop, or unrolled, each lane's select was a branch */
@@ -414,17 +423,17 @@ INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args 
                 drive[b] = acc[b] > 0.0 ? acc[b] : 0.0;
 #pragma GCC unroll 1
             for (int64_t b = 0; b < nb; b++) {
-                double bj = bias[j * LANES + b];
+                double bj = bias[j * W + b];
                 double m = r_off * (1.0 - bj / d) + r_on * (bj / d);
-                s[j * LANES + b] = acc[b];
-                v[j * LANES + b] = m * acc[b] - kt * (drive[b] * drive[b]);
-                dv[j * LANES + b] = m - (2.0 * kt) * drive[b];
+                s[j * W + b] = acc[b];
+                v[j * W + b] = m * acc[b] - kt * (drive[b] * drive[b]);
+                dv[j * W + b] = m - (2.0 * kt) * drive[b];
             }
         }
         in = v;
-        gam += ni * no * LANES;
-        bias += no * LANES;
-        s = dv + no * LANES;
+        gam += ni * no * W;
+        bias += no * W;
+        s = dv + no * W;
     }
     return in;
 }
@@ -432,11 +441,11 @@ INLINE const double *mlp_forward(int64_t nb, double *gam, const double *x, args 
 /* The backward halves train the nb lanes from r0 on sample k of epoch e,
  * given the inputs x, the forward's outputs out and the target t, and add
  * each lane's error to total[b].  The SLP's is the delta rule. */
-INLINE void slp_backward(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, const double *x,
+INLINE void slp_backward(int64_t W, int64_t nb, int64_t r0, int64_t e, int64_t k, double *w, const double *x,
                          const double *out, const double *t, double *total, args c)
 {
     int64_t n_in = c.n_in;
-    double base[LANES], inc[LANES];
+    double base[MLP_LANES], inc[MLP_LANES];
     for (int64_t b = 0; b < nb; b++) {
         double diff = t[b] - out[b];
         base[b] = (c.eta * diff) * (out[b] * (1.0 - out[b]));
@@ -444,63 +453,63 @@ INLINE void slp_backward(int64_t nb, int64_t r0, int64_t e, int64_t k, double *w
     }
     for (int64_t i = 0; i < n_in; i++) {
         for (int64_t b = 0; b < nb; b++)
-            inc[b] = base[b] * x[i * LANES + b];
-        put(nb, r0, e, k, i, w + i * LANES, inc, c);
+            inc[b] = base[b] * x[i * W + b];
+        put(nb, r0, e, k, i, w + i * W, inc, c);
     }
-    put(nb, r0, e, k, n_in, w + n_in * LANES, base, c);
+    put(nb, r0, e, k, n_in, w + n_in * W, base, c);
 }
 
 /* Backpropagation, on mlp_forward's work space; after it come three vectors
  * of the widest layer. */
-INLINE void mlp_backward(int64_t nb, double *gam, const double *x, const double *in, const double *t,
+INLINE void mlp_backward(int64_t W, int64_t nb, double *gam, const double *x, const double *in, const double *t,
                          double *total, args c)
 {
     const int64_t L = c.L, *sizes = c.sizes;
     const double eta = c.eta, b_scale = c.b_scale;
     /* the ends of the gammas, the node biases and the work space */
-    double *bias = gam + (c.weights + c.nodes) * LANES, *s = bias + 3 * c.nodes * LANES;
-    double *up = s, *delta = up + c.widest * LANES, *next = delta + c.widest * LANES;
-    double acc[LANES], inc[LANES];
-    double err[LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
-    gam += c.weights * LANES;
+    double *bias = gam + (c.weights + c.nodes) * W, *s = bias + 3 * c.nodes * W;
+    double *up = s, *delta = up + c.widest * W, *next = delta + c.widest * W;
+    double acc[MLP_LANES], inc[MLP_LANES];
+    double err[MLP_LANES] = {0.0}; /* set at j = 0; the zeros only quiet -Wmaybe-uninitialized */
+    gam += c.weights * W;
     /* up is the pull on a layer's outputs, delta the pull on its net inputs */
     int64_t nout = sizes[L];
     for (int64_t j = 0; j < nout; j++)
         for (int64_t b = 0; b < nb; b++) {
-            double diff = t[b] - in[j * LANES + b], sq = (0.5 * diff) * diff;
+            double diff = t[b] - in[j * W + b], sq = (0.5 * diff) * diff;
             err[b] = j ? err[b] + sq : sq;
-            up[j * LANES + b] = diff;
-            delta[j * LANES + b] = diff * in[(nout + j) * LANES + b];
+            up[j * W + b] = diff;
+            delta[j * W + b] = diff * in[(nout + j) * W + b];
         }
     for (int64_t b = 0; b < nb; b++)
         total[b] += err[b];
     for (int64_t l = L - 1; l >= 0; l--) {
         int64_t ni = sizes[l], no = sizes[l + 1];
-        gam -= ni * no * LANES;
-        bias -= no * LANES;
-        s -= 3 * no * LANES;
-        const double *prev = l ? s - 2 * ni * LANES : x;
+        gam -= ni * no * W;
+        bias -= no * W;
+        s -= 3 * no * W;
+        const double *prev = l ? s - 2 * ni * W : x;
         if (l) /* with the weights before this step's update */
             for (int64_t i = 0; i < ni; i++) {
                 for (int64_t b = 0; b < nb; b++)
-                    acc[b] = delta[b] * (b_scale * gam[i * no * LANES + b]);
+                    acc[b] = delta[b] * (b_scale * gam[i * no * W + b]);
                 for (int64_t j = 1; j < no; j++)
                     for (int64_t b = 0; b < nb; b++)
-                        acc[b] = acc[b] + delta[j * LANES + b] * (b_scale * gam[(i * no + j) * LANES + b]);
+                        acc[b] = acc[b] + delta[j * W + b] * (b_scale * gam[(i * no + j) * W + b]);
                 for (int64_t b = 0; b < nb; b++)
-                    next[i * LANES + b] = acc[b];
+                    next[i * W + b] = acc[b];
             }
         /* the increments of a sample do not depend on its writes */
         for (int64_t i = 0; i < ni; i++)
             for (int64_t j = 0; j < no; j++) {
                 for (int64_t b = 0; b < nb; b++)
-                    inc[b] = ((eta * delta[j * LANES + b]) * prev[i * LANES + b]) / b_scale;
-                burst(nb, gam + (i * no + j) * LANES, inc, c.bound);
+                    inc[b] = ((eta * delta[j * W + b]) * prev[i * W + b]) / b_scale;
+                burst(nb, gam + (i * no + j) * W, inc, c.bound);
             }
         for (int64_t j = 0; j < no; j++) {
             for (int64_t b = 0; b < nb; b++)
-                inc[b] = ((eta * up[j * LANES + b]) * c.m_prime) * s[j * LANES + b];
-            burst(nb, bias + j * LANES, inc, c.bound);
+                inc[b] = ((eta * up[j * W + b]) * c.m_prime) * s[j * W + b];
+            burst(nb, bias + j * W, inc, c.bound);
         }
         if (l) {
             double *spare = up;
@@ -508,19 +517,19 @@ INLINE void mlp_backward(int64_t nb, double *gam, const double *x, const double 
             next = spare;
             for (int64_t i = 0; i < ni; i++)
                 for (int64_t b = 0; b < nb; b++)
-                    delta[i * LANES + b] = s[(i - ni) * LANES + b] * up[i * LANES + b];
+                    delta[i * W + b] = s[(i - ni) * W + b] * up[i * W + b];
         }
     }
 }
 
 /* Trains the block of nb lanes from realization r0: the SLP if L = 0, else
  * the MLP of c.L layers. */
-INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
+INLINE void block(int64_t W, int64_t nb, int64_t r0, int64_t L, args c)
 {
     int64_t n = c.n, n_in = c.n_in, *perm = (int64_t *)c.scratch;
-    double *x = c.scratch + n * LANES, *q = x + n_in * LANES, t[LANES], total[LANES], out[LANES];
-    pcg64 g[LANES];
-    lanes(nb, r0, L, c, g, q, 1);
+    double *x = c.scratch + n * W, *q = x + n_in * W, t[MLP_LANES], total[MLP_LANES], out[MLP_LANES];
+    pcg64 g[MLP_LANES];
+    lanes(W, nb, r0, L, c, g, q, 1);
     for (int64_t e = 0; e < c.epochs; e++) {
         permutations(nb, g, n, perm);
         for (int64_t b = 0; b < nb; b++)
@@ -530,13 +539,13 @@ INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
                 int64_t idx = perm[b * n + k];
                 t[b] = c.ts[idx];
                 for (int64_t i = 0; i < n_in; i++)
-                    x[i * LANES + b] = c.xs[idx * n_in + i];
+                    x[i * W + b] = c.xs[idx * n_in + i];
             }
             if (L) {
-                mlp_backward(nb, q, x, mlp_forward(nb, q, x, c), t, total, c);
+                mlp_backward(W, nb, q, x, mlp_forward(W, nb, q, x, c), t, total, c);
             } else {
-                slp_forward(nb, q, x, out, c);
-                slp_backward(nb, r0, e, k, q, x, out, t, total, c);
+                slp_forward(W, nb, q, x, out, c);
+                slp_backward(W, nb, r0, e, k, q, x, out, t, total, c);
             }
             if (c.where[0] < e || (c.where[0] == e && c.where[1] <= k))
                 goto done; /* no later violation can come first */
@@ -545,24 +554,89 @@ INLINE void block(int64_t nb, int64_t r0, int64_t L, args c)
             c.histories[(r0 + b) * c.epochs + e] = total[b];
     }
 done:
-    lanes(nb, r0, L, c, g, q, 0);
+    lanes(W, nb, r0, L, c, g, q, 0);
 }
 
-/* The blocks of realizations lo to hi - 1: full ones of LANES lanes, then
- * the rest, a single realization apart so that R = 1 pays for no idle lanes. */
-INLINE void blocks(int64_t L, args c, int64_t lo, int64_t hi)
+/* Scores the block of nb lanes from r0 on each of the c.n samples of c.xs
+ * in turn: the forward half of a training step alone.  Lane b's outputs on
+ * sample k go to row (r0 + b) * c.n + k of c.histories. */
+INLINE void score_block(int64_t W, int64_t nb, int64_t r0, int64_t L, args c)
 {
-    for (int64_t r0 = lo; r0 < hi; r0 += LANES)
-        hi - r0 >= LANES ? block(LANES, r0, L, c)
-                         : hi - r0 == 1 ? block(1, r0, L, c) : block(hi - r0, r0, L, c);
+    int64_t n_in = c.n_in, outputs = L ? c.sizes[L] : 1;
+    double *x = c.scratch, *q = x + n_in * W, out[MLP_LANES];
+    lanes(W, nb, r0, L, c, NULL, q, 1);
+    for (int64_t k = 0; k < c.n; k++) {
+        for (int64_t i = 0; i < n_in; i++)
+            for (int64_t b = 0; b < nb; b++)
+                x[i * W + b] = c.xs[k * n_in + i];
+        const double *y = out;
+        if (L)
+            y = mlp_forward(W, nb, q, x, c);
+        else
+            slp_forward(W, nb, q, x, out, c);
+        for (int64_t j = 0; j < outputs; j++)
+            for (int64_t b = 0; b < nb; b++)
+                c.histories[((r0 + b) * c.n + k) * outputs + j] = y[j * W + b];
+    }
+}
+
+/* block, or score_block if scoring. */
+INLINE void lane_block(int64_t W, int64_t nb, int64_t r0, int64_t L, int scoring, args c)
+{
+    if (scoring)
+        score_block(W, nb, r0, L, c);
+    else
+        block(W, nb, r0, L, c);
+}
+
+/* Trains, or scores if scoring, the lane blocks of realizations lo to
+ * hi - 1: full ones of W lanes, then the rest.  Of a rest of MLP_LANES, 8
+ * lanes or more go first in a block of 8, since a half-full block cost
+ * 1.19 times what 8 lanes cost in one of their own.  A single realization
+ * goes in a block apart, so that R = 1 pays for no idle lanes. */
+INLINE void blocks(int64_t W, int64_t L, int scoring, args c, int64_t lo, int64_t hi)
+{
+    for (int64_t r0 = lo, nb; r0 < hi; r0 += nb) {
+        nb = hi - r0 >= W ? W : W > 8 && hi - r0 >= 8 ? 8 : hi - r0;
+        if (nb == W)
+            lane_block(W, W, r0, L, scoring, c);
+        else if (W > 8 && nb == 8)
+            lane_block(W, 8, r0, L, scoring, c);
+        else if (nb == 1)
+            lane_block(W, 1, r0, L, scoring, c);
+        else
+            lane_block(W, nb, r0, L, scoring, c);
+    }
 }
 
 /* The MLP's blocks, in a function apart from the SLP's: sharing one, built
  * by gcc 12 at -O3, the SLP's steps ran 5-10% slower at R = 8, 100 and 1000
- * on one CPU, and the MLP's 1-3%. */
+ * on one CPU, and the MLP's 1-3%.  They are built twice, for AVX2 and for
+ * the default target, each a noinline function of its own: a
+ * target_clones pair kept its args in memory, and ran 0.94-0.96 of the
+ * default copy's time where this AVX2 copy ran 0.61-0.63 (one CPU, R = 100
+ * and 1000).  The AVX2 copy takes no FMA: with -ffp-contract=off neither
+ * copy contracts, so both make the same operations. */
+__attribute__((noinline, target("avx2"))) static void mlp_blocks_avx2(args c, int64_t lo, int64_t hi)
+{
+    blocks(MLP_LANES, c.L, 0, c, lo, hi);
+}
+
 __attribute__((noinline)) static void mlp_blocks(args c, int64_t lo, int64_t hi)
 {
-    blocks(c.L, c, lo, hi);
+    blocks(MLP_LANES, c.L, 0, c, lo, hi);
+}
+
+/* 1 if run trains the MLP on mlp_blocks_avx2, else 0 (mlp_blocks): 1 where
+ * the CPU has AVX2, unless the build defines NO_AVX2, which a test uses to
+ * compare the two copies' bytes. */
+int avx2(void)
+{
+#ifdef NO_AVX2
+    return 0;
+#else
+    return __builtin_cpu_supports("avx2") != 0;
+#endif
 }
 
 /* Sets c's layer totals from its sizes and returns the width of a lane's
@@ -580,12 +654,14 @@ INLINE int64_t prepare(args *c, int training)
 }
 
 /* A run's pieces, size realizations each but the last, and what its threads
- * share: the next piece to take, and each piece's first violation. */
+ * share: the next piece to take, each piece's first violation, and whether
+ * the MLP's blocks run on their AVX2 copy. */
 typedef struct {
-    args c; /* c.scratch holds one thread's scratch of `width` per lane, then the other's */
+    args c; /* c.scratch holds one thread's scratch of `width`, then the other's */
     int64_t size, count, width, where[PIECES][4];
     double inc[PIECES];
     atomic_int_fast64_t next;
+    int avx2;
 } cut;
 
 /* Trains the pieces no thread has taken yet, one at a time, on the scratch
@@ -593,17 +669,19 @@ typedef struct {
 static void take(cut *u, int64_t t)
 {
     args c = u->c;
-    c.scratch += t * u->width * LANES;
+    c.scratch += t * u->width;
     for (int64_t i; (i = atomic_fetch_add(&u->next, 1)) < u->count;) {
         int64_t lo = i * u->size, hi = lo + u->size < c.R ? lo + u->size : c.R;
         c.where = u->where[i];
         c.inc = u->inc + i;
         for (int j = 0; j < 4; j++) /* no violation: after every key */
             c.where[j] = INT64_MAX;
-        if (c.L)
-            mlp_blocks(c, lo, hi);
+        if (!c.L)
+            blocks(SLP_LANES, 0, 0, c, lo, hi);
+        else if (u->avx2)
+            mlp_blocks_avx2(c, lo, hi);
         else
-            blocks(0, c, lo, hi);
+            mlp_blocks(c, lo, hi);
     }
 }
 
@@ -626,10 +704,11 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
     args c = {R, n, n_in, epochs, L, L ? 0 : n_in + 1, 0, 0, xs, ts, sizes, streams, p,
               histories, NULL, NULL, NULL, bound, window_a, eta, b_scale, kt, m_prime, r_off,
               r_on, d};
-    int64_t width = prepare(&c, 1), size = R < 2 * LANES ? R : LANES * ((R - 1) / (LANES * PIECES) + 1);
-    cut u = {.c = c, .size = size, .count = size ? (R - 1) / size + 1 : 0, .width = width};
+    int64_t W = L ? MLP_LANES : SLP_LANES, width = prepare(&c, 1) * W;
+    int64_t size = R < 2 * W ? R : W * ((R - 1) / (W * PIECES) + 1);
+    cut u = {.c = c, .size = size, .count = size ? (R - 1) / size + 1 : 0, .width = width, .avx2 = L && avx2()};
     int64_t threads = cpus > 1 && u.count > 1 ? 2 : 1;
-    if ((u.c.scratch = malloc((size_t)(threads * width * LANES) * sizeof *u.c.scratch)) == NULL)
+    if ((u.c.scratch = malloc((size_t)(threads * width) * sizeof *u.c.scratch)) == NULL)
         return 2;
     pthread_t thread;
     if (threads == 2 && pthread_create(&thread, NULL, second, &u) != 0)
@@ -645,35 +724,13 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
     return where[0] != INT64_MAX;
 }
 
-/* Scores the block of nb lanes from r0 on each of the c.n samples of c.xs
- * in turn: the forward half of a training step alone.  Lane b's outputs on
- * sample k go to row (r0 + b) * c.n + k of c.histories. */
-INLINE void score_block(int64_t nb, int64_t r0, int64_t L, args c)
-{
-    int64_t n_in = c.n_in, outputs = L ? c.sizes[L] : 1;
-    double *x = c.scratch, *q = x + n_in * LANES, out[LANES];
-    lanes(nb, r0, L, c, NULL, q, 1);
-    for (int64_t k = 0; k < c.n; k++) {
-        for (int64_t i = 0; i < n_in; i++)
-            for (int64_t b = 0; b < nb; b++)
-                x[i * LANES + b] = c.xs[k * n_in + i];
-        const double *y = out;
-        if (L)
-            y = mlp_forward(nb, q, x, c);
-        else
-            slp_forward(nb, q, x, out, c);
-        for (int64_t j = 0; j < outputs; j++)
-            for (int64_t b = 0; b < nb; b++)
-                c.histories[((r0 + b) * c.n + k) * outputs + j] = y[j * LANES + b];
-    }
-}
-
-/* The score's blocks, full and ragged as run's are, in a function apart from run. */
+/* The score's blocks, in a function apart from run. */
 __attribute__((noinline)) static void score_blocks(args c)
 {
-    for (int64_t r0 = 0; r0 < c.R; r0 += LANES)
-        c.R - r0 >= LANES ? score_block(LANES, r0, c.L, c)
-                          : c.R - r0 == 1 ? score_block(1, r0, c.L, c) : score_block(c.R - r0, r0, c.L, c);
+    if (c.L)
+        blocks(MLP_LANES, c.L, 1, c, 0, c.R);
+    else
+        blocks(SLP_LANES, 0, 1, c, 0, c.R);
 }
 
 /* Writes each realization's outputs on each of the n samples of xs to
@@ -686,7 +743,8 @@ int score(int64_t R, int64_t n, int64_t n_in, const double *xs, double **p, doub
 {
     args c = {R, n, n_in, 0, L, L ? 0 : n_in + 1, 0, 0, xs, NULL, sizes, NULL, p, scores, NULL,
               NULL, NULL, 0.0, 0.0, 0.0, b_scale, kt, m_prime, r_off, r_on, d};
-    if ((c.scratch = malloc((size_t)(prepare(&c, 0) * LANES) * sizeof *c.scratch)) == NULL)
+    int64_t W = L ? MLP_LANES : SLP_LANES;
+    if ((c.scratch = malloc((size_t)(prepare(&c, 0) * W) * sizeof *c.scratch)) == NULL)
         return 2;
     score_blocks(c);
     free(c.scratch);

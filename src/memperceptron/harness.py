@@ -24,7 +24,7 @@ from .data import Gate, generate_dataset
 from .metrics import auc, roc_points, write_curve_csv, write_roc_csv
 from .mlp import DeviceParams, device_constants, glorot_init, glorot_layer, train_mlp_ensemble
 from .svgplot import write_curve_svg, write_roc_svg
-from .train import WindowViolationError, score, seed_streams, train_slp_ensemble
+from .train import AllocationError, WindowViolationError, score, seed_streams, train_slp_ensemble
 
 
 class ConfigError(ValueError):
@@ -145,7 +145,12 @@ def _coerce(key: str, value):
         raise ConfigError(f"unknown config key: {key}")
 
     def convert(v):
-        return float(v) if key_type(key) is float and type(v) is int else v
+        if key_type(key) is not float or type(v) is not int:
+            return v
+        try:
+            return float(v)
+        except OverflowError:  # an int past float range, which no float key can run
+            raise ConfigError(f"config key '{key}' out of range: must be finite") from None
 
     if isinstance(_DEFAULTS[key], tuple) and isinstance(value, list):
         return tuple(convert(v) for v in value)
@@ -217,27 +222,29 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     `snapshot`, the parameters after that many epochs come third: the
     epochs then run in two trainer calls on the same streams, and the
     second call resumes exactly where the first stopped.  A realization whose error or
-    parameters are not finite raises FloatingPointError.
+    parameters are not finite raises FloatingPointError.  Streams or
+    histories too large to allocate raise ConfigError naming `epochs`
+    and `n_realizations`.
     """
     xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
     eta = effective_learning_rate(config)
-    # weight draws come first, then one permutation per epoch
-    streams = seed_streams(config.seed, config.n_realizations)
     device = model_device(config)
-    if device is None:
-        start = [glorot_layer(xs.shape[1], 1, streams)]
-
-        def train(params, epochs):
-            return train_slp_ensemble(params, eta, xs, ts, epochs, streams, config.window_a)
-    else:
-        gammas0, biases0 = glorot_init(config.topology, streams)
-        start = [w / config.b_scale for w in gammas0] + biases0
-
-        def train(params, epochs):
-            return train_mlp_ensemble(params, eta, xs, ts, epochs, streams, device, config.d_prime)
-
     done = 0
     try:
+        # weight draws come first, then one permutation per epoch
+        streams = seed_streams(config.seed, config.n_realizations)
+        if device is None:
+            start = [glorot_layer(xs.shape[1], 1, streams)]
+
+            def train(params, epochs):
+                return train_slp_ensemble(params, eta, xs, ts, epochs, streams, config.window_a)
+        else:
+            gammas0, biases0 = glorot_init(config.topology, streams)
+            start = [w / config.b_scale for w in gammas0] + biases0
+
+            def train(params, epochs):
+                return train_mlp_ensemble(params, eta, xs, ts, epochs, streams, device, config.d_prime)
+
         if snapshot is None or snapshot == config.epochs:  # the trainers reject 0 epochs
             histories, final = train(start, config.epochs)
             taken = final
@@ -252,6 +259,9 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
             f"config keys 'learning_rate' and 'window_a' do not fit together "
             f"(slp writes are single pulses{note}): {exc}"
         ) from exc
+    except AllocationError as exc:
+        raise ConfigError(f"config keys 'epochs' and 'n_realizations' ask for more memory than can be "
+                          f"allocated: {exc}") from exc
     # the clamp maps inf to a bound, so a parameter goes bad as NaN, which
     # makes every later error NaN: the histories and the final parameters
     # cover every epoch, a snapshot included

@@ -24,9 +24,11 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import operator
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,10 @@ STREAM = 6  # words per stream row: state and inc (high, low), has_uint32, uinte
 
 class WindowViolationError(ValueError):
     """Requested state change does not fit inside an addressing window."""
+
+
+class AllocationError(MemoryError):
+    """An array sized by the realization and epoch counts cannot be allocated."""
 
 
 @functools.cache
@@ -77,6 +83,7 @@ def load_library():
     for name in ("seed_streams", "random_rows", "shuffle_rows"):  # R, a count, two arrays
         getattr(lib, name).argtypes, getattr(lib, name).restype = [_I, _I, _P, _P], None
     lib.write_pulses.argtypes, lib.write_pulses.restype = [_I, _P, _P, _F, _F], _I
+    lib.avx2.argtypes, lib.avx2.restype = [], ctypes.c_int
     return lib
 
 
@@ -128,17 +135,30 @@ def _inputs(params, xs, device):
     return params, xs, _layers(params, xs.shape[1], device)
 
 
+def _empty(shape, dtype=float) -> np.ndarray:
+    """np.empty(shape, dtype), raising AllocationError where it cannot be
+    made: past the largest array numpy can index, or where the memory is
+    refused."""
+    if math.prod(shape) * np.dtype(dtype).itemsize > sys.maxsize:
+        raise AllocationError(f"an array of shape {shape} is past the largest numpy can make")
+    try:
+        return np.empty(shape, dtype)
+    except MemoryError as exc:
+        raise AllocationError(str(exc)) from exc
+
+
 def seed_streams(seed: int, n: int) -> np.ndarray:
     """The streams of np.random.default_rng(seed + r) for r < n, one row each.
 
     The rows hold the fields of PCG64.state (see STREAM); the trainers,
     glorot_layer and glorot_init advance them in place, as they would
-    advance the generators.
+    advance the generators.  Raises AllocationError if the rows cannot be
+    allocated.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    streams = np.empty((n, STREAM), dtype=np.uint64)
+    streams = _empty((n, STREAM), np.uint64)
     n_words = (seed + n).bit_length() // 32 + 1
     words = np.frombuffer(seed.to_bytes(4 * n_words, "little"), dtype="<u4").astype(np.uint32)
     load_library().seed_streams(n, n_words, _address(words), _address(streams))
@@ -179,15 +199,19 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     device as (b_scale, kappa * tau, m', r_off, r_on, d); it writes
     bursts, and ignores window_a.  The layer widths are read from the
     shapes, which must fit xs (ValueError).  A run that cannot allocate
-    its scratch raises MemoryError.  Returns (histories, params),
-    histories being (realizations, epochs) of the summed pre-update error.
+    its histories raises AllocationError, its scratch MemoryError.
+    Returns (histories, params), histories being (realizations, epochs)
+    of the summed pre-update error.
 
-    The run cuts a wide ensemble into pieces of whole lane blocks, which
-    one more thread and the caller take in turn when the process may use
-    two CPUs, and the caller alone when it may use one (see epoch.c); the
-    bytes are the same either way.  After a violation each stream is left
-    where its lane block stopped, a block stopping after the sample of
-    the first violation its own piece had found so far.
+    The run trains the realizations in lane blocks, 8 wide for the SLP
+    and 16 for the MLP, whose code it runs on a copy built for AVX2
+    where the CPU has it.  It cuts a wide ensemble into pieces of whole
+    lane blocks, which one more thread and the caller take in turn when
+    the process may use two CPUs, and the caller alone when it may use
+    one (see epoch.c).  The bytes are the same on either copy and on
+    any number of CPUs.  After a violation each stream is left where its
+    lane block stopped, a block stopping after the sample of the first
+    violation its own piece had found so far.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -199,7 +223,7 @@ def train_lockstep(params, xs: np.ndarray, ts: np.ndarray, epochs: int, streams:
     _check_streams(streams)
     if len(streams) != n_real:
         raise ValueError(f"{n_real} realizations but {len(streams)} streams")
-    histories, where, increment = np.empty((n_real, epochs)), (_I * 4)(), _F()
+    histories, where, increment = _empty((n_real, epochs)), (_I * 4)(), _F()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     status = load_library().run(
         n_real, n_samples, xs.shape[1], _address(xs), _address(ts), epochs, _address(streams),

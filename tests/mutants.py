@@ -43,7 +43,7 @@ MUTANTS = [
      ENGINE_TESTS + "test_an_overshoot_inside_the_second_lane_block_is_named_on_both_engines"),
     (KERNEL, "i < u.count; i++)", "i < u.count && where[0] == INT64_MAX; i++)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
-    (KERNEL, "(LANES * PIECES)", "(LANES * 2)",
+    (KERNEL, "(W * PIECES)", "(W * 2)",
      ENGINE_TESTS + "test_a_violation_leaves_each_stream_where_its_piece_stopped"),
     (DATA, "return bits.astype(float),", "return bits[:, ::-1].astype(float),",
      "tests/test_data.py::test_generated_dataset_equals_the_per_sample_oracle"),
@@ -64,6 +64,15 @@ MUTANTS = [
     (METRICS, "float(np.cumsum(0.5 * (tprs[1:] + tprs[:-1]) * (fprs[1:] - fprs[:-1]))[-1])",
      "float(np.sum(0.5 * (tprs[1:] + tprs[:-1]) * (fprs[1:] - fprs[:-1])))",
      "tests/test_metrics.py::test_auc_equals_the_trapezoid_loop_bit_for_bit"),
+    # the branch choice's sense swapped: the package's kernel would take the default copy
+    (KERNEL, 'return __builtin_cpu_supports("avx2") != 0;', 'return __builtin_cpu_supports("avx2") == 0;',
+     ENGINE_TESTS + "test_the_avx2_and_the_default_copy_of_the_mlp_blocks_give_the_same_bytes"),
+    (HARNESS, "except OverflowError:", "except ZeroDivisionError:",
+     HARNESS_TESTS + "test_an_integer_past_float_range_in_any_float_key_is_a_keyed_config_error"),
+    (HARNESS, "except AllocationError as exc:", "except ZeroDivisionError as exc:",
+     HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
+    (TRAIN, "if math.prod(shape) * np.dtype(dtype).itemsize > sys.maxsize:", "if False:",
+     HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
     (METRICS, "def _split_scores(", "def _unused():\n    return None\n\n\ndef _split_scores(",
      "tests/test_source.py::test_every_top_level_name_is_public_or_used_by_the_package"),
 ]

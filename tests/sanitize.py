@@ -3,18 +3,23 @@
     python tests/sanitize.py
 
 Like tests/mutants.py, it works in a temporary directory, on a fresh
-copy of the repository's src/ and tests/.  Two checks run there:
+copy of the repository's src/ and tests/.  Two checks run there, each
+once per branch of the kernel: the package's build, which trains the MLP
+on the AVX2 copy of its blocks where the CPU has AVX2, and a build with
+NO_AVX2 defined, which trains it on the default copy.
 
 - ASan and UBSan: train._CFLAGS is rewritten in the copy to an -O1 build
   with AddressSanitizer and UndefinedBehaviorSanitizer, which gives the
   kernel its own cache key, and tests/test_engine.py runs in a subprocess
-  with libasan preloaded.
+  with libasan preloaded.  The NO_AVX2 run leaves out the test that
+  compares the two branches, which needs the package's build.
 - TSan: a small C driver, linked with epoch.c under ThreadSanitizer, calls
   `run` with two CPUs at R = 300 on an SLP run, an SLP run with a window
   violation and a 2-2-1 MLP run.  It is in C because preloading libtsan
   into Python can crash the interpreter at start.
 
-Prints one line per check and exits 1 on any report or failure.  A check
+Prints one line per check and branch, and exits 1 on any report or
+failure.  A check
 whose sanitizer runtime the compiler lacks is skipped, with the reason.
 The name keeps it out of the test suite: a run takes about a minute.
 """
@@ -32,6 +37,9 @@ ASAN_FLAGS = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefi
               "-fno-sanitize-recover=all", *FP_FLAGS]
 TSAN_FLAGS = ["-O1", "-g", "-fsanitize=thread", *FP_FLAGS, "-pthread"]
 REPORTS = ("ERROR: AddressSanitizer", "runtime error:", "WARNING: ThreadSanitizer", "ERROR: ThreadSanitizer")
+# the kernel's branches: the flags that build each, and the test that needs the package's build
+BRANCHES = {"package": [], "NO_AVX2": ["-DNO_AVX2"]}
+BOTH_BRANCHES_TEST = "tests/test_engine.py::test_the_avx2_and_the_default_copy_of_the_mlp_blocks_give_the_same_bytes"
 
 DRIVER = r"""
 #include <math.h>
@@ -45,6 +53,7 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
         uint64_t *streams, double **p, double *histories, double bound, double window_a,
         int64_t *where, double *inc, double eta, int64_t L, const int64_t *sizes, double b_scale,
         double kt, double m_prime, double r_off, double r_on, double d, int64_t cpus);
+int avx2(void);
 
 enum { R = 300, N = 8, EPOCHS = 20 };
 
@@ -84,7 +93,8 @@ int main(void)
     int statuses[3] = {train(0, NULL, slp, 1, 0.1, 1.0, 10.0, none),
                        train(0, NULL, slp, 1, 20.0, 1.0, 10.0, none),
                        train(2, sizes, mlp, 4, 0.1, INFINITY, 2.0, device)};
-    printf("statuses %d %d %d\n", statuses[0], statuses[1], statuses[2]);
+    printf("statuses %d %d %d, mlp blocks %s\n", statuses[0], statuses[1], statuses[2],
+           avx2() ? "avx2" : "default");
     return !(statuses[0] == 0 && statuses[1] == 1 && statuses[2] == 0);
 }
 """
@@ -110,17 +120,17 @@ def verdict(name: str, done: subprocess.CompletedProcess) -> bool:
     return clean
 
 
-def asan_check(tmp: Path) -> bool:
-    """test_engine.py on a copy whose kernel is built with ASan and UBSan."""
+def asan_check(tmp: Path, branch: str) -> bool:
+    """test_engine.py on a copy whose kernel is built with ASan and UBSan, on branch."""
     why = missing_runtime(ASAN_FLAGS, tmp)
     libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip() if why is None else ""
     if why is None and not Path(libasan).is_absolute():
         why = "cc knows no libasan.so to preload"
     if why:
-        print(f"skipped  asan+ubsan: {why}")
+        print(f"skipped  asan+ubsan, {branch}: {why}")
         return True
-    copy = tmp / "asan"
+    copy = tmp / f"asan-{branch}"
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, copy / part, ignore=ignore)
@@ -130,37 +140,40 @@ def asan_check(tmp: Path) -> bool:
     if text.count(old) != 1:
         print(f"ERROR    asan+ubsan: {old!r} is not found exactly once in train.py")
         return False
-    new = "_CFLAGS = (" + ", ".join(f'"{flag}"' for flag in ASAN_FLAGS) + ","
+    new = "_CFLAGS = (" + ", ".join(f'"{flag}"' for flag in ASAN_FLAGS + BRANCHES[branch]) + ","
     train.write_text(text.replace(old, new))
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "LD_PRELOAD": str(Path(libasan).resolve()),
            "ASAN_OPTIONS": "detect_leaks=0"}
     # --capture=sys: a report the kernel writes to fd 2 before it aborts is not lost with pytest's capture
+    leave_out = ["--deselect", BOTH_BRANCHES_TEST] if BRANCHES[branch] else []
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--capture=sys",
-                           "tests/test_engine.py"], cwd=copy, env=env, capture_output=True, text=True)
-    return verdict("asan+ubsan: tests/test_engine.py", done)
+                           "tests/test_engine.py", *leave_out], cwd=copy, env=env, capture_output=True, text=True)
+    return verdict(f"asan+ubsan, {branch}: tests/test_engine.py", done)
 
 
-def tsan_check(tmp: Path) -> bool:
-    """The C driver's three two-CPU runs under ThreadSanitizer."""
+def tsan_check(tmp: Path, branch: str) -> bool:
+    """The C driver's three two-CPU runs under ThreadSanitizer, on branch."""
     why = missing_runtime(TSAN_FLAGS, tmp)
     if why:
-        print(f"skipped  tsan: {why}")
+        print(f"skipped  tsan, {branch}: {why}")
         return True
-    driver, program = tmp / "driver.c", tmp / "driver"
+    driver, program = tmp / "driver.c", tmp / f"driver-{branch}"
     driver.write_text(DRIVER)
-    built = subprocess.run(["cc", *TSAN_FLAGS, str(driver), str(ROOT / "src/memperceptron/epoch.c"), "-o",
-                            str(program), "-lm"], capture_output=True, text=True)
+    built = subprocess.run(["cc", *TSAN_FLAGS, *BRANCHES[branch], str(driver),
+                            str(ROOT / "src/memperceptron/epoch.c"), "-o", str(program), "-lm"],
+                           capture_output=True, text=True)
     if built.returncode != 0:
-        print(f"FAILED   tsan: the driver does not build\n{built.stderr}")
+        print(f"FAILED   tsan, {branch}: the driver does not build\n{built.stderr}")
         return False
     done = subprocess.run([str(program)], capture_output=True, text=True,
                           env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"})
-    return verdict("tsan: slp, slp with a window violation and 2-2-1 mlp runs, two CPUs, R = 300", done)
+    return verdict(f"tsan, {branch}: slp, slp with a window violation and 2-2-1 mlp runs, two CPUs, R = 300 "
+                   f"({done.stdout.strip()})", done)
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        clean = [check(Path(tmp)) for check in (asan_check, tsan_check)]
+        clean = [check(Path(tmp), branch) for check in (asan_check, tsan_check) for branch in BRANCHES]
     return 0 if all(clean) else 1
 
 

@@ -50,14 +50,23 @@ from oracles import (
     slp_forward,
 )
 
-# realization counts for the kernel properties: below one lane block, one
-# partial block, two full blocks (the smallest run cut into pieces), and full
-# blocks with a ragged tail
-REALIZATIONS = [1, 3, 16, 17, 35]
-# and for score: one lane, a ragged block, one full block, a full block and
-# one lane, two full blocks and one lane
-SCORED = [1, 3, 8, 9, 17]
+# realization counts for the kernel properties, in the SLP's blocks of 8
+# lanes: below one lane block, one partial block, one full block, two full
+# blocks (the smallest SLP run cut into pieces), and full blocks with a
+# ragged tail; in the MLP's blocks of 16, a ragged remainder splits into 8
+# lanes and the rest: 8 is one such block, 24 a full block and one of 8, 29
+# both and 5 more, and 35 two full blocks and 3
+REALIZATIONS = [1, 3, 8, 16, 17, 24, 29, 35]
+# and for score: one lane, a ragged block, an SLP block or half an MLP
+# block, an SLP block and one lane, one full MLP block, two SLP blocks or one
+# MLP block and one lane, then 24 and 29 as above
+SCORED = [1, 3, 8, 9, 16, 17, 24, 29]
 SOURCES = {"compiled": seed_streams, "numpy": numpy_streams}
+
+try:  # numpy's own reading of the CPU, apart from the kernel's
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 
 def outcome(run):
@@ -254,12 +263,13 @@ def on_cpus(cpus, monkeypatch, run):
 
 
 @pytest.mark.parametrize("model, n_real", [(model, n_real) for model in ("slp", "mlp")
-                                           for n_real in (16, 17, 35, 100, 300)]
+                                           for n_real in (8, 16, 17, 24, 29, 35, 100, 300)]
                          + [("slp overshooting", 160)])
 def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, monkeypatch):
     # one CPU runs the pieces one after the other in the caller; more share
-    # them with one more thread.  At 300 a piece holds three lane blocks and
-    # the last one a full block and a ragged one
+    # them with one more thread.  At 300 an SLP piece holds three lane blocks
+    # and the last one a full block and a ragged one; an MLP piece holds two
+    # blocks of 16, and the last one a block of 8 and a ragged one
     rng = np.random.default_rng(n_real)
     xs = rng.uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)
@@ -280,6 +290,33 @@ def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, mon
     assert isinstance(one, str) == (model == "slp overshooting")
     assert_same(one, two)
     assert one_streams == two_streams
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or not CPU_FEATURES.get("AVX2"), reason="no cc, or no AVX2")
+def test_the_avx2_and_the_default_copy_of_the_mlp_blocks_give_the_same_bytes(tmp_path, monkeypatch):
+    # the package's kernel runs the MLP on the AVX2 copy of its blocks on
+    # this CPU; a build with NO_AVX2 runs it on the default copy
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-1.0, 1.0, (9, 2))
+    ts = (xs[:, 0] > xs[:, 1]).astype(float)
+    device = device_constants(DeviceParams(r_on=0.05), 0.5, 1.5)
+
+    def trained():
+        got = []
+        for n_real in (1, 8, 24, 29, 100):
+            streams = seed_streams(7, n_real)
+            gammas0, biases0 = glorot_init((2, 3, 2, 1), streams)
+            histories, final = train_mlp_ensemble(gammas0 + biases0, 0.5, xs, ts, 5, streams, device, 2.0)
+            got += [histories, *final, streams, score(final, xs, device)]
+        return [a.tobytes() for a in got]
+
+    assert train.load_library().avx2() == 1
+    avx2 = trained()
+    fresh_source(tmp_path, monkeypatch)
+    monkeypatch.setattr(train, "_CFLAGS", (*train._CFLAGS, "-DNO_AVX2"))
+    monkeypatch.setattr(train, "load_library", functools.cache(train.load_library.__wrapped__))
+    assert train.load_library().avx2() == 0
+    assert trained() == avx2
 
 
 def test_concurrent_trainer_calls_each_run_every_piece_once(monkeypatch):

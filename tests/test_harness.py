@@ -360,6 +360,34 @@ def test_infinity_in_any_float_key_is_a_keyed_config_error(tmp_path, capsys, key
         assert f"config key '{key}' out of range: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_an_integer_past_float_range_in_any_float_key_is_a_keyed_config_error(tmp_path, capsys, key):
+    # JSON reads a 1 and 400 zeros as an int, which no float can hold
+    value = -10**400 if key == "tau" else 10**400
+    setting = {key: [0.5, value] if key == "roc_thresholds" else value}
+    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must be finite$"):
+        parse_config(overrides=setting)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(setting))
+    assert main(["validate-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: config key '{key}' out of range: must be finite\n"
+
+
+@pytest.mark.parametrize("sizes", [{"epochs": 10**30}, {"epochs": 10**12, "n_realizations": 100},
+                                   {"n_realizations": 10**30}])
+def test_cli_ensembles_too_large_to_allocate_exit_1(tmp_path, capsys, sizes):
+    # each fails at the first array its sizes make too large, so none takes memory
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(sizes))
+    assert main(["validate-config", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config keys 'epochs' and 'n_realizations' ask for more memory") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_object_is_frozen():
     config = ExperimentConfig()
     with pytest.raises(Exception):
