@@ -18,11 +18,12 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .data import Gate, generate_dataset, infer_gate, load_dataset_csv, save_dataset_csv
+from .data import Gate, infer_gate, load_dataset_csv, save_dataset_csv
 from .harness import (
     ROC_EPOCHS,
     ConfigError,
     ExperimentConfig,
+    gate_dataset,
     key_type,
     parse_config,
     run_learning_experiment,
@@ -102,7 +103,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         "gate": args.gate, "dataset_size": args.dataset_size, "seed": args.seed,
     })
     gate = Gate[config.gate]
-    xs, ts = generate_dataset(gate, config.dataset_size, config.seed)
+    xs, ts = gate_dataset(config, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"dataset_{gate.value.lower()}.csv"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import sys
 
 import numpy as np
 
@@ -26,9 +27,12 @@ _GATE_OPS = {Gate.OR: np.bitwise_or, Gate.AND: np.bitwise_and, Gate.XOR: np.bitw
 
 
 def generate_dataset(gate: Gate, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh float (xs, ts) of n samples with inputs drawn uniformly from {0,1}^2."""
+    """Fresh float (xs, ts) of n samples with inputs drawn uniformly from {0,1}^2.
+    Raises MemoryError if they cannot be allocated."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
+    if n > sys.maxsize // 16:  # the draw's 16 bytes a sample: numpy would raise ValueError
+        raise MemoryError(f"{n} samples are past the largest array numpy can make")
     if gate not in _GATE_OPS:
         raise ValueError(f"unknown gate {gate!r}")
     bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2))

@@ -18,8 +18,9 @@
  * summed error to histories[r, e].  At the end it stores parameters and
  * streams back.
  * A parameter is written by adding its increment, then clamping to
- * [-bound, bound].  `score` runs the forward halves alone, in blocks of the
- * same lanes, on a batch of samples: the outputs a trained model gives.
+ * [-bound, bound].  `score` runs the forward halves alone on a batch of
+ * samples, one realization at a time in a block of one lane: the outputs a
+ * trained model gives.
  * The MLP's blocks are built twice, for AVX2 and for the default target, and
  * a run takes the AVX2 copy where the CPU has it (see avx2).  Both copies
  * make every lane's float operations in the same order, with no
@@ -557,55 +558,19 @@ done:
     lanes(W, nb, r0, L, c, g, q, 0);
 }
 
-/* Scores the block of nb lanes from r0 on each of the c.n samples of c.xs
- * in turn: the forward half of a training step alone.  Lane b's outputs on
- * sample k go to row (r0 + b) * c.n + k of c.histories. */
-INLINE void score_block(int64_t W, int64_t nb, int64_t r0, int64_t L, args c)
-{
-    int64_t n_in = c.n_in, outputs = L ? c.sizes[L] : 1;
-    double *x = c.scratch, *q = x + n_in * W, out[MLP_LANES];
-    lanes(W, nb, r0, L, c, NULL, q, 1);
-    for (int64_t k = 0; k < c.n; k++) {
-        for (int64_t i = 0; i < n_in; i++)
-            for (int64_t b = 0; b < nb; b++)
-                x[i * W + b] = c.xs[k * n_in + i];
-        const double *y = out;
-        if (L)
-            y = mlp_forward(W, nb, q, x, c);
-        else
-            slp_forward(W, nb, q, x, out, c);
-        for (int64_t j = 0; j < outputs; j++)
-            for (int64_t b = 0; b < nb; b++)
-                c.histories[((r0 + b) * c.n + k) * outputs + j] = y[j * W + b];
-    }
-}
-
-/* block, or score_block if scoring. */
-INLINE void lane_block(int64_t W, int64_t nb, int64_t r0, int64_t L, int scoring, args c)
-{
-    if (scoring)
-        score_block(W, nb, r0, L, c);
-    else
-        block(W, nb, r0, L, c);
-}
-
-/* Trains, or scores if scoring, the lane blocks of realizations lo to
- * hi - 1: full ones of W lanes, then the rest.  Of a rest of MLP_LANES, 8
- * lanes or more go first in a block of 8, since a half-full block cost
- * 1.19 times what 8 lanes cost in one of their own.  A single realization
- * goes in a block apart, so that R = 1 pays for no idle lanes. */
-INLINE void blocks(int64_t W, int64_t L, int scoring, args c, int64_t lo, int64_t hi)
+/* Trains the lane blocks of realizations lo to hi - 1: full ones of W
+ * lanes, then the rest.  A single realization goes in a block apart, so
+ * that R = 1 pays for no idle lanes. */
+INLINE void blocks(int64_t W, int64_t L, args c, int64_t lo, int64_t hi)
 {
     for (int64_t r0 = lo, nb; r0 < hi; r0 += nb) {
-        nb = hi - r0 >= W ? W : W > 8 && hi - r0 >= 8 ? 8 : hi - r0;
+        nb = hi - r0 < W ? hi - r0 : W;
         if (nb == W)
-            lane_block(W, W, r0, L, scoring, c);
-        else if (W > 8 && nb == 8)
-            lane_block(W, 8, r0, L, scoring, c);
+            block(W, W, r0, L, c);
         else if (nb == 1)
-            lane_block(W, 1, r0, L, scoring, c);
+            block(W, 1, r0, L, c);
         else
-            lane_block(W, nb, r0, L, scoring, c);
+            block(W, nb, r0, L, c);
     }
 }
 
@@ -616,15 +581,20 @@ INLINE void blocks(int64_t W, int64_t L, int scoring, args c, int64_t lo, int64_
  * target_clones pair kept its args in memory, and ran 0.94-0.96 of the
  * default copy's time where this AVX2 copy ran 0.61-0.63 (one CPU, R = 100
  * and 1000).  The AVX2 copy takes no FMA: with -ffp-contract=off neither
- * copy contracts, so both make the same operations. */
+ * copy contracts, so both make the same operations.  Each tells gcc that
+ * c.L >= 1, so that neither builds the SLP's step. */
 __attribute__((noinline, target("avx2"))) static void mlp_blocks_avx2(args c, int64_t lo, int64_t hi)
 {
-    blocks(MLP_LANES, c.L, 0, c, lo, hi);
+    if (c.L < 1)
+        __builtin_unreachable();
+    blocks(MLP_LANES, c.L, c, lo, hi);
 }
 
 __attribute__((noinline)) static void mlp_blocks(args c, int64_t lo, int64_t hi)
 {
-    blocks(MLP_LANES, c.L, 0, c, lo, hi);
+    if (c.L < 1)
+        __builtin_unreachable();
+    blocks(MLP_LANES, c.L, c, lo, hi);
 }
 
 /* 1 if run trains the MLP on mlp_blocks_avx2, else 0 (mlp_blocks): 1 where
@@ -677,7 +647,7 @@ static void take(cut *u, int64_t t)
         for (int j = 0; j < 4; j++) /* no violation: after every key */
             c.where[j] = INT64_MAX;
         if (!c.L)
-            blocks(SLP_LANES, 0, 0, c, lo, hi);
+            blocks(SLP_LANES, 0, c, lo, hi);
         else if (u->avx2)
             mlp_blocks_avx2(c, lo, hi);
         else
@@ -724,19 +694,31 @@ int run(int64_t R, int64_t n, int64_t n_in, const double *xs, const double *ts, 
     return where[0] != INT64_MAX;
 }
 
-/* The score's blocks, in a function apart from run. */
-__attribute__((noinline)) static void score_blocks(args c)
+/* Scores realization r on each of the c.n samples of c.xs in turn, in a
+ * block of one lane: the forward half of a training step alone.  Its
+ * outputs on sample k go to row r * c.n + k of c.histories. */
+INLINE void score_one(int64_t W, int64_t r, int64_t L, args c)
 {
-    if (c.L)
-        blocks(MLP_LANES, c.L, 1, c, 0, c.R);
-    else
-        blocks(SLP_LANES, 0, 1, c, 0, c.R);
+    int64_t n_in = c.n_in, outputs = L ? c.sizes[L] : 1;
+    double *x = c.scratch, *q = x + n_in * W, out[1];
+    lanes(W, 1, r, L, c, NULL, q, 1);
+    for (int64_t k = 0; k < c.n; k++) {
+        for (int64_t i = 0; i < n_in; i++)
+            x[i * W] = c.xs[k * n_in + i];
+        const double *y = out;
+        if (L)
+            y = mlp_forward(W, 1, q, x, c);
+        else
+            slp_forward(W, 1, q, x, out, c);
+        for (int64_t j = 0; j < outputs; j++)
+            c.histories[(r * c.n + k) * outputs + j] = y[j * W];
+    }
 }
 
 /* Writes each realization's outputs on each of the n samples of xs to
  * scores, an (R, n, outputs) array: the forward of run's steps alone, on
- * run's arguments of the same names.  Returns 2 if the scratch cannot be
- * allocated, else 0. */
+ * run's arguments of the same names, one realization at a time.  Returns 2
+ * if the scratch cannot be allocated, else 0. */
 int score(int64_t R, int64_t n, int64_t n_in, const double *xs, double **p, double *scores,
           int64_t L, const int64_t *sizes, double b_scale, double kt, double m_prime, double r_off,
           double r_on, double d)
@@ -746,7 +728,11 @@ int score(int64_t R, int64_t n, int64_t n_in, const double *xs, double **p, doub
     int64_t W = L ? MLP_LANES : SLP_LANES;
     if ((c.scratch = malloc((size_t)(prepare(&c, 0) * W) * sizeof *c.scratch)) == NULL)
         return 2;
-    score_blocks(c);
+    for (int64_t r = 0; r < R; r++)
+        if (L)
+            score_one(MLP_LANES, r, L, c);
+        else
+            score_one(SLP_LANES, r, 0, c);
     free(c.scratch);
     return 0;
 }

@@ -14,7 +14,7 @@ Identical configs therefore produce byte-identical CSV files.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -128,13 +128,15 @@ def key_type(key: str) -> type:
 
 
 def _check(kind: type, key: str, value) -> None:
-    """Raise ConfigError unless value is of kind (an int passes for a float) and finite."""
+    """Raise ConfigError unless value is of kind (an int passes for a float)
+    and, for a float key, finite: inside float range."""
     accepted = (int, float) if kind is float else kind
     # bool subclasses int, so it is told apart first: only a bool key takes one
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"config key '{key}' expects {_EXPECTS[kind]}, got {value!r}")
-    # the range checks are one-sided comparisons: NaN and inf slip past them
-    if isinstance(value, float) and not math.isfinite(value):
+    # the range checks are one-sided comparisons: NaN, inf and an int past
+    # float range slip past them (an int compares with a float exactly)
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"config key '{key}' out of range: must be finite")
 
 
@@ -147,10 +149,8 @@ def _coerce(key: str, value):
     def convert(v):
         if key_type(key) is not float or type(v) is not int:
             return v
-        try:
-            return float(v)
-        except OverflowError:  # an int past float range, which no float key can run
-            raise ConfigError(f"config key '{key}' out of range: must be finite") from None
+        _check(float, key, v)  # float() cannot take an int past float range
+        return float(v)
 
     if isinstance(_DEFAULTS[key], tuple) and isinstance(value, list):
         return tuple(convert(v) for v in value)
@@ -213,6 +213,22 @@ def model_device(config: ExperimentConfig):
     return device_constants(device_params(config), config.tau, config.b_scale)
 
 
+def _too_large(keys: str, exc: MemoryError) -> ConfigError:
+    """The error for an array that cannot be allocated, naming the config
+    keys that sized it, as in "key 'dataset_size' asks"."""
+    return ConfigError(f"config {keys} for more memory than can be allocated: {exc}")
+
+
+def gate_dataset(config: ExperimentConfig, seed: int):
+    """generate_dataset of the config's gate and dataset_size, drawn from
+    seed; a dataset too large to allocate raises ConfigError naming
+    dataset_size."""
+    try:
+        return generate_dataset(Gate[config.gate], config.dataset_size, seed)
+    except MemoryError as exc:
+        raise _too_large("key 'dataset_size' asks", exc) from exc
+
+
 def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     """Train all realizations; returns (histories, final parameters).
 
@@ -222,11 +238,12 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
     `snapshot`, the parameters after that many epochs come third: the
     epochs then run in two trainer calls on the same streams, and the
     second call resumes exactly where the first stopped.  A realization whose error or
-    parameters are not finite raises FloatingPointError.  Streams or
-    histories too large to allocate raise ConfigError naming `epochs`
-    and `n_realizations`.
+    parameters are not finite raises FloatingPointError.  An array too
+    large to allocate raises ConfigError naming the keys that sized it:
+    `dataset_size` for the dataset, `topology` and `n_realizations` for
+    the MLP's starting parameters, else `epochs` and `n_realizations`.
     """
-    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed)
+    xs, ts = gate_dataset(config, config.seed)
     eta = effective_learning_rate(config)
     device = model_device(config)
     done = 0
@@ -239,7 +256,10 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
             def train(params, epochs):
                 return train_slp_ensemble(params, eta, xs, ts, epochs, streams, config.window_a)
         else:
-            gammas0, biases0 = glorot_init(config.topology, streams)
+            try:
+                gammas0, biases0 = glorot_init(config.topology, streams)
+            except AllocationError as exc:
+                raise _too_large("keys 'topology' and 'n_realizations' ask", exc) from exc
             start = [w / config.b_scale for w in gammas0] + biases0
 
             def train(params, epochs):
@@ -260,8 +280,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
             f"(slp writes are single pulses{note}): {exc}"
         ) from exc
     except AllocationError as exc:
-        raise ConfigError(f"config keys 'epochs' and 'n_realizations' ask for more memory than can be "
-                          f"allocated: {exc}") from exc
+        raise _too_large("keys 'epochs' and 'n_realizations' ask", exc) from exc
     # the clamp maps inf to a bound, so a parameter goes bad as NaN, which
     # makes every later error NaN: the histories and the final parameters
     # cover every epoch, a snapshot included
@@ -322,7 +341,7 @@ def _emit_curve(config: ExperimentConfig, means: np.ndarray, stds: np.ndarray) -
 
 def _evaluation_set(config: ExperimentConfig):
     """The fresh ROC evaluation set (xs, ts), drawn from seed + 1."""
-    xs, ts = generate_dataset(Gate[config.gate], config.dataset_size, config.seed + 1)
+    xs, ts = gate_dataset(config, config.seed + 1)
     if ts.min() == ts.max():
         raise ConfigError(
             f"config key 'dataset_size' out of range: the {config.dataset_size}-sample "

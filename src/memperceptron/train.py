@@ -51,7 +51,8 @@ class WindowViolationError(ValueError):
 
 
 class AllocationError(MemoryError):
-    """An array sized by the realization and epoch counts cannot be allocated."""
+    """An array sized by the realization count, the epochs or the layer widths
+    cannot be allocated."""
 
 
 @functools.cache
@@ -174,9 +175,10 @@ def _check_streams(streams) -> None:
 
 
 def random_rows(streams: np.ndarray, k: int) -> np.ndarray:
-    """(R, k): row r is stream r's rng.random(k), the stream advanced to match."""
+    """(R, k): row r is stream r's rng.random(k), the stream advanced to match.
+    Raises AllocationError if the rows cannot be allocated."""
     _check_streams(streams)
-    out = np.empty((len(streams), k))
+    out = _empty((len(streams), k))
     load_library().random_rows(len(streams), k, _address(streams), _address(out))
     return out
 
@@ -269,7 +271,9 @@ def score(params, xs: np.ndarray, device=None) -> np.ndarray:
 
     The forward half of `train_lockstep`'s steps alone, the same float
     operations: params and device are as there, and none is written.  xs
-    is (samples, inputs).  A score that cannot allocate its scratch
+    is (samples, inputs).  The realizations are scored one at a time,
+    each in a lane block of one (see epoch.c): the ROC runs score a
+    single trained model.  A score that cannot allocate its scratch
     raises MemoryError.  Returns (realizations, samples, outputs).
     """
     params, xs, (n_layers, widths) = _inputs(params, xs, device)

@@ -67,11 +67,21 @@ MUTANTS = [
     # the branch choice's sense swapped: the package's kernel would take the default copy
     (KERNEL, 'return __builtin_cpu_supports("avx2") != 0;', 'return __builtin_cpu_supports("avx2") == 0;',
      ENGINE_TESTS + "test_the_avx2_and_the_default_copy_of_the_mlp_blocks_give_the_same_bytes"),
-    (HARNESS, "except OverflowError:", "except ZeroDivisionError:",
+    # every row scored from realization 0's parameters
+    (KERNEL, "lanes(W, 1, r, L, c, NULL, q, 1);", "lanes(W, 1, 0, L, c, NULL, q, 1);",
+     ENGINE_TESTS + "test_mlp_score_equals_the_oracle"),
+    # the finite test for floats alone, as it once was: an int past float range passes
+    (HARNESS, "if kind is float and not -sys.float_info.max", "if isinstance(value, float) and not -sys.float_info.max",
      HARNESS_TESTS + "test_an_integer_past_float_range_in_any_float_key_is_a_keyed_config_error"),
-    (HARNESS, "except AllocationError as exc:", "except ZeroDivisionError as exc:",
+    (HARNESS, "    except AllocationError as exc:\n        raise _too_large(\"keys 'epochs'",
+     "    except ZeroDivisionError as exc:\n        raise _too_large(\"keys 'epochs'",
      HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
     (TRAIN, "if math.prod(shape) * np.dtype(dtype).itemsize > sys.maxsize:", "if False:",
+     HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
+    (DATA, "if n > sys.maxsize // 16:", "if False:",
+     HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
+    (HARNESS, "glorot_init(config.topology, streams)\n            except AllocationError as exc:",
+     "glorot_init(config.topology, streams)\n            except ZeroDivisionError as exc:",
      HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
     (METRICS, "def _split_scores(", "def _unused():\n    return None\n\n\ndef _split_scores(",
      "tests/test_source.py::test_every_top_level_name_is_public_or_used_by_the_package"),

@@ -53,13 +53,13 @@ from oracles import (
 # realization counts for the kernel properties, in the SLP's blocks of 8
 # lanes: below one lane block, one partial block, one full block, two full
 # blocks (the smallest SLP run cut into pieces), and full blocks with a
-# ragged tail; in the MLP's blocks of 16, a ragged remainder splits into 8
-# lanes and the rest: 8 is one such block, 24 a full block and one of 8, 29
-# both and 5 more, and 35 two full blocks and 3
+# ragged tail; in the MLP's blocks of 16, 8 is a half-full ragged block, 24
+# a full block and a ragged 8, 29 a full block and a ragged 13, and 35 three
+# pieces, two full blocks and a ragged 3
 REALIZATIONS = [1, 3, 8, 16, 17, 24, 29, 35]
-# and for score: one lane, a ragged block, an SLP block or half an MLP
-# block, an SLP block and one lane, one full MLP block, two SLP blocks or one
-# MLP block and one lane, then 24 and 29 as above
+# and for score, which takes the realizations one at a time in a block of
+# one lane: one realization, then counts whose rows must each come from
+# their own realization's parameters
 SCORED = [1, 3, 8, 9, 16, 17, 24, 29]
 SOURCES = {"compiled": seed_streams, "numpy": numpy_streams}
 
@@ -269,7 +269,7 @@ def test_the_pieces_give_the_same_bytes_on_one_cpu_and_on_two(model, n_real, mon
     # one CPU runs the pieces one after the other in the caller; more share
     # them with one more thread.  At 300 an SLP piece holds three lane blocks
     # and the last one a full block and a ragged one; an MLP piece holds two
-    # blocks of 16, and the last one a block of 8 and a ragged one
+    # blocks of 16, and the last one a ragged block of 12
     rng = np.random.default_rng(n_real)
     xs = rng.uniform(-1.0, 1.0, (7, 2))
     ts = (xs[:, 0] > xs[:, 1]).astype(float)

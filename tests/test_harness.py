@@ -365,8 +365,10 @@ def test_an_integer_past_float_range_in_any_float_key_is_a_keyed_config_error(tm
     # JSON reads a 1 and 400 zeros as an int, which no float can hold
     value = -10**400 if key == "tau" else 10**400
     setting = {key: [0.5, value] if key == "roc_thresholds" else value}
-    with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must be finite$"):
-        parse_config(overrides=setting)
+    direct = {key: (0.5, value) if key == "roc_thresholds" else value}  # a tuple key keeps a tuple
+    for make in (lambda: parse_config(overrides=setting), lambda: ExperimentConfig(**direct)):
+        with pytest.raises(ConfigError, match=f"^config key '{key}' out of range: must be finite$"):
+            make()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(setting))
     assert main(["validate-config", "--config", str(path)]) == 1
@@ -374,7 +376,10 @@ def test_an_integer_past_float_range_in_any_float_key_is_a_keyed_config_error(tm
 
 
 @pytest.mark.parametrize("sizes", [{"epochs": 10**30}, {"epochs": 10**12, "n_realizations": 100},
-                                   {"n_realizations": 10**30}])
+                                   {"n_realizations": 10**30},
+                                   {"dataset_size": 10**13},  # 146 TiB, past the address space: refused
+                                   {"dataset_size": 10**30},  # past numpy's largest array
+                                   {"model": "mlp", "gate": "XOR", "topology": [2, 10**12, 1]}])
 def test_cli_ensembles_too_large_to_allocate_exit_1(tmp_path, capsys, sizes):
     # each fails at the first array its sizes make too large, so none takes memory
     path, out = tmp_path / "config.json", tmp_path / "out"
@@ -383,8 +388,10 @@ def test_cli_ensembles_too_large_to_allocate_exit_1(tmp_path, capsys, sizes):
     capsys.readouterr()
     assert main(["train", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config keys 'epochs' and 'n_realizations' ask for more memory") \
-        and err.count("\n") == 1
+    keys = ("key 'dataset_size' asks" if "dataset_size" in sizes
+            else "keys 'topology' and 'n_realizations' ask" if "topology" in sizes
+            else "keys 'epochs' and 'n_realizations' ask")  # the keys that sized the array
+    assert err.startswith(f"error: config {keys} for more memory") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -520,6 +527,7 @@ def test_config_option_strings_are_pinned():
     (["--gate", "nand"], "'gate' out of range"),
     (["--dataset-size", "0"], "'dataset_size' out of range"),
     (["--seed", "-1"], "'seed' out of range"),
+    (["--dataset-size", str(10**13)], "config key 'dataset_size' asks for more memory"),
 ])
 def test_cli_dataset_config_errors(tmp_path, capsys, args, message):
     rc = main(["dataset", *args, "--out", str(tmp_path / "out")])
