@@ -2,7 +2,7 @@
 
 Subcommands: `train` runs a learning-curve experiment, `roc` trains one
 model and scores a fresh evaluation set, `protocol` runs the paper's six
-curves and three ROC models with one training per (model, gate) pair,
+curves as `train` and three ROC models as `roc` at half the epochs,
 `dataset` emits or inspects sample CSVs, `validate-config` checks a
 config and prints the normalized result.  Exit codes: 0 success, 1
 configuration error, 2 runtime error.
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("train", _cmd_train, "run a learning-curve experiment"),
         ("roc", _cmd_roc, "train one model and write its ROC points"),
-        ("protocol", _cmd_protocol, "run the six curves and three ROC models, each model trained once"),
+        ("protocol", _cmd_protocol, "run the six curves and the three ROC models, these at half the epochs"),
         ("validate-config", _cmd_validate_config, "check a config, print the normalized form"),
     ):
         p_config = sub.add_parser(name, help=help_text)

@@ -8,7 +8,9 @@ experiment from the base seed, realization r draws its weights and its
 shuffles from the PCG64 stream of np.random.default_rng(base seed + r),
 held as a row of a stream array that the compiled library seeds and
 advances, and ROC evaluation uses a fresh dataset from base seed + 1.
-Identical configs therefore produce byte-identical CSV files.
+Identical configs therefore produce byte-identical CSV files.  The
+protocol is made of the two runners alone: a learning experiment per
+(model, gate) pair, and a ROC experiment per ROC pair at half the epochs.
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ class ExperimentConfig:
             raise ConfigError("config key 'learning_rate' out of range: must be positive")
         if self.window_a <= 0.0:
             raise ConfigError("config key 'window_a' out of range: must be positive")
-        device_params(self)
+        if not 0.0 < self.r_on < self.r_off:
+            raise ConfigError("config keys 'r_on' and 'r_off' out of range: need 0 < r_on < r_off")
+        if self.mu_v < 0.0:
+            raise ConfigError("config key 'mu_v' out of range: must be non-negative")
         if self.d_prime <= 0.0:
             raise ConfigError("config key 'd_prime' out of range: must be positive")
         if self.b_scale <= 0.0:
@@ -173,13 +178,6 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def device_params(config: ExperimentConfig) -> DeviceParams:
-    try:
-        return DeviceParams(r_on=config.r_on, r_off=config.r_off, mu_v=config.mu_v)
-    except ValueError as exc:
-        raise ConfigError(f"device parameters out of range: {exc}") from exc
-
-
 def parse_config(path=None, overrides: dict | None = None,
                  defaults: dict | None = None) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides.
@@ -210,7 +208,8 @@ def model_device(config: ExperimentConfig):
     """The device constants the mlp's training and scoring take, None for the slp."""
     if config.model == "slp":
         return None
-    return device_constants(device_params(config), config.tau, config.b_scale)
+    params = DeviceParams(r_on=config.r_on, r_off=config.r_off, mu_v=config.mu_v)
+    return device_constants(params, config.tau, config.b_scale)
 
 
 def _too_large(keys: str, exc: MemoryError) -> ConfigError:
@@ -229,61 +228,45 @@ def gate_dataset(config: ExperimentConfig, seed: int):
         raise _too_large("key 'dataset_size' asks", exc) from exc
 
 
-def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
+def trained_ensemble(config: ExperimentConfig):
     """Train all realizations; returns (histories, final parameters).
 
     histories is (n_realizations, epochs) of per-epoch E_total.  The
     parameters are the list of arrays `train.score` takes: [weights] for
-    the slp, the gammas then the node biases for the mlp.  Given
-    `snapshot`, the parameters after that many epochs come third: the
-    epochs then run in two trainer calls on the same streams, and the
-    second call resumes exactly where the first stopped.  A realization whose error or
-    parameters are not finite raises FloatingPointError.  An array too
-    large to allocate raises ConfigError naming the keys that sized it:
-    `dataset_size` for the dataset, `topology` and `n_realizations` for
-    the MLP's starting parameters, else `epochs` and `n_realizations`.
+    the slp, the gammas then the node biases for the mlp.  A realization
+    whose error or parameters are not finite raises FloatingPointError.
+    An array too large to allocate raises ConfigError naming the keys
+    that sized it: `dataset_size` for the dataset, `topology` and
+    `n_realizations` for the MLP's starting parameters, else `epochs` and
+    `n_realizations`.
     """
     xs, ts = gate_dataset(config, config.seed)
     eta = effective_learning_rate(config)
     device = model_device(config)
-    done = 0
     try:
         # weight draws come first, then one permutation per epoch
         streams = seed_streams(config.seed, config.n_realizations)
         if device is None:
             start = [glorot_layer(xs.shape[1], 1, streams)]
-
-            def train(params, epochs):
-                return train_slp_ensemble(params, eta, xs, ts, epochs, streams, config.window_a)
+            histories, final = train_slp_ensemble(start, eta, xs, ts, config.epochs, streams, config.window_a)
         else:
             try:
                 gammas0, biases0 = glorot_init(config.topology, streams)
             except AllocationError as exc:
                 raise _too_large("keys 'topology' and 'n_realizations' ask", exc) from exc
             start = [w / config.b_scale for w in gammas0] + biases0
-
-            def train(params, epochs):
-                return train_mlp_ensemble(params, eta, xs, ts, epochs, streams, device, config.d_prime)
-
-        if snapshot is None or snapshot == config.epochs:  # the trainers reject 0 epochs
-            histories, final = train(start, config.epochs)
-            taken = final
-        else:
-            head, taken = train(start, snapshot)
-            done = snapshot
-            tail, final = train(taken, config.epochs - snapshot)
-            histories = np.concatenate((head, tail), axis=1)
+            histories, final = train_mlp_ensemble(start, eta, xs, ts, config.epochs, streams, device,
+                                                  config.d_prime)
     except WindowViolationError as exc:
-        note = f"; epochs are counted after the epoch-{done} snapshot" if done else ""
         raise ConfigError(
             f"config keys 'learning_rate' and 'window_a' do not fit together "
-            f"(slp writes are single pulses{note}): {exc}"
+            f"(slp writes are single pulses): {exc}"
         ) from exc
     except AllocationError as exc:
         raise _too_large("keys 'epochs' and 'n_realizations' ask", exc) from exc
     # the clamp maps inf to a bound, so a parameter goes bad as NaN, which
     # makes every later error NaN: the histories and the final parameters
-    # cover every epoch, a snapshot included
+    # cover every epoch
     bad = ~np.isfinite(histories)
     for p in final:
         bad[:, -1] |= ~np.isfinite(p.reshape(len(p), -1)).all(axis=1)
@@ -293,7 +276,7 @@ def trained_ensemble(config: ExperimentConfig, snapshot: int | None = None):
             f"{config.model} {config.gate}: realization {r} is not finite "
             f"from epoch {int(bad[r].argmax()) + 1} on"
         )
-    return (histories, final) if snapshot is None else (histories, final, taken)
+    return histories, final
 
 
 def ensemble_scores(config: ExperimentConfig, final, xs: np.ndarray) -> np.ndarray:
@@ -388,20 +371,19 @@ def run_roc_experiment(config: ExperimentConfig):
 
 
 def run_protocol(config: ExperimentConfig):
-    """Run the paper's experiments, training each (model, gate) pair once.
+    """Run the paper's experiments: every learning curve, and the ROC_PAIRS' ROCs.
 
-    Each pair of MODELS x GATE_NAMES runs the config with its own model
-    and gate and writes its learning curve; the ROC_PAIRS also write the
-    ROC of realization 0 after (epochs + 1) // 2 epochs.  Every pair
+    Each pair of MODELS x GATE_NAMES runs `run_learning_experiment` on the
+    config with its own model and gate, and each of the ROC_PAIRS then
+    runs `run_roc_experiment` for (epochs + 1) // 2 epochs.  Every pair
     config and evaluation set is checked before any training.  Yields
     each CSV path once it is written.
     """
-    snapshot = (config.epochs + 1) // 2
     pairs = [replace(config, model=model, gate=gate) for model in MODELS for gate in GATE_NAMES]
-    evals = {(c.model, c.gate): _evaluation_set(c) for c in pairs if (c.model, c.gate) in ROC_PAIRS}
     for pair in pairs:
-        histories, _, taken = trained_ensemble(pair, snapshot)
-        yield _emit_curve(pair, *aggregate_curve(histories))
-        if (pair.model, pair.gate) in evals:
-            xs, ts = evals[(pair.model, pair.gate)]
-            yield _emit_roc(pair, ensemble_scores(pair, [p[:1] for p in taken], xs)[0], ts)[0]
+        if (pair.model, pair.gate) in ROC_PAIRS:
+            _evaluation_set(pair)
+    for pair in pairs:
+        yield run_learning_experiment(pair)[0]
+        if (pair.model, pair.gate) in ROC_PAIRS:
+            yield run_roc_experiment(replace(pair, epochs=(config.epochs + 1) // 2))[0]

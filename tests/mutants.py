@@ -25,8 +25,13 @@ ENGINE_TESTS, HARNESS_TESTS = "tests/test_engine.py::", "tests/test_harness.py::
 
 # (file, old text, new text, the test that must fail)
 MUTANTS = [
-    (HARNESS, "snapshot = (config.epochs + 1) // 2", "snapshot = config.epochs // 2",
+    (HARNESS, "epochs=(config.epochs + 1) // 2", "epochs=config.epochs // 2",
      HARNESS_TESTS + "test_cli_protocol_roc_files_equal_the_roc_command"),
+    # the device keys left to the device's own check, which the slp never makes
+    (HARNESS, "if not 0.0 < self.r_on < self.r_off:", "if not 0.0 < self.r_on:",
+     HARNESS_TESTS + "test_cli_device_key_errors_name_their_keys"),
+    (HARNESS, "if self.mu_v < 0.0:", "if False:",
+     HARNESS_TESTS + "test_cli_device_key_errors_name_their_keys"),
     (KERNEL, "over |= fabs(inc[b]) >= window_a", "over |= fabs(inc[b]) > window_a",
      "tests/test_acceptance.py::test_criterion_7_window_isolation"),
     (HARNESS, "bad = ~np.isfinite(scores).all(axis=1)", "bad = np.zeros(len(scores), dtype=bool)",

@@ -264,6 +264,18 @@ def test_cli_window_a_errors_name_their_key(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["window_a"] == 15.0
 
 
+@pytest.mark.parametrize("args, key", [(["--mu-v", "-1"], "key 'mu_v'"),
+                                       (["--r-on", "2"], "keys 'r_on' and 'r_off'"),
+                                       (["--r-on", "0"], "keys 'r_on' and 'r_off'"),
+                                       (["--r-off", "0.001"], "keys 'r_on' and 'r_off'")])
+def test_cli_device_key_errors_name_their_keys(tmp_path, capsys, args, key):
+    # the slp reads no device, and its run is refused all the same
+    rc = main(["train", *args, "--epochs", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"config {key} out of range" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_roc_one_class_evaluation_set_exits_1(tmp_path, capsys):
     # a one-sample evaluation set, and a 3-sample OR set drawn from seed 6
     # that holds no negative, cannot give ROC rates: a config error, before
@@ -431,13 +443,10 @@ def test_slp_window_overshoot_is_a_keyed_config_error():
     assert isinstance(info.value.__cause__, WindowViolationError)
     # the location of the overshoot is kept word for word
     assert str(info.value).endswith(str(info.value.__cause__))
-    # an overshoot in epoch 2 of a run split at a snapshot after epoch 1 is
-    # named as epoch 1 of the second trainer call, and the message says so
+    # an overshoot is named by its epoch counted from the start of the run
     late = tiny(learning_rate=6.8, epochs=2, seed=2)
     with pytest.raises(ConfigError, match=r"single pulses\): realization 2, epoch 2,"):
         trained_ensemble(late)
-    with pytest.raises(ConfigError, match="counted after the epoch-1 snapshot.*, epoch 1,"):
-        trained_ensemble(late, snapshot=1)
 
 
 def test_window_a_changes_nothing_in_an_mlp_run():
@@ -556,18 +565,6 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
-def test_trained_ensemble_snapshot_splits_exactly():
-    for model in ("slp", "mlp"):
-        config = tiny(model=model, epochs=6)
-        histories, final = trained_ensemble(config)
-        head, at_2 = trained_ensemble(replace(config, epochs=2))
-        split, split_final, taken = trained_ensemble(config, snapshot=2)
-        assert np.array_equal(split, histories)
-        assert np.array_equal(head, histories[:, :2])
-        for got, want in zip(split_final + taken, final + at_2, strict=True):
-            assert np.array_equal(got, want)
-
-
 def test_cli_protocol_writes_the_golden_artifacts(tmp_path, capsys):
     rc = main(["protocol", "--epochs", "20", "--realizations", "10", "--svg",
                "--out", str(tmp_path)])
@@ -593,13 +590,21 @@ def test_cli_closed_stdout_stops_only_the_printing(tmp_path, monkeypatch):
 
 
 def test_cli_protocol_roc_files_equal_the_roc_command(tmp_path):
-    shape = ["--epochs", "1", "--dataset-size", "12"]
-    assert main(["protocol", *shape, "--realizations", "2", "--out", str(tmp_path / "p")]) == 0
-    for model, gate in (("slp", "or"), ("slp", "xor"), ("mlp", "xor")):
-        out = tmp_path / f"{model}_{gate}"
-        assert main(["roc", "--model", model, "--gate", gate, *shape, "--out", str(out)]) == 0
-        name = f"roc_{model}_{gate}.csv"
-        assert (tmp_path / "p" / name).read_bytes() == (out / name).read_bytes()
+    # each curve is the train command's for its pair, and each ROC the roc
+    # command's at (epochs + 1) // 2 epochs: 3 epochs give 2, where a
+    # rounding down would give 1
+    shape = ["--dataset-size", "12", "--realizations", "2", "--svg"]
+    assert main(["protocol", "--epochs", "3", *shape, "--out", str(tmp_path / "p")]) == 0
+    stems = {p.stem for p in (tmp_path / "p").iterdir()}
+    assert len(stems) == 9 and len(list((tmp_path / "p").iterdir())) == 18
+    for stem in stems:
+        kind, model, gate = stem.split("_")
+        command = ["train", "--epochs", "3"] if kind == "curve" else ["roc", "--epochs", "2"]
+        out = tmp_path / stem
+        assert main([*command, "--model", model, "--gate", gate, *shape, "--out", str(out)]) == 0
+        for suffix in (".csv", ".svg"):
+            name = stem + suffix
+            assert (tmp_path / "p" / name).read_bytes() == (out / name).read_bytes()
 
 
 @pytest.mark.parametrize("args, key", [(["--model", "mlp"], "'model'"),
@@ -689,15 +694,14 @@ def small_configs(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(overrides=small_configs(), split=st.booleans())
-def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrides, split):
+@given(overrides=small_configs())
+def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrides):
     # the three outcomes allowed: finite histories with every parameter inside
     # its clamp, and finite scores on a two-class ROC evaluation set; a
     # ConfigError naming a key (exit 1); a FloatingPointError (exit 2)
     config = parse_config(overrides=overrides)
-    snapshot = (config.epochs + 1) // 2 if split else None
     try:
-        histories, final, *taken = trained_ensemble(config, snapshot)
+        histories, final = trained_ensemble(config)
     except ConfigError as exc:
         assert set(re.findall(r"config keys? '(\w+)'", str(exc))) & {f.name for f in fields(ExperimentConfig)}
         return
@@ -713,15 +717,14 @@ def test_every_valid_config_finishes_in_bounds_or_fails_by_its_exit_code(overrid
         xs = _evaluation_set(config)[0]
     except ConfigError:  # one class: roc and protocol stop before training
         xs = None
-    for params in [final, *taken]:
-        for p in params:
-            assert p.shape[0] == config.n_realizations
-            assert np.isfinite(p).all() and (np.abs(p) <= bound).all()
-        if xs is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # scoring warns nothing, overflow included
-                try:
-                    scores = ensemble_scores(config, params, xs)
-                except FloatingPointError:
-                    continue
-            assert np.isfinite(scores).all()
+    for p in final:
+        assert p.shape[0] == config.n_realizations
+        assert np.isfinite(p).all() and (np.abs(p) <= bound).all()
+    if xs is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # scoring warns nothing, overflow included
+            try:
+                scores = ensemble_scores(config, final, xs)
+            except FloatingPointError:
+                return
+        assert np.isfinite(scores).all()
