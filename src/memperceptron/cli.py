@@ -25,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     gate_dataset,
     key_type,
+    load_config_file,
     parse_config,
     run_learning_experiment,
     run_protocol,
@@ -81,9 +82,13 @@ def _cmd_roc(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
+    in_file = load_config_file(args.config_path) if args.config_path is not None else {}
     for key in ("model", "gate"):
         if getattr(args, key) is not None:
             raise ConfigError(f"config key '{key}' is set pair by pair by protocol; drop --{key}")
+        if key in in_file:
+            raise ConfigError(f"config key '{key}' is set pair by pair by protocol; "
+                              f"drop it from {args.config_path}")
     config = _parsed(args)
     for path in run_protocol(config):
         print(f"wrote {path}")

@@ -1,8 +1,10 @@
 /* The training run of both perceptrons, their scoring, and the
- * realizations' random streams: numpy's PCG64 seeding, draws and shuffles.
- * `train.py` calls these through ctypes, and the plain loops of
- * `tests/oracles.py` are their spec: a run repeats their float operations
- * (same operands, same order, no contraction), so it gives their bytes.
+ * realizations' random streams: numpy's PCG64 seeding and draws, and the
+ * shuffles that only a run draws.  The library exports run, score,
+ * seed_streams and random_rows, which `train.py` calls through ctypes, and
+ * avx2 (see there), and nothing else.  The plain loops of `tests/oracles.py`
+ * are their spec: a run repeats their float operations (same operands, same
+ * order, no contraction), so it gives their bytes.
  *
  * A run trains R realizations online for `epochs` epochs.  Realizations run
  * in lane blocks, SLP_LANES wide for the SLP and MLP_LANES for the MLP, the
@@ -261,21 +263,6 @@ INLINE void permutations(int64_t nb, pcg64 *g, int64_t n, int64_t *perm)
         }
 }
 
-/* Row r of perm becomes stream r's rng.permutation(n), in blocks of
- * SLP_LANES rows. */
-void shuffle_rows(int64_t R, int64_t n, uint64_t *streams, int64_t *perm)
-{
-    pcg64 g[SLP_LANES];
-    for (int64_t r0 = 0; r0 < R; r0 += SLP_LANES) {
-        int64_t nb = R - r0 < SLP_LANES ? R - r0 : SLP_LANES;
-        for (int64_t b = 0; b < nb; b++)
-            g[b] = load(streams + (r0 + b) * STREAM);
-        permutations(nb, g, n, perm + r0 * n);
-        for (int64_t b = 0; b < nb; b++)
-            store(streams + (r0 + b) * STREAM, g + b);
-    }
-}
-
 /* np.clip(x, -b, b): the lower bound first, then the upper, a tie keeping x.
  * A NaN in x or b comes out NaN (fmin/fmax would drop it) and +/-inf clamps. */
 static double clamp(double x, double b)
@@ -337,8 +324,9 @@ INLINE void burst(int64_t n, double *q, const double *inc, double bound)
         q[b] = clamp(q[b] + inc[b], bound);
 }
 
-/* burst, as single pulses: if an increment has |inc| >= window_a, nothing
- * is written and the call returns the first such b; else it returns -1. */
+/* burst, as the SLP's single pulses, on the n lanes of one weight: one
+ * realization each.  If a lane's increment has |inc| >= window_a, no lane is
+ * written and the call returns the first such b; else it returns -1. */
 INLINE int64_t apply(int64_t n, double *q, const double *inc, double bound, double window_a)
 {
     int over = 0;
@@ -352,12 +340,6 @@ INLINE int64_t apply(int64_t n, double *q, const double *inc, double bound, doub
     }
     burst(n, q, inc, bound);
     return -1;
-}
-
-/* apply, on n variables at once: the SLP's write, exported for its tests. */
-int64_t write_pulses(int64_t n, double *q, const double *inc, double bound, double window_a)
-{
-    return apply(n, q, inc, bound, window_a);
 }
 
 /* A violation's key (epoch, sample, realization, weight) goes to where and

@@ -164,7 +164,8 @@ def _coerce(key: str, value):
     return convert(value)
 
 
-def _load_config_file(path) -> dict:
+def load_config_file(path) -> dict:
+    """The keys and values of a JSON config file, not yet checked."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -188,7 +189,7 @@ def parse_config(path=None, overrides: dict | None = None,
     merged: dict = {}
     sources = [defaults or {}]
     if path is not None:
-        sources.append(_load_config_file(path))
+        sources.append(load_config_file(path))
     sources.append(overrides or {})
     for source in sources:
         for key, value in source.items():

@@ -29,6 +29,7 @@ import operator
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +56,28 @@ class AllocationError(MemoryError):
     cannot be allocated."""
 
 
-@functools.cache
+_LOADING = threading.Lock()
+
+
 def load_library():
-    """The compiled runs and streams, built at first use into __pycache__
-    under the sha256 of source and flags, renamed into place so concurrent
-    builds are safe; a build removes the other builds there.  Raises
-    RuntimeError naming the compiler if the build or the load fails."""
+    """The compiled runs and streams (see `_library`), built or loaded once
+    per process: a call made while another builds waits for that build,
+    and every call gets the same library."""
+    with _LOADING:
+        return _library()
+
+
+@functools.cache
+def _library():
+    """The compiled library, built at first use into __pycache__ under the
+    sha256 of source and flags.  A build compiles to a temporary file
+    named for its process and thread, then renames it into place, so
+    builds in other processes at the same time are safe; a build removes
+    the other builds there.  Raises RuntimeError naming the compiler if
+    the build or the load fails."""
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
     path = _SOURCE.parent / "__pycache__" / f"epoch-{key}.so"
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         if not path.exists():
             path.parent.mkdir(exist_ok=True)
@@ -81,9 +95,8 @@ def load_library():
                            f"{getattr(exc, 'stderr', None) or exc}") from exc
     lib.run.argtypes, lib.run.restype = _RUN, ctypes.c_int
     lib.score.argtypes, lib.score.restype = _SCORE, ctypes.c_int
-    for name in ("seed_streams", "random_rows", "shuffle_rows"):  # R, a count, two arrays
+    for name in ("seed_streams", "random_rows"):  # R, a count, two arrays
         getattr(lib, name).argtypes, getattr(lib, name).restype = [_I, _I, _P, _P], None
-    lib.write_pulses.argtypes, lib.write_pulses.restype = [_I, _P, _P, _F, _F], _I
     lib.avx2.argtypes, lib.avx2.restype = [], ctypes.c_int
     return lib
 

@@ -63,6 +63,15 @@ MUTANTS = [
      ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
     (KERNEL, "drive[b] = acc[b] > 0.0 ? acc[b] : 0.0;", "drive[b] = acc[b];",
      ENGINE_TESTS + "test_long_shuffles_equal_the_oracles"),
+    # a draw equal to the step refused, then a lane's buffered half left unused:
+    # only the runs' shuffles reach this code
+    (KERNEL, "ok = j <= at", "ok = j < at",
+     ENGINE_TESTS + "test_every_epoch_presents_the_samples_in_rng_permutation_order"),
+    (KERNEL, "if (paired && g[b].has_uint32)", "if (0)",
+     ENGINE_TESTS + "test_every_epoch_presents_the_samples_in_rng_permutation_order"),
+    # a refused draw swaps with row[0]: the same draws, so only the order shows it
+    (KERNEL, "j = ok ? j : at;", "j = ok ? j : 0;",
+     ENGINE_TESTS + "test_every_epoch_presents_the_samples_in_rng_permutation_order"),
     # types checked only on the parse_config route, as they once were
     (HARNESS, "_check(key_type(key), key, v)", "pass",
      HARNESS_TESTS + "test_construction_checks_the_type_of_every_key"),
@@ -90,6 +99,9 @@ MUTANTS = [
      HARNESS_TESTS + "test_cli_ensembles_too_large_to_allocate_exit_1"),
     (METRICS, "def _split_scores(", "def _unused():\n    return None\n\n\ndef _split_scores(",
      "tests/test_source.py::test_every_top_level_name_is_public_or_used_by_the_package"),
+    # a kernel helper exported that train.py neither binds nor calls
+    (KERNEL, "static uint64_t random_interval(", "uint64_t random_interval(",
+     "tests/test_source.py::test_every_kernel_export_is_bound_and_called_by_train"),
 ]
 
 

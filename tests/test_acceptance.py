@@ -6,14 +6,17 @@ numbers.  Training fixtures reuse the harness protocol: shared dataset
 per experiment, realization r seeded base + r, 100 realizations.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from memperceptron.data import Gate, generate_dataset
 from memperceptron.harness import ensemble_scores, parse_config, trained_ensemble
 from memperceptron.metrics import auc, roc_points
 from memperceptron.mlp import DeviceParams, device_constants, glorot_layer, train_mlp_ensemble
-from memperceptron.train import load_library, score, seed_streams, train_slp_ensemble
+from memperceptron.train import WindowViolationError, score, seed_streams, train_slp_ensemble
 
 from oracles import (
     apply_read_pulse,
@@ -219,37 +222,49 @@ def test_criterion_6_closed_form_matches_fine_step_integrator():
 
 
 def test_criterion_7_window_isolation():
-    # every write goes through the slp's own write, exported as write_pulses:
-    # one increment on one variable, a single pulse at bound 2
-    lib = load_library()
+    # every write is the slp's own single pulse, as training makes it: one
+    # step of the trainer on one one-hot sample at bound 2, the lanes of the
+    # one addressed weight being realizations of a 1-lane, a full or a ragged
+    # lane block.  The addressed weight and the bias move by exactly the
+    # oracle's increment, clamp included, and every other weight keeps its
+    # bits.  eta <= 6.5 keeps |inc| <= 6.5 * 4 / 27 < 1 = a
     rng = np.random.default_rng(7)
-    writes = 0
+    writes = clamped = 0
     while writes < 10_000:
-        n = int(rng.integers(2, 6))
-        gamma = rng.uniform(-1.9, 1.9, n)
-        target = rng.integers(0, n, 100)
-        delta = rng.uniform(-0.99, 0.99, 100)
-        for idx, step in zip(target, delta):
-            before, inc = gamma.copy(), np.zeros(n)
-            inc[idx] = step
-            assert lib.write_pulses(n, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0) == -1
-            new = before[idx] + step
-            if new < -2.0:
-                new = -2.0
-            elif new > 2.0:
-                new = 2.0
-            assert gamma[idx] == new  # bit-exact, clamp included
-            others = np.arange(n) != idx
-            assert np.array_equal(gamma[others], before[others])
-            writes += 1
-    # one pulse fits only |delta| < a; the window edge itself is refused,
-    # and the refused write changes nothing
-    for bad in (1.0, -1.0, 1.5, -1.5):
-        gamma, inc = np.zeros(3), np.array([0.0, bad, 0.0])
-        assert lib.write_pulses(3, gamma.ctypes.data, inc.ctypes.data, 2.0, 1.0) == 1
-        assert np.array_equal(gamma, np.zeros(3))
-    print(f"criterion 7: {writes} randomized writes through write_pulses, addressed variable "
-          f"only, bit-exact; |delta| >= a is refused for both signs")
+        n_real, n_in = int(rng.choice([1, 8, 11])), int(rng.integers(1, 5))
+        idx, eta = int(rng.integers(n_in)), rng.uniform(0.0, 6.5)
+        xs, ts = np.eye(n_in)[idx:idx + 1], rng.integers(0, 2, 1).astype(float)
+        before = rng.uniform(-1.9, 1.9, (n_real, n_in + 1))
+        _, (after,) = train_slp_ensemble([before], eta, xs, ts, 1, seed_streams(0, n_real), weight_bound=2.0)
+        for r in range(n_real):
+            _, trail = ideal_slp_run(before[r], eta, xs, ts, 1, np.random.default_rng(r), record_weights=True,
+                                     bound=2.0, sigmoid=expit, window_a=1.0)
+            assert after[r].tobytes() == trail[-1].tobytes()  # bit-exact, clamp included
+        untouched = [i for i in range(n_in) if i != idx]
+        assert after[:, untouched].tobytes() == before[:, untouched].tobytes()
+        clamped += int(np.count_nonzero(np.abs(after[:, [idx, n_in]]) == 2.0))
+        writes += 2 * n_real
+    # one pulse fits only |inc| < a.  Weights of 0 give out = 1/2 and so an
+    # increment of exactly +/- eta / 8 to the addressed weight; the other
+    # realizations are saturated and move by almost nothing.  A window of
+    # eta / 8 refuses it, naming the last realization, and the next float
+    # up takes it
+    for n_real in (1, 8, 11):
+        for t, sign in ((1.0, 1.0), (0.0, -1.0)):
+            idx, eta = int(rng.integers(3)), rng.uniform(0.5, 7.5)
+            a, xs = eta / 8.0, np.eye(3)[idx:idx + 1]
+            weights0 = np.full((n_real, 4), 5.0)
+            weights0[-1] = 0.0
+            with pytest.raises(WindowViolationError) as refused:
+                train_slp_ensemble([weights0], eta, xs, [t], 1, seed_streams(0, n_real), a, 2.0)
+            assert str(refused.value) == (f"realization {n_real - 1}, epoch 1, sample 1: increment {sign * a!r} "
+                                          f"to weight {idx} does not fit in window width {a}")
+            _, (after,) = train_slp_ensemble([weights0], eta, xs, [t], 1, seed_streams(0, n_real),
+                                              math.nextafter(a, math.inf), 2.0)
+            assert after[-1, idx] == after[-1, 3] == sign * a
+    print(f"criterion 7: {writes} randomized single-pulse writes through the slp trainer at bound 2 "
+          f"({clamped} clamped), addressed weight and bias only, bit-exact; |inc| = a is refused for both "
+          f"signs, and a = nextafter(|inc|, inf) takes it")
 
 
 def test_criterion_8_slp_equals_ideal_delta_rule():

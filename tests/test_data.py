@@ -1,4 +1,4 @@
-"""Gate datasets: truth tables, seeding, epoch shuffles, CSV round-trip."""
+"""Gate datasets: truth tables, seeding, CSV round-trip."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from memperceptron.data import (
     load_dataset_csv,
     save_dataset_csv,
 )
-from memperceptron.train import load_library, seed_streams
 
 from oracles import TRUTH, per_sample_dataset
 
@@ -58,29 +57,6 @@ def test_pattern_frequencies_are_roughly_uniform():
     patterns, counts = np.unique(xs, axis=0, return_counts=True)
     assert patterns.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert all(abs(c / 4000 - 0.25) < 0.05 for c in counts)
-
-
-def presented_order(n, epochs, seed):
-    """Sample indices a training run presents, one row per epoch: the
-    shuffle it draws from the stream of default_rng(seed)."""
-    streams, order = seed_streams(seed, 1), np.empty((epochs, n), dtype=np.int64)
-    for row in order:
-        load_library().shuffle_rows(1, n, streams.ctypes.data, row.ctypes.data)
-    return order
-
-
-def test_shuffle_preserves_multiset_and_is_seeded():
-    order = presented_order(30, 4, 9)
-    assert np.array_equal(order, presented_order(30, 4, 9))
-    rng = np.random.default_rng(9)
-    for row in order:
-        assert sorted(row) == list(range(30))  # every sample exactly once
-        assert np.array_equal(row, rng.permutation(30))  # one draw per epoch
-    assert not np.array_equal(order[0], order[1])
-
-
-def test_shuffle_singleton():
-    assert presented_order(1, 3, 5).tolist() == [[0], [0], [0]]
 
 
 def test_csv_round_trip(tmp_path):

@@ -7,6 +7,7 @@ generators ("numpy"), so the runs are seen to carry on any PCG64 state,
 not only the ones the library seeded.
 """
 
+import ctypes
 import functools
 import hashlib
 import os
@@ -133,14 +134,34 @@ def test_loader_returns_the_library_whenever_a_compiler_is_found(tmp_path, monke
     # a fresh build lands in the source's own cache, under its key, and
     # removes the builds of other sources; one it cannot remove stays.  It
     # is also a full compile that fails on any warning: -Wmaybe-uninitialized
-    # and friends need the optimizer
+    # and friends need the optimizer.  Four threads ask for it at once: one
+    # compiler runs, and all four get the one library it built
     source = fresh_source(tmp_path, monkeypatch)
     monkeypatch.setattr(train, "_CFLAGS", (*train._CFLAGS, "-Wall", "-Wextra", "-Werror"))
+    monkeypatch.setattr(train, "_library", functools.cache(train._library.__wrapped__))
+    compiles, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: compiles.append(args) or run(*args, **kwargs))
     cache = tmp_path / "__pycache__"
     cache.mkdir()
     (cache / "epoch-stale.so").write_bytes(b"")
     (cache / "epoch-busy.so").mkdir()  # unlink raises IsADirectoryError
-    assert train.load_library.__wrapped__() is not None
+    got, together = [None] * 4, threading.Barrier(4)
+
+    def load(i):
+        together.wait(timeout=60)
+        try:
+            got[i] = train.load_library()
+        except RuntimeError as exc:
+            got[i] = exc
+
+    callers = [threading.Thread(target=load, args=(i,)) for i in range(4)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=120)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(compiles) == 1 and [lib for lib in got if not isinstance(lib, ctypes.CDLL)] == []
+    assert all(lib is got[0] for lib in got)
     key = hashlib.sha256(source.read_bytes() + " ".join(train._CFLAGS).encode()).hexdigest()
     assert sorted(p.name for p in cache.iterdir()) == sorted(["epoch-busy.so", f"epoch-{key}.so"])
 
@@ -148,7 +169,7 @@ def test_loader_returns_the_library_whenever_a_compiler_is_found(tmp_path, monke
 def test_without_a_compiler_train_exits_2_naming_cc(tmp_path, monkeypatch, capsys):
     fresh_source(tmp_path, monkeypatch)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))  # no such directory: no cc
-    monkeypatch.setattr(train, "load_library", functools.cache(train.load_library.__wrapped__))
+    monkeypatch.setattr(train, "_library", functools.cache(train._library.__wrapped__))
     out = tmp_path / "out"
     rc = main(["train", "--epochs", "2", "--realizations", "2", "--dataset-size", "8",
                "--out", str(out)])
@@ -317,7 +338,7 @@ def test_the_avx2_and_the_default_copy_of_the_mlp_blocks_give_the_same_bytes(tmp
     avx2 = trained()
     fresh_source(tmp_path, monkeypatch)
     monkeypatch.setattr(train, "_CFLAGS", (*train._CFLAGS, "-DNO_AVX2"))
-    monkeypatch.setattr(train, "load_library", functools.cache(train.load_library.__wrapped__))
+    monkeypatch.setattr(train, "_library", functools.cache(train._library.__wrapped__))
     assert train.load_library().avx2() == 0
     assert trained() == avx2
 
@@ -667,35 +688,43 @@ def test_random_rows_draw_rng_random(source, seed):
     assert streams.tolist() == [pcg64_row(ref) for ref in refs]
 
 
-# rows for the shuffle tests: one full lane block and a ragged block of three
-SHUFFLED = 11
+# sample counts for the shuffle check, each with a base seed of its own:
+# one sample, which draws nothing; two and three, the fewest whose steps
+# take paired draws or none; and 100 and 4099, long runs of paired draws
+# whose masks shrink as the steps go down
+SHUFFLED = list(zip([1, 2, 3, 100, 4099], STREAM_SEEDS * 2))
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_shuffle_rows_on_seeded_streams_draw_rng_permutation(seed):
-    lib = train.load_library()
-    streams = train.seed_streams(seed, SHUFFLED)
-    refs = [np.random.default_rng(seed + r) for r in range(SHUFFLED)]
-    for n in (1, 2, 3, 100, 4099):
-        perms = np.empty((SHUFFLED, n), dtype=np.int64)
-        for _ in range(3):  # an odd number of 32-bit draws leaves half of an output buffered
-            lib.shuffle_rows(SHUFFLED, n, streams.ctypes.data, perms.ctypes.data)
-            assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
-            assert streams.tolist() == [pcg64_row(ref) for ref in refs]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 100, 4099])
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64])  # the one a stream row holds
-def test_shuffle_rows_draws_rng_permutation(bit_generator, n):
-    # on rows copied from generators seeded by the bit generator itself
-    lib = train.load_library()
-    rngs, refs = ([np.random.Generator(bit_generator(s)) for s in range(SHUFFLED)] for _ in range(2))
-    streams = np.array([pcg64_row(rng) for rng in rngs], dtype=np.uint64)
-    perms = np.empty((SHUFFLED, n), dtype=np.int64)
-    for _ in range(3):
-        lib.shuffle_rows(SHUFFLED, n, streams.ctypes.data, perms.ctypes.data)
-        assert np.array_equal(perms, [ref.permutation(n) for ref in refs])
-    assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+@pytest.mark.parametrize("n, seed", SHUFFLED)
+@pytest.mark.parametrize("model", ["slp", "mlp"])
+def test_every_epoch_presents_the_samples_in_rng_permutation_order(model, n, seed):
+    # 11 realizations, a full SLP lane block and a ragged one of 3, or one
+    # ragged MLP block, over three epochs: an odd number of 32-bit draws
+    # leaves half of an output buffered for the next.  The samples are
+    # distinct, so any order but rng.permutation's shows in the histories
+    # and parameters, and the streams, seeded or copied from numpy's
+    # generators, must end where the oracles' generators do
+    n_real, epochs, rng, refs = 11, 3, np.random.default_rng(n), []
+    xs = rng.uniform(-1.0, 1.0, (n, 1))
+    ts = rng.integers(0, 2, n).astype(float)
+    if model == "slp":
+        weights0 = rng.uniform(-1.0, 1.0, (n_real, 2))
+        trained = functools.partial(train_slp_ensemble, [weights0], 0.5, xs, ts, epochs)
+        want = oracle_outcome(lambda r, stream: refs.append(stream) or slp_oracle(
+            weights0[r], 0.5, xs, ts, epochs, stream, 10.0, 1.0), n_real, seed)
+    else:  # a 1-1-1 network on the default device, whose oracle steps cost the least
+        gammas0 = [rng.uniform(-1.0, 1.0, (n_real, 1, 1)) for _ in range(2)]
+        biases0 = [rng.uniform(-1.0, 1.0, (n_real, 1)) for _ in range(2)]
+        trained = functools.partial(train_mlp_ensemble, gammas0 + biases0, 0.1, xs, ts, epochs)
+        want = oracle_outcome(lambda r, stream: refs.append(stream) or ideal_mlp_run(
+            [g[r] for g in gammas0], [b[r] for b in biases0], 0.1, xs, ts, epochs, stream, (0.01, 1.0, 1.0),
+            1.0, 2.0)[:3], n_real, seed)
+    for source in SOURCES:
+        streams = SOURCES[source](seed, n_real)
+        assert_same(trained(streams), want)
+        assert streams.tolist() == [pcg64_row(ref) for ref in refs]
+    if n == 1:  # nothing drawn
+        assert streams.tolist() == seed_streams(seed, n_real).tolist()
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -753,7 +782,7 @@ def test_glorot_init_equals_one_uniform_call_per_array(sizes):
 
 
 @pytest.mark.parametrize("input_dim", [1, 2, 5])
-def test_glorot_slp_weights_equal_one_uniform_call_per_generator(input_dim):
+def test_glorot_layer_equals_one_uniform_call_per_generator(input_dim):
     streams, refs = seed_streams(0, 40), [np.random.default_rng(s) for s in range(40)]
     got = glorot_layer(input_dim, 1, streams)
     want = np.stack([glorot_slp_loop_init(input_dim, ref) for ref in refs])

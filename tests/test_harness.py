@@ -608,12 +608,19 @@ def test_cli_protocol_roc_files_equal_the_roc_command(tmp_path):
 
 
 @pytest.mark.parametrize("args, key", [(["--model", "mlp"], "'model'"),
-                                       (["--gate", "xor"], "'gate'")])
+                                       (["--gate", "xor"], "'gate'"),
+                                       ({"model": "mlp", "gate": "XOR"}, "'model'"),  # a config file's keys
+                                       ({"gate": "OR"}, "'gate'")])
 def test_cli_protocol_rejects_model_and_gate(tmp_path, capsys, args, key):
-    rc = main(["protocol", *args, "--epochs", "1", "--out", str(tmp_path)])
+    if isinstance(args, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args))
+        args = ["--config", str(config)]
+    out = tmp_path / "out"
+    rc = main(["protocol", *args, "--epochs", "1", "--out", str(out)])
     assert rc == 1
     assert key in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_cli_protocol_one_class_evaluation_set_exits_1(tmp_path, capsys):
